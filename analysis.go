@@ -2,13 +2,11 @@ package histwalk
 
 // Re-exports of the analysis extensions: exact Markov-chain analysis
 // (internal/markov), MCMC convergence diagnostics
-// (internal/diagnostics), parallel walker ensembles (internal/ensemble)
-// and the frontier-sampling baselines.
+// (internal/diagnostics) and the frontier-sampling baselines.
 
 import (
 	"histwalk/internal/core"
 	"histwalk/internal/diagnostics"
-	"histwalk/internal/ensemble"
 	"histwalk/internal/experiment"
 	"histwalk/internal/linalg"
 	"histwalk/internal/markov"
@@ -62,27 +60,6 @@ var (
 	// Autocorrelation returns the lag-k sample autocorrelation.
 	Autocorrelation = diagnostics.Autocorrelation
 )
-
-// Parallel walker ensembles.
-type (
-	// EnsembleConfig parameterizes a parallel sampling run.
-	//
-	// Deprecated: use Spec with Chains > 1 and Run; the session API
-	// additionally reports confidence intervals and per-chain query
-	// accounting. EnsembleConfig is kept as a compatibility shim.
-	EnsembleConfig = ensemble.Config
-	// EnsembleResult is the merged outcome of a parallel run.
-	//
-	// Deprecated: use Result from Run.
-	EnsembleResult = ensemble.Result
-)
-
-// RunEnsemble executes independent walkers concurrently and pools their
-// estimates, reporting Gelman–Rubin R̂ across the chains.
-//
-// Deprecated: use Run with Spec.Chains > 1 (RunEnsemble is now a thin
-// wrapper over it, preserving the legacy seed stream).
-var RunEnsemble = ensemble.Run
 
 // Frontier-sampling baselines (Ribeiro & Towsley, the paper's [17]).
 type Frontier = core.Frontier

@@ -53,8 +53,7 @@
 // at a time (Next) with streaming Progress callbacks, and its final
 // Result is identical to Run's. The pre-session manual style —
 // NewSimulator + NewCNRW + estimator + hand-written budget loop — still
-// compiles and works, as do the deprecated ensemble shims
-// (EnsembleConfig, RunEnsemble); new code should prefer Spec/Run.
+// compiles and works; new code should prefer Spec/Run.
 //
 // # Multi-chain crawling and the shared cache
 //
@@ -63,9 +62,7 @@
 // own unique queries — the network cost is the sum of the chains'
 // costs. A real deployment with one local cache does better: once any
 // chain has fetched a node's neighborhood, sibling chains read it for
-// free. Setting Cache: CacheShared runs all chains over one
-// concurrency-safe shared crawl cache (SharedSimulator, queried
-// through per-chain Views):
+// free. Setting Cache: CacheShared accounts the chains as such a fleet:
 //
 //	res, err := histwalk.Run(ctx, histwalk.Spec{
 //	    Graph:  g,
@@ -84,13 +81,17 @@
 // per-chain: each chain's spend counts the queries *it* issued for
 // nodes *it* had not seen, exactly as with isolated caches, so
 // per-chain rate/budget semantics (Budgeted) are unchanged. The
-// shared layer only changes who pays the network. Because cache state
-// never alters the neighbor data a walker sees, chain trajectories,
-// estimates and budget accounting are bit-identical between
-// CacheShared and CacheIsolated for any Workers value — switching the
-// policy is purely an infrastructure decision, verified by the
-// internal/session tests and the BenchmarkSharedVsIsolatedChains
-// benchmark.
+// shared cache only changes who pays the network. Because cache state
+// never alters the neighbor data a walker sees, every chain runs on
+// its own Simulator under either policy, and the shared ledger is
+// derived when the Result is merged: the network pays once for each
+// node any chain queried (the union of the chains' caches), and every
+// other chain-locally-new query is a cross-chain hit. Chain
+// trajectories, estimates and budget accounting are therefore
+// bit-identical between CacheShared and CacheIsolated for any Workers
+// value — switching the policy is purely an accounting decision,
+// verified by the internal/session tests and the
+// BenchmarkSharedVsIsolatedChains benchmark.
 //
 // The subpackages under internal/ hold the implementation; this package
 // re-exports everything a downstream user needs.
@@ -201,17 +202,6 @@ type Client = access.Client
 // accounting.
 type Simulator = access.Simulator
 
-// SharedSimulator is a concurrency-safe shared crawl cache over one
-// Graph: many chains query it through per-chain Views, chain-local
-// accounting stays exact, and the global counters report what the
-// whole fleet actually paid the network.
-type SharedSimulator = access.SharedSimulator
-
-// View is one chain's window onto a SharedSimulator, implementing
-// Client with chain-local unique-query accounting identical to a
-// private Simulator's.
-type View = access.View
-
 // Budgeted wraps a Client with a hard unique-query budget.
 type Budgeted = access.Budgeted
 
@@ -220,10 +210,6 @@ type RateLimiter = access.RateLimiter
 
 // NewSimulator returns a Simulator over g.
 func NewSimulator(g *Graph) *Simulator { return access.NewSimulator(g) }
-
-// NewSharedSimulator returns a shared cross-chain crawl cache over g;
-// take one View per chain.
-func NewSharedSimulator(g *Graph) *SharedSimulator { return access.NewSharedSimulator(g) }
 
 // NewBudgeted wraps inner with a unique-query budget.
 func NewBudgeted(inner Client, budget int) *Budgeted { return access.NewBudgeted(inner, budget) }

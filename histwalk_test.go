@@ -5,6 +5,7 @@ package histwalk_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -208,5 +209,43 @@ func TestPublicAPIRateLimiter(t *testing.T) {
 	rl.Take()
 	if rl.VirtualElapsed() == 0 {
 		t.Fatal("rate limiter did not accumulate virtual time")
+	}
+}
+
+// TestSharedCacheLedger pins the shared-cache ledger on
+// BenchmarkSharedVsIsolatedChains' spec (the counts BENCH_access.json
+// records): 16 CNRW chains × 500 unique queries on the 4000-node Google
+// Plus stand-in pay the network 8000 queries with isolated caches but
+// 3003 with a shared one, for any Workers value.
+func TestSharedCacheLedger(t *testing.T) {
+	g := histwalk.GooglePlusN(4000, 1)
+	run := func(cache histwalk.CachePolicy, workers int) *histwalk.Result {
+		t.Helper()
+		res, err := histwalk.Run(context.Background(), histwalk.Spec{
+			Graph:   g,
+			Walker:  histwalk.CNRWFactory(),
+			Budget:  500,
+			Chains:  16,
+			Cache:   cache,
+			Workers: workers,
+			Seed:    1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, workers := range []int{1, 16} {
+		res := run(histwalk.CacheShared, workers)
+		if res.TotalQueries != 8000 || res.GlobalQueries != 3003 || res.CrossChainHits != 4997 {
+			t.Fatalf("workers=%d: shared ledger %d local / %d global / %d cross-chain hits, want 8000/3003/4997",
+				workers, res.TotalQueries, res.GlobalQueries, res.CrossChainHits)
+		}
+		if want := 4997.0 / 8000; res.CrossChainHitRate != want {
+			t.Fatalf("workers=%d: CrossChainHitRate = %v, want %v", workers, res.CrossChainHitRate, want)
+		}
+	}
+	if iso := run(histwalk.CacheIsolated, 1); iso.GlobalQueries != 8000 || iso.CrossChainHits != 0 {
+		t.Fatalf("isolated ledger %d global / %d cross-chain hits, want 8000/0", iso.GlobalQueries, iso.CrossChainHits)
 	}
 }

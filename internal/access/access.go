@@ -17,6 +17,7 @@ package access
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"histwalk/internal/graph"
 	"histwalk/internal/graphstore"
@@ -90,16 +91,10 @@ type Client interface {
 // for concurrent use; experiments give each trial its own instance.
 type Simulator struct {
 	g       graphstore.Store
-	queried []bool
+	queried []uint64 // bit u%64 of word u/64 is set once u was queried
 	unique  int
 	total   int
 	limiter *RateLimiter
-	// hook, when set, observes every successful touch after the local
-	// accounting has been applied; fresh reports whether the touch was
-	// this simulator's first query for u. SharedSimulator views use it
-	// to feed the global ledger, which keeps a view's chain-local
-	// behavior bit-identical to a private Simulator's by construction.
-	hook func(u graph.Node, fresh bool)
 }
 
 // NewSimulator returns a Simulator over the heap graph g with no rate
@@ -109,7 +104,7 @@ func NewSimulator(g *graph.Graph) *Simulator { return NewSimulatorStore(g) }
 // NewSimulatorStore returns a Simulator over any storage backend with
 // no rate limit.
 func NewSimulatorStore(st graphstore.Store) *Simulator {
-	return &Simulator{g: st, queried: make([]bool, st.NumNodes())}
+	return &Simulator{g: st, queried: make([]uint64, (st.NumNodes()+63)/64)}
 }
 
 // SetRateLimiter installs a rate limiter applied to unique queries
@@ -126,27 +121,28 @@ func (s *Simulator) touch(u graph.Node) error {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, u)
 	}
 	s.total++
-	fresh := !s.queried[u]
-	if fresh {
+	if !s.cached(u) {
 		if s.limiter != nil {
 			s.limiter.Take()
 		}
-		s.queried[u] = true
+		s.queried[u>>6] |= 1 << (u & 63)
 		s.unique++
-	}
-	if s.hook != nil {
-		s.hook(u, fresh)
 	}
 	return nil
 }
 
+// cached reports whether the in-range node u has been queried before.
+func (s *Simulator) cached(u graph.Node) bool {
+	return s.queried[u>>6]&(1<<(u&63)) != 0
+}
+
 // Touch implements Toucher: it registers a neighborhood query against u
 // with accounting identical to Neighbors — one request, unique only on
-// first touch, rate-limited and hook-observed the same way — without
-// returning the response body. The batch stepper uses it to charge a
-// chain for a fetch whose bytes it already holds from a sibling chain
-// parked on the same node, so per-chain QueryCost and TotalRequests
-// stay bit-identical to sequential stepping.
+// first touch, rate-limited the same way — without returning the
+// response body. The batch stepper uses it to charge a chain for a
+// fetch whose bytes it already holds from a sibling chain parked on the
+// same node, so per-chain QueryCost and TotalRequests stay
+// bit-identical to sequential stepping.
 func (s *Simulator) Touch(u graph.Node) error { return s.touch(u) }
 
 // StableRows implements the StableRows marker: the slices Neighbors
@@ -197,7 +193,7 @@ func (s *Simulator) summaryCheck(owner, w graph.Node) error {
 	if owner < 0 || int(owner) >= s.g.NumNodes() {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, owner)
 	}
-	if !s.queried[owner] {
+	if !s.cached(owner) {
 		return fmt.Errorf("%w: owner %d not queried", ErrNotInSummary, owner)
 	}
 	if !s.g.HasEdge(owner, w) {
@@ -234,21 +230,39 @@ func (s *Simulator) QueryCost() int { return s.unique }
 // IsCached reports whether u has been queried before (a further query
 // for u is free).
 func (s *Simulator) IsCached(u graph.Node) bool {
-	return u >= 0 && int(u) < len(s.queried) && s.queried[u]
+	return u >= 0 && int(u) < s.g.NumNodes() && s.cached(u)
 }
 
 // TotalRequests returns all requests including cache hits, for measuring
 // cache effectiveness.
 func (s *Simulator) TotalRequests() int { return s.total }
 
+// UniqueAcross returns how many distinct nodes the simulators queried
+// between them: the unique-query cost a fleet sharing one local cache
+// would have paid the network (§2.3), where each simulator's QueryCost
+// is what its own chain paid. The simulators must serve stores of the
+// same size.
+func UniqueAcross(sims []*Simulator) int {
+	if len(sims) == 0 {
+		return 0
+	}
+	n := 0
+	for w := range sims[0].queried {
+		var word uint64
+		for _, s := range sims {
+			word |= s.queried[w]
+		}
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
 // Reset clears the cache, the counters and the installed rate limiter's
 // state (the graph and the limiter installation are retained). A reused
 // simulator therefore starts each run with a full token bucket and zero
 // virtual wait, like a fresh one.
 func (s *Simulator) Reset() {
-	for i := range s.queried {
-		s.queried[i] = false
-	}
+	clear(s.queried)
 	s.unique, s.total = 0, 0
 	if s.limiter != nil {
 		s.limiter.Reset()
@@ -264,11 +278,11 @@ type CacheAware interface {
 // Toucher is implemented by clients that can charge a neighborhood
 // query for u without materializing the response. Touch must perform
 // exactly the accounting a Neighbors call for u would — request and
-// unique-query counters, rate limiting, shared-ledger bookkeeping —
-// so a caller that already holds u's row bytes can substitute Touch
-// for the fetch with no observable accounting difference. Clients that
-// impose per-call admission rules beyond accounting (e.g. Budgeted's
-// budget guard) deliberately do not implement it.
+// unique-query counters, cache membership, rate limiting — so a caller
+// that already holds u's row bytes can substitute Touch for the fetch
+// with no observable accounting difference. Clients that impose
+// per-call admission rules beyond accounting (e.g. Budgeted's budget
+// guard) deliberately do not implement it.
 type Toucher interface {
 	Touch(u graph.Node) error
 }

@@ -3,7 +3,7 @@ package access
 // Tests for the allocation-free NeighborsAppend contract: identical
 // content and cost accounting to Neighbors, caller-owned buffers that
 // never alias internal storage, buffer preservation on error, and the
-// contract holding through every wrapper (Budgeted, Recorder, View).
+// contract holding through every wrapper (Budgeted, Recorder).
 
 import (
 	"errors"
@@ -120,24 +120,5 @@ func TestNeighborsAppendRecordedAsNeighbors(t *testing.T) {
 	log := rec.Log()
 	if len(log) != 1 || log[0].Kind != KindNeighbors || log[0].Node != 1 || !log[0].Paid() {
 		t.Fatalf("unexpected record: %+v", log)
-	}
-}
-
-func TestNeighborsAppendThroughSharedView(t *testing.T) {
-	g := appendTestGraph()
-	shared := NewSharedSimulator(g)
-	v1, v2 := shared.View(), shared.View()
-	if _, err := v1.NeighborsAppend(nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v2.NeighborsAppend(nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Chain-local accounting charges both views; the network paid once.
-	if v1.QueryCost() != 1 || v2.QueryCost() != 1 {
-		t.Fatalf("view costs %d/%d, want 1/1", v1.QueryCost(), v2.QueryCost())
-	}
-	if shared.GlobalCost() != 1 || shared.CrossChainHits() != 1 {
-		t.Fatalf("global cost %d hits %d, want 1 and 1", shared.GlobalCost(), shared.CrossChainHits())
 	}
 }

@@ -134,130 +134,3 @@ func TestBudgetedRateLimitedSimulator(t *testing.T) {
 		})
 	}
 }
-
-// TestBudgetedOverSharedView proves the budget composition rule for the
-// shared cross-chain cache: Budgeted charges the chain-local view, so a
-// chain's budget is unaffected by sibling chains' queries, while the
-// overlap stays free at the network level (cross-chain hits never
-// increase the global cost). The test graph is K5, so every node is
-// reachable by every chain.
-func TestBudgetedOverSharedView(t *testing.T) {
-	cases := []struct {
-		name         string
-		budget       int          // chain A's budget
-		sibling      []graph.Node // chain B's crawl, before A moves
-		crawl        []graph.Node // chain A's attempted crawl, in order
-		wantCost     int          // A's chain-local unique spend
-		wantErrAt    int          // index of A's first refused query (-1 = none)
-		wantGlobal   int          // globally-unique fetches after both crawls
-		wantXHits    int          // cross-chain hits after both crawls
-		wantSiblingB int          // B's chain-local cost (must equal its crawl's uniques)
-	}{
-		{
-			name:   "sibling traffic does not consume A's budget",
-			budget: 2, sibling: []graph.Node{0, 1, 2, 3, 4},
-			crawl:    []graph.Node{0, 1},
-			wantCost: 2, wantErrAt: -1,
-			wantGlobal: 5, wantXHits: 2, wantSiblingB: 5,
-		},
-		{
-			name:   "A still pays its own budget for nodes B already fetched",
-			budget: 2, sibling: []graph.Node{0, 1, 2},
-			crawl:    []graph.Node{0, 1, 2},
-			wantCost: 2, wantErrAt: 2, // third node refused: A's budget, not B's cache, governs
-			wantGlobal: 3, wantXHits: 2, wantSiblingB: 3,
-		},
-		{
-			name:   "A's own cache hits stay free after exhaustion",
-			budget: 2, sibling: nil,
-			crawl:    []graph.Node{0, 1, 0, 1, 0},
-			wantCost: 2, wantErrAt: -1,
-			wantGlobal: 2, wantXHits: 0, wantSiblingB: 0,
-		},
-		{
-			name:   "disjoint crawls share nothing",
-			budget: 3, sibling: []graph.Node{3, 4},
-			crawl:    []graph.Node{0, 1, 2},
-			wantCost: 3, wantErrAt: -1,
-			wantGlobal: 5, wantXHits: 0, wantSiblingB: 2,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			shared := NewSharedSimulator(testGraph(t))
-			viewB := shared.View()
-			for _, u := range tc.sibling {
-				if _, err := viewB.Neighbors(u); err != nil {
-					t.Fatal(err)
-				}
-			}
-			viewA := shared.View()
-			a := NewBudgeted(viewA, tc.budget)
-			for i, u := range tc.crawl {
-				_, err := a.Neighbors(u)
-				if i == tc.wantErrAt {
-					if !errors.Is(err, ErrBudgetExhausted) {
-						t.Fatalf("query %d: err = %v, want ErrBudgetExhausted", i, err)
-					}
-					break
-				}
-				if err != nil {
-					t.Fatalf("query %d: unexpected error %v", i, err)
-				}
-			}
-			if a.QueryCost() != tc.wantCost {
-				t.Fatalf("A's QueryCost = %d, want %d", a.QueryCost(), tc.wantCost)
-			}
-			if viewB.QueryCost() != tc.wantSiblingB {
-				t.Fatalf("B's QueryCost = %d, want %d (A's crawl leaked into B)", viewB.QueryCost(), tc.wantSiblingB)
-			}
-			if shared.GlobalCost() != tc.wantGlobal {
-				t.Fatalf("GlobalCost = %d, want %d", shared.GlobalCost(), tc.wantGlobal)
-			}
-			if shared.CrossChainHits() != tc.wantXHits {
-				t.Fatalf("CrossChainHits = %d, want %d", shared.CrossChainHits(), tc.wantXHits)
-			}
-		})
-	}
-}
-
-// TestBudgetedOverSharedViewMatchesIsolated drives the same budgeted
-// crawl over an isolated Simulator and a shared-cache View (with
-// sibling traffic in between) and checks the Budgeted wrapper's
-// observable behavior — errors, spend, Remaining — is bit-identical:
-// the shared cache changes network accounting, never chain behavior.
-func TestBudgetedOverSharedViewMatchesIsolated(t *testing.T) {
-	g := testGraph(t)
-	crawl := []graph.Node{0, 1, 0, 2, 3, 1, 4}
-	const budget = 3
-
-	iso := NewBudgeted(NewSimulator(g), budget)
-	shared := NewSharedSimulator(g)
-	sibling := shared.View()
-	for u := graph.Node(0); int(u) < g.NumNodes(); u++ {
-		if _, err := sibling.Neighbors(u); err != nil { // sibling pre-fetches everything
-			t.Fatal(err)
-		}
-	}
-	shr := NewBudgeted(shared.View(), budget)
-
-	for i, u := range crawl {
-		_, errIso := iso.Neighbors(u)
-		_, errShr := shr.Neighbors(u)
-		if !errors.Is(errShr, errIso) && !errors.Is(errIso, errShr) {
-			t.Fatalf("query %d (%d): isolated err %v, shared err %v", i, u, errIso, errShr)
-		}
-		if iso.QueryCost() != shr.QueryCost() || iso.Remaining() != shr.Remaining() {
-			t.Fatalf("query %d: spend diverged (%d/%d vs %d/%d)",
-				i, iso.QueryCost(), iso.Remaining(), shr.QueryCost(), shr.Remaining())
-		}
-	}
-	// The sibling pre-fetched the whole graph, so the budgeted chain's
-	// entire spend was served from the shared cache: no new global cost.
-	if shared.GlobalCost() != g.NumNodes() {
-		t.Fatalf("GlobalCost = %d, want %d", shared.GlobalCost(), g.NumNodes())
-	}
-	if shared.CrossChainHits() != budget {
-		t.Fatalf("CrossChainHits = %d, want the chain's %d budgeted queries", shared.CrossChainHits(), budget)
-	}
-}

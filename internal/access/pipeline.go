@@ -50,11 +50,10 @@ const warmScanBudget = 2048
 
 // Prefetcher is a latency-hiding client layer over any Transport: a
 // process-wide row cache with single-flight dedup (K chains demanding
-// the same node pay one network fetch — the pipelined generalization
-// of SharedSimulator's shared ledger) plus speculative warming of
+// the same node pay one network fetch) plus speculative warming of
 // walker-advertised candidate frontiers, bounded by a configurable
 // in-flight window. It is safe for concurrent use; chains access it
-// through per-chain Views (see View).
+// through per-chain PipeViews (see View).
 //
 // Rows are cached for the Prefetcher's lifetime and never evicted, the
 // same local-cache model as the paper's cost accounting (§2.3): the

@@ -97,74 +97,3 @@ func TestRecorderAgreesWithSimulatorOnWalks(t *testing.T) {
 		t.Fatalf("recorder paid %d, simulator unique %d", rec.PaidQueries(), sim.QueryCost())
 	}
 }
-
-// TestRecorderOverSharedView pins the composition the daemon uses for
-// auditable multi-chain runs: a Recorder wrapped around one chain's
-// View of a SharedSimulator. Paid() must track the CHAIN-local cost —
-// a node first fetched by a sibling chain is still paid from this
-// chain's perspective (it spent a query slot), while the shared layer
-// books it as a cross-chain hit, not a new global query.
-func TestRecorderOverSharedView(t *testing.T) {
-	g := graph.Complete(4)
-	if err := g.SetAttr("x", []float64{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	shared := NewSharedSimulator(g)
-	other := shared.View()
-	rec := NewRecorder(shared.View())
-
-	// A sibling chain fetches node 0 first.
-	if _, err := other.Neighbors(0); err != nil {
-		t.Fatal(err)
-	}
-	if shared.GlobalCost() != 1 {
-		t.Fatalf("global cost = %d, want 1", shared.GlobalCost())
-	}
-
-	// This chain queries the same node: chain-locally paid, globally a
-	// cross-chain hit.
-	if _, err := rec.Neighbors(0); err != nil {
-		t.Fatal(err)
-	}
-	// Then a repeat (chain-local cache hit) and a genuinely new node.
-	if _, err := rec.Degree(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rec.Attribute(1, "x"); err != nil {
-		t.Fatal(err)
-	}
-
-	log := rec.Log()
-	if len(log) != 3 {
-		t.Fatalf("log = %d entries, want 3", len(log))
-	}
-	if !log[0].Paid() {
-		t.Fatal("cross-chain hit must still be chain-locally paid")
-	}
-	if log[1].Paid() {
-		t.Fatal("chain-local repeat recorded as paid")
-	}
-	if !log[2].Paid() {
-		t.Fatal("fresh node not recorded as paid")
-	}
-	if rec.PaidQueries() != 2 || rec.QueryCost() != 2 {
-		t.Fatalf("chain accounting: paid %d cost %d, want 2/2", rec.PaidQueries(), rec.QueryCost())
-	}
-	if shared.GlobalCost() != 2 {
-		t.Fatalf("global cost = %d, want 2 (one node deduped)", shared.GlobalCost())
-	}
-	if shared.CrossChainHits() != 1 {
-		t.Fatalf("cross-chain hits = %d, want 1", shared.CrossChainHits())
-	}
-	if shared.TotalRequests() != 4 {
-		t.Fatalf("total requests = %d, want 4", shared.TotalRequests())
-	}
-	// IsCached forwards through Recorder → View: chain-local, so node 0
-	// is cached on both chains but node 1 only on the recording chain.
-	if !rec.IsCached(0) || !other.IsCached(0) {
-		t.Fatal("node 0 should be cached on both chains")
-	}
-	if !rec.IsCached(1) || other.IsCached(1) {
-		t.Fatal("node 1 caching must be chain-local")
-	}
-}

@@ -4,9 +4,9 @@ package access
 // lowest layer of the access stack: one context-aware neighborhood
 // fetch against the remote interface, with no caching, no accounting
 // and no ordering discipline — those belong to the layers above
-// (Prefetcher / per-chain views). The existing simulators implement it
-// trivially over their graph store; internal/access/httpclient
-// implements it for real against a JSON neighbor-list endpoint.
+// (Prefetcher / per-chain views). SimTransport implements it over any
+// graph store; internal/access/httpclient implements it for real
+// against a JSON neighbor-list endpoint.
 //
 // Layering (bottom to top):
 //
@@ -170,37 +170,4 @@ func (t *SimTransport) Fetch(ctx context.Context, u graph.Node) (Row, error) {
 		return Row{}, context.Cause(ctx)
 	}
 	return StoreRow(t.st, t.attrNames, u)
-}
-
-// Fetch implements Transport trivially over the simulator's store,
-// with the simulator's usual accounting (one request; unique on first
-// touch; rate-limited). Like every other Simulator method it is NOT
-// safe for concurrent use — a Prefetcher that needs concurrent
-// speculative fetches should wrap a SimTransport (or a SharedSimulator)
-// instead; this implementation exists so a Simulator can stand at the
-// bottom of a window-0 (purely demand-driven) pipeline unchanged.
-func (s *Simulator) Fetch(ctx context.Context, u graph.Node) (Row, error) {
-	if err := ctx.Err(); err != nil {
-		return Row{}, context.Cause(ctx)
-	}
-	if err := s.touch(u); err != nil {
-		return Row{}, err
-	}
-	return StoreRow(s.g, s.g.AttrNames(), u)
-}
-
-// Fetch implements Transport trivially over the shared cache's store.
-// It is safe for concurrent use: the fetch is charged to the global
-// ledger exactly like a chain-locally-new query — a network fetch if
-// no one has fetched u yet, a free cache hit otherwise.
-func (s *SharedSimulator) Fetch(ctx context.Context, u graph.Node) (Row, error) {
-	if err := ctx.Err(); err != nil {
-		return Row{}, context.Cause(ctx)
-	}
-	if u < 0 || int(u) >= s.g.NumNodes() {
-		return Row{}, fmt.Errorf("%w: %d", ErrUnknownNode, u)
-	}
-	s.total.Add(1)
-	s.record(u)
-	return StoreRow(s.g, s.g.AttrNames(), u)
 }

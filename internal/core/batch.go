@@ -34,8 +34,8 @@ import (
 //
 // A BatchStepper is single-goroutine: rounds are a serial loop, which
 // is what makes row reuse and shared group caches sound without locks.
-// Concurrency belongs one layer up (e.g. several steppers over a
-// SharedSimulator, one per goroutine).
+// Concurrency belongs one layer up (e.g. several steppers, one per
+// goroutine).
 
 // BatchChain pairs one walker with the client it was built over.
 type BatchChain struct {
@@ -48,10 +48,10 @@ type BatchOptions struct {
 	// ShareRows asserts that all chains' clients serve element-wise
 	// identical neighbor rows for the same node — true whenever they
 	// wrap one underlying graph (per-chain Simulators over one
-	// graph.Graph, or Views of one SharedSimulator). It enables
-	// same-node row reuse for clients that implement access.Toucher;
-	// clients that do not (e.g. Budgeted, whose admission rule is more
-	// than accounting) fetch per chain regardless.
+	// graph.Graph). It enables same-node row reuse for clients that
+	// implement access.Toucher; clients that do not (e.g. Budgeted,
+	// whose admission rule is more than accounting) fetch per chain
+	// regardless.
 	ShareRows bool
 }
 

@@ -10,8 +10,9 @@
 // is needed on the hot path and results land in a pre-sized slice slot
 // owned exclusively by their trial index.
 //
-// The experiment and ensemble packages submit all their trial loops
-// here; cmd/repro and cmd/sampler expose the pool size as -workers.
+// The experiment package submits all its trial loops here and the
+// session layer fans its chains out on the same pool; cmd/repro and
+// cmd/sampler expose the pool size as -workers.
 package engine
 
 import (

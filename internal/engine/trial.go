@@ -3,8 +3,8 @@ package engine
 // One walk trial: the unit of work the pool schedules. This is the
 // paper's §6 measurement protocol — a seeded walk snapshotting its
 // aggregate estimate at query-budget checkpoints — lifted out of the
-// experiment package so that figures, ablations and the ensemble all
-// execute trials through the same engine.
+// experiment package so that figures and ablations all execute trials
+// through the same engine.
 
 import (
 	"errors"

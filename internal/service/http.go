@@ -45,9 +45,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// statusFor maps manager errors to HTTP statuses.
+// maxSpecBytes caps a POST /v1/jobs request body. A spec is a few
+// hundred bytes; the cap stops a client from making the daemon buffer
+// an unbounded body.
+const maxSpecBytes = 1 << 20
+
+// statusFor maps manager and request errors to HTTP statuses.
 func statusFor(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrUnknownJob):
 		return http.StatusNotFound
 	case errors.Is(err, ErrJobTerminal):
@@ -71,7 +79,7 @@ func NewHandler(m *Manager) http.Handler {
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var wire session.SpecJSON
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&wire); err != nil {
 			writeError(w, fmt.Errorf("decoding spec: %w", err))

@@ -226,7 +226,7 @@ func TestHTTPEventStream(t *testing.T) {
 
 // TestHTTPErrors exercises the error statuses.
 func TestHTTPErrors(t *testing.T) {
-	srv, _ := testServer(t, Options{MaxConcurrent: 1})
+	srv, m := testServer(t, Options{MaxConcurrent: 1})
 
 	if code := getJSON(t, srv.URL+"/v1/jobs/j99999-deadbeef", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job GET = %d", code)
@@ -248,6 +248,20 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown-field POST = %d (DisallowUnknownFields not applied?)", resp.StatusCode)
+	}
+	// A valid spec behind 2 MiB of leading whitespace: without the body
+	// cap it would be admitted.
+	resp, err = http.Post(srv.URL+"/v1/jobs", "application/json",
+		strings.NewReader(strings.Repeat(" ", 2<<20)+`{"dataset":"clustered","walker":"cnrw","budget":10,"seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB POST = %d, want 413", resp.StatusCode)
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("oversized POST admitted %d jobs", len(jobs))
 	}
 
 	// Cancel of a finished job → 409.

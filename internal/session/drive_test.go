@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"histwalk/internal/graph"
 )
 
 // TestNextContextAlreadyCancelled drives a fresh Session with a dead
@@ -216,5 +218,70 @@ func TestPartialResultSkipsUnsampledChains(t *testing.T) {
 	}
 	if !reflect.DeepEqual(full, got) {
 		t.Fatal("PartialResult of a finished session differs from Result")
+	}
+}
+
+// TestPartialResultSharedLedgerSpansRun interrupts a shared-cache run
+// while one chain is still in burn-in: PartialResult merges only the
+// sampled chain, but its network ledger must count every chain's
+// queries, including the burn-in chain's.
+func TestPartialResultSharedLedgerSpansRun(t *testing.T) {
+	g := testGraph(t)
+	spec := baseSpec(g)
+	spec.Chains = 4
+	spec.Workers = 1 // serial dispatch: chain 0 finishes before chain 1 starts
+	spec.BurnIn = 20
+	spec.Cache = CacheShared
+	s, err := NewSession(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cause := errors.New("ctrl-c")
+	if _, err := s.Drive(ctx, func(u Update) {
+		if u.Chain == 1 && u.Step == 5 {
+			cancel(cause) // chain 1 has queried but retained nothing
+		}
+	}); !errors.Is(err, cause) {
+		t.Fatalf("Drive err = %v", err)
+	}
+	res, err := s.PartialResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Chains) != 1 || res.Chains[0].Chain != 0 {
+		t.Fatalf("partial merge covered chains %+v, want chain 0 only", res.Chains)
+	}
+
+	// The whole run's ledger, counted node by node over every chain.
+	distinct, local, requests := 0, 0, 0
+	for u := 0; u < g.NumNodes(); u++ {
+		for _, cr := range s.chains {
+			if cr.sim.IsCached(graph.Node(u)) {
+				distinct++
+				break
+			}
+		}
+	}
+	for _, cr := range s.chains {
+		local += cr.sim.QueryCost()
+		requests += cr.sim.TotalRequests()
+	}
+	if s.chains[1].sim.QueryCost() == 0 {
+		t.Fatal("chain 1 issued no queries before the interruption")
+	}
+	if res.GlobalQueries != distinct {
+		t.Fatalf("GlobalQueries = %d, want %d distinct nodes over all chains", res.GlobalQueries, distinct)
+	}
+	if res.GlobalQueries+res.CrossChainHits != local || local <= res.TotalQueries {
+		t.Fatalf("ledger %d global + %d hits, want the run's %d chain-local queries (sampled chains spent %d)",
+			res.GlobalQueries, res.CrossChainHits, local, res.TotalQueries)
+	}
+	if res.GlobalRequests != requests || requests <= res.Chains[0].Requests {
+		t.Fatalf("GlobalRequests = %d, want the run's %d (sampled chain made %d)",
+			res.GlobalRequests, requests, res.Chains[0].Requests)
+	}
+	if want := float64(res.CrossChainHits) / float64(local); res.CrossChainHitRate != want {
+		t.Fatalf("CrossChainHitRate = %v, want %v", res.CrossChainHitRate, want)
 	}
 }

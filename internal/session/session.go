@@ -71,14 +71,16 @@ const (
 	// deployments that share nothing, so the network cost is the sum of
 	// the chains' costs.
 	CacheIsolated CachePolicy = iota
-	// CacheShared runs all chains over one concurrency-safe shared
-	// crawl cache (access.SharedSimulator): once any chain has fetched
-	// a node, sibling chains read it for free, as a real multi-account
-	// crawler with one local cache would. Each chain still keeps exact
-	// chain-local unique-query accounting — budgets, trajectories and
-	// estimates are bit-identical to CacheIsolated for any Workers
-	// value — while the Result additionally reports the strictly
-	// smaller global network cost and the cross-chain hit rate.
+	// CacheShared models all chains sharing one local crawl cache:
+	// once any chain has fetched a node, sibling chains read it for
+	// free, as a real multi-account crawler with one local cache would.
+	// A cache hit never changes what a chain reads, so each chain runs
+	// on its own private access.Simulator exactly as under
+	// CacheIsolated — budgets, trajectories and estimates are
+	// bit-identical for any Workers value — and the Result derives the
+	// fleet's network ledger from the union of the chains' query sets
+	// (access.UniqueAcross): the strictly smaller global network cost
+	// and the cross-chain hit rate.
 	CacheShared
 )
 
@@ -173,9 +175,8 @@ func (e EstimatorSpec) transform(raw float64) float64 {
 type Spec struct {
 	// Graph is the network to sample in simulation mode: every chain
 	// gets its own access.Simulator over it (private cache, private
-	// unique-query accounting), or a per-chain view of one shared crawl
-	// cache when Cache is CacheShared. Exactly one of Graph, Store and
-	// Client must be set.
+	// unique-query accounting) under either cache policy. Exactly one
+	// of Graph, Store, Client and Transport must be set.
 	Graph *graph.Graph
 	// Store is the network as a storage backend — typically a
 	// memory-mapped .hwg graph store (graphstore.Open), letting a run
@@ -234,9 +235,10 @@ type Spec struct {
 	// mode, where every crawler account is rate-limited separately.
 	Chains int
 	// Cache selects the chains' cache topology in Graph mode (default
-	// CacheIsolated). CacheShared pools all chains over one shared
-	// crawl cache without changing any chain's trajectory or budget
-	// accounting; see CachePolicy.
+	// CacheIsolated). CacheShared accounts the chains as one fleet
+	// sharing a crawl cache, which changes only the Result's network
+	// ledger, never a chain's trajectory or budget accounting; see
+	// CachePolicy.
 	Cache CachePolicy
 	// Window is the pipelined access layer's speculative in-flight
 	// window: how many prefetch fetches may be outstanding at once.
@@ -287,9 +289,6 @@ type Spec struct {
 	// was set (nil in Client and Transport mode). All simulation-mode
 	// paths read it.
 	src graphstore.Store
-	// shared is the cross-chain crawl cache when Cache == CacheShared,
-	// created once per Run/Session over src.
-	shared *access.SharedSimulator
 	// pipe is the pipelined access layer when the spec selects it
 	// (Transport set, or Graph/Store mode with Window/Latency), created
 	// once per Run/Session; chains read through per-chain PipeViews.
@@ -398,7 +397,7 @@ func (s Spec) Validate() error {
 }
 
 // defaultStream separates session chain seeds from the experiment
-// harness's and the legacy ensemble's trial seeds.
+// harness's trial seeds.
 var defaultStream = engine.StreamID("session")
 
 // normalize validates s and returns a copy with defaults applied.
@@ -439,9 +438,6 @@ func normalize(s Spec) (*Spec, error) {
 		s.src = s.Graph
 	} else {
 		s.src = s.Store // nil in Client and Transport mode
-	}
-	if s.Cache == CacheShared {
-		s.shared = access.NewSharedSimulatorStore(s.src)
 	}
 	if s.Transport != nil {
 		s.pipe = access.NewPrefetcher(s.Transport, s.Window)
@@ -561,19 +557,20 @@ type Result struct {
 	// GlobalQueries is the network-level unique query count — what the
 	// whole run actually paid the OSN for. Under CacheIsolated every
 	// chain pays for its own fetches, so this is the sum of the chains'
-	// unique costs; under CacheShared nodes fetched by any chain are
-	// free for the others. Under the default CostUnique metering the
-	// ledger balances as GlobalQueries + CrossChainHits == TotalQueries
-	// (strictly smaller than TotalQueries whenever chains overlap);
-	// under CostSteps, TotalQueries counts transitions instead and is
-	// not comparable to this field.
+	// unique costs; under CacheShared a node fetched by any chain is
+	// free for the others, so this is the number of distinct nodes the
+	// run's chains queried between them. Under the default CostUnique
+	// metering the ledger balances as GlobalQueries + CrossChainHits ==
+	// TotalQueries (strictly smaller than TotalQueries whenever chains
+	// overlap); under CostSteps, TotalQueries counts transitions
+	// instead and is not comparable to this field.
 	GlobalQueries int `json:"global_queries"`
 	// GlobalRequests counts all requests across chains including cache
 	// hits (0 when the client reports no request totals).
 	GlobalRequests int `json:"global_requests"`
-	// CrossChainHits counts chain-locally-new queries that were served
-	// from a sibling chain's earlier fetch (always 0 under
-	// CacheIsolated).
+	// CrossChainHits counts chain-locally-new queries for nodes the
+	// shared cache already held: the sum of the chains' unique costs
+	// minus GlobalQueries (always 0 under CacheIsolated).
 	CrossChainHits int `json:"cross_chain_hits"`
 	// CrossChainHitRate is CrossChainHits as a fraction of all
 	// chain-locally-new queries: the share of the would-be network cost
@@ -634,7 +631,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return merge(sp, chains)
+	return merge(sp, chains, chains)
 }
 
 // runBatched executes a normalized batched spec: one goroutine drives
@@ -656,7 +653,7 @@ func runBatched(ctx context.Context, sp *Spec) (*Result, error) {
 			return nil, err
 		}
 		if !ok {
-			return merge(sp, s.chains)
+			return merge(sp, s.chains, s.chains)
 		}
 	}
 }
@@ -717,11 +714,11 @@ func newSession(sp *Spec) (*Session, error) {
 		for c, cr := range s.chains {
 			bc[c] = core.BatchChain{Walker: cr.walker, Client: cr.client}
 		}
-		// Graph mode: every chain's client wraps the one spec graph
-		// (private Simulators or shared-cache Views), so rows are
-		// element-wise identical across chains and same-node fetches may
-		// be shared. A live Client's row stability across chains is not
-		// ours to assert (and Client mode is single-chain anyway).
+		// Graph mode: every chain's client is a private Simulator over
+		// the one spec graph, so rows are element-wise identical across
+		// chains and same-node fetches may be shared. A live Client's row
+		// stability across chains is not ours to assert (and Client mode
+		// is single-chain anyway).
 		b, err := core.NewBatchStepper(bc, core.BatchOptions{ShareRows: sp.src != nil})
 		if err != nil {
 			return nil, fmt.Errorf("session: %w", err)
@@ -864,7 +861,7 @@ func (s *Session) snapshot() Progress {
 // Next has returned ok == false, equals Run's Result for the same
 // Spec.
 func (s *Session) Result() (*Result, error) {
-	return merge(s.sp, s.chains)
+	return merge(s.sp, s.chains, s.chains)
 }
 
 // PartialResult merges only the chains that have retained at least one
@@ -885,18 +882,17 @@ func (s *Session) PartialResult() (*Result, error) {
 	if len(sampled) == 0 {
 		return nil, errors.New("session: no chain has retained a sample yet")
 	}
-	return merge(s.sp, sampled)
+	return merge(s.sp, s.chains, sampled)
 }
 
 // requestReporter is implemented by clients that count all requests
 // including cache hits.
 type requestReporter interface{ TotalRequests() int }
 
-// simClient is the chain-local face of a Graph-mode client: an
-// isolated access.Simulator or a per-chain access.View over the shared
-// cache. Both report chain-local unique cost, cache membership and
-// request totals, which is what keeps trajectories identical across
-// cache policies.
+// simClient is the chain-local face of a simulated or pipelined
+// client: a private access.Simulator or a per-chain access.PipeView.
+// Both report chain-local unique cost, cache membership and request
+// totals.
 type simClient interface {
 	access.Client
 	access.CacheAware
@@ -905,7 +901,8 @@ type simClient interface {
 
 // chainRun is one chain's in-flight state. Chains share no chain-local
 // state, so a chainRun is confined to whichever goroutine drives it
-// (under CacheShared the shared cache itself is concurrency-safe).
+// (in pipelined mode the Prefetcher behind the PipeViews is
+// concurrency-safe).
 type chainRun struct {
 	idx     int
 	seed    int64
@@ -1009,11 +1006,7 @@ func newChain(sp *Spec, c int) (*chainRun, error) {
 			cr.start = sp.Start
 		}
 	case sp.src != nil:
-		if sp.shared != nil {
-			cr.sim = sp.shared.View()
-		} else {
-			cr.sim = access.NewSimulatorStore(sp.src)
-		}
+		cr.sim = access.NewSimulatorStore(sp.src)
 		cr.client = cr.sim
 		start, err := engine.RandomStart(sp.src, rng)
 		if err != nil {
@@ -1207,11 +1200,14 @@ func (cr *chainRun) runToCompletion(ctx context.Context, sp *Spec) error {
 	return nil
 }
 
-// merge pools the chains' retained samples into the Result. The merge
-// is sequential and ordered by chain index, so it is deterministic
-// regardless of how the chains were scheduled.
-func merge(sp *Spec, chains []*chainRun) (*Result, error) {
+// merge pools the retained samples of chains — every chain of the run,
+// or the sampled subset PartialResult reports — into the Result; run
+// holds every chain of the run, which a shared-cache ledger always
+// spans. The merge is sequential and ordered by chain index, so it is
+// deterministic regardless of how the chains were scheduled.
+func merge(sp *Spec, run, chains []*chainRun) (*Result, error) {
 	res := &Result{}
+	shared := sp.Cache == CacheShared
 	for _, cr := range chains {
 		c := ChainResult{
 			Chain:   cr.idx,
@@ -1229,7 +1225,7 @@ func merge(sp *Spec, chains []*chainRun) (*Result, error) {
 		res.Chains = append(res.Chains, c)
 		res.TotalSteps += cr.steps
 		res.TotalQueries += c.Queries
-		if sp.shared == nil {
+		if !shared {
 			if sp.pipe == nil {
 				// Isolated caches: every chain pays the network for its
 				// own fetches, so the global cost is the sum of the
@@ -1243,13 +1239,23 @@ func merge(sp *Spec, chains []*chainRun) (*Result, error) {
 			res.GlobalRequests += c.Requests
 		}
 	}
-	if sp.shared != nil {
-		// One cache across chains: the shared ledger has the exact
-		// network cost and cross-chain savings.
-		res.GlobalQueries = sp.shared.GlobalCost()
-		res.GlobalRequests = sp.shared.TotalRequests()
-		res.CrossChainHits = sp.shared.CrossChainHits()
-		res.CrossChainHitRate = sp.shared.HitRate()
+	if shared {
+		// One local cache across the fleet: the network pays once per
+		// node any chain queried, so the global cost is the union of the
+		// chains' query sets, and every other chain-locally-new query
+		// was a sibling's fetch read for free.
+		sims := make([]*access.Simulator, len(run))
+		local := 0
+		for i, cr := range run {
+			sims[i] = cr.sim.(*access.Simulator)
+			local += sims[i].QueryCost()
+			res.GlobalRequests += sims[i].TotalRequests()
+		}
+		res.GlobalQueries = access.UniqueAcross(sims)
+		res.CrossChainHits = local - res.GlobalQueries
+		if local > 0 {
+			res.CrossChainHitRate = float64(res.CrossChainHits) / float64(local)
+		}
 	}
 	if sp.pipe != nil {
 		// Pipelined mode: the pipeline's counters are the network

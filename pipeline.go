@@ -20,8 +20,7 @@ import (
 type (
 	// Transport is one context-aware neighborhood fetch against a
 	// remote interface — the bottom seam of the pipelined access
-	// layer. Simulator, SharedSimulator, SimTransport and the HTTP
-	// client all implement it.
+	// layer. SimTransport and the HTTP client implement it.
 	Transport = access.Transport
 	// Row is one neighborhood response in wire form: neighbors, the
 	// node's attributes, and free per-neighbor summaries.

@@ -61,12 +61,6 @@ func VerifyGraphStore(path string) error { return graphstore.VerifyFile(path) }
 // NewSimulator for the heap shorthand.
 func NewSimulatorStore(st GraphStore) *Simulator { return access.NewSimulatorStore(st) }
 
-// NewSharedSimulatorStore returns a cross-chain shared crawl cache
-// over any storage backend; see NewSharedSimulator.
-func NewSharedSimulatorStore(st GraphStore) *SharedSimulator {
-	return access.NewSharedSimulatorStore(st)
-}
-
 // OpenDatasetStore resolves a dataset reference — a built-in stand-in
 // name (DatasetNames) or a path to a packed .hwg file — to a storage
 // backend. Mapped stores are cached process-wide and stay open.
