@@ -84,8 +84,10 @@ type Config struct {
 	// Timeout overrides DefaultTimeout for each HTTP round trip.
 	Timeout time.Duration
 	// HTTPClient overrides the underlying *http.Client (tests inject
-	// an httptest server's client). Its Timeout is left untouched;
-	// per-request deadlines come from Timeout above.
+	// an httptest server's client); nil shares one package-level client
+	// whose transport pools connections for a single upstream host. Its
+	// Timeout is left untouched; per-request deadlines come from
+	// Timeout above.
 	HTTPClient *http.Client
 }
 
@@ -130,10 +132,23 @@ func New(cfg Config) (*Client, error) {
 		c.timeout = DefaultTimeout
 	}
 	if c.hc == nil {
-		c.hc = &http.Client{}
+		c.hc = defaultHTTPClient
 	}
 	return c, nil
 }
+
+// defaultHTTPClient serves every Client whose Config leaves HTTPClient
+// nil, so connections stay pooled across Clients. A crawler talks to
+// one upstream host, so its transport keeps as many idle connections
+// for that host as in total: http.DefaultTransport keeps 2, and a
+// windowed crawl with more fetches in flight than that redials a
+// fresh connection for a good share of its requests, leaving the
+// closed ones in TIME_WAIT.
+var defaultHTTPClient = func() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = t.MaxIdleConns
+	return &http.Client{Transport: t}
+}()
 
 // nodeJSON is the wire form of one neighborhood response.
 type nodeJSON struct {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -219,6 +221,63 @@ func TestNewValidation(t *testing.T) {
 	}
 	if c.retries != DefaultMaxRetries || c.backoff != DefaultBackoffBase || c.timeout != DefaultTimeout {
 		t.Fatalf("defaults not applied: %+v", c)
+	}
+}
+
+// TestDefaultClientPoolsConnections runs a windowed crawl's worth of
+// concurrent fetches through a Client with no HTTPClient configured
+// and counts the connections the server accepts. The server holds the
+// opening wave until every fetcher's first request has arrived, so the
+// crawl opens one connection per fetcher at once; with every idle
+// connection kept for the one upstream host, no later fetch needs
+// another.
+func TestDefaultClientPoolsConnections(t *testing.T) {
+	const fetchers, fetches = 32, 40
+	g := testGraph(t)
+	h := Handler(g)
+	var arrivals, dials atomic.Int64
+	var opening sync.WaitGroup
+	opening.Add(fetchers)
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if arrivals.Add(1) <= fetchers {
+			opening.Done()
+			opening.Wait()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	c, err := New(Config{BaseURL: srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, fetchers)
+	for w := 0; w < fetchers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < fetches; i++ {
+				u := graph.Node((w + i) % g.NumNodes())
+				if _, err := c.Fetch(context.Background(), u); err != nil {
+					errs <- fmt.Errorf("fetch %d: %w", u, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := dials.Load(); n > fetchers {
+		t.Fatalf("%d fetchers × %d fetches opened %d connections, want at most %d", fetchers, fetches, n, fetchers)
 	}
 }
 

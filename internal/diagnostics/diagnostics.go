@@ -73,6 +73,10 @@ func spectralVar(series []float64) (float64, error) {
 	return v, nil
 }
 
+// errTooFewChains is returned when R̂ is requested over fewer than two
+// chains.
+var errTooFewChains = errors.New("diagnostics: Gelman-Rubin needs >= 2 chains")
+
 // GelmanRubin returns the potential scale reduction factor R̂ over m
 // parallel chains of equal length. R̂ near 1 (conventionally < 1.1)
 // indicates the chains have forgotten their starts and mixed into the
@@ -80,7 +84,7 @@ func spectralVar(series []float64) (float64, error) {
 func GelmanRubin(chains [][]float64) (float64, error) {
 	m := len(chains)
 	if m < 2 {
-		return 0, errors.New("diagnostics: Gelman-Rubin needs >= 2 chains")
+		return 0, errTooFewChains
 	}
 	n := len(chains[0])
 	for _, c := range chains {
@@ -100,6 +104,25 @@ func GelmanRubin(chains [][]float64) (float64, error) {
 		}
 		means[i] = w.Mean()
 		vars[i] = w.Variance()
+	}
+	return GelmanRubinMoments(n, means, vars)
+}
+
+// GelmanRubinMoments is GelmanRubin from the chains' moments instead of
+// their series: means[i] and vars[i] are the mean and unbiased variance
+// of chain i's first n samples, as stats.Welford reports them. Callers
+// that keep running moments get R̂ without re-reading the series, with
+// the same bits GelmanRubin computes from the series.
+func GelmanRubinMoments(n int, means, vars []float64) (float64, error) {
+	m := len(means)
+	if m < 2 {
+		return 0, errTooFewChains
+	}
+	if len(vars) != m {
+		return 0, fmt.Errorf("diagnostics: %d chain means but %d variances", m, len(vars))
+	}
+	if n < 4 {
+		return 0, ErrTooShort
 	}
 	var grand stats.Welford
 	for _, mu := range means {

@@ -1,9 +1,12 @@
 package diagnostics
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+
+	"histwalk/internal/stats"
 )
 
 // ar1 generates an AR(1) chain with autocorrelation rho around mean mu.
@@ -101,6 +104,62 @@ func TestGelmanRubinErrors(t *testing.T) {
 	r, err := GelmanRubin([][]float64{c, c})
 	if err != nil || r != 1 {
 		t.Fatalf("constant chains R^ = %v, %v", r, err)
+	}
+}
+
+// welfordMoments returns each chain's mean and variance as a
+// stats.Welford over the whole chain reports them.
+func welfordMoments(chains [][]float64) (means, vars []float64) {
+	for _, c := range chains {
+		var w stats.Welford
+		for _, x := range c {
+			w.Add(x)
+		}
+		means = append(means, w.Mean())
+		vars = append(vars, w.Variance())
+	}
+	return means, vars
+}
+
+// TestGelmanRubinMomentsMatchesSeries pins the delegation: R̂ from the
+// chains' Welford moments has the same bits and errors as R̂ from the
+// series themselves.
+func TestGelmanRubinMomentsMatchesSeries(t *testing.T) {
+	cases := map[string][][]float64{
+		"mixed":     {ar1(500, 0.3, 5, 1), ar1(500, 0.3, 5, 2), ar1(500, 0.3, 5, 3)},
+		"separated": {ar1(300, 0.3, 0, 4), ar1(300, 0.3, 50, 5)},
+		"minimal":   {ar1(4, 0.9, 1, 6), ar1(4, 0.9, 2, 7), ar1(4, 0.9, 3, 8), ar1(4, 0.9, 4, 9)},
+		"constant":  {{2, 2, 2, 2, 2}, {2, 2, 2, 2, 2}},
+		"stuck":     {{1, 1, 1, 1}, {3, 3, 3, 3}},
+	}
+	for name, chains := range cases {
+		want, werr := GelmanRubin(chains)
+		means, vars := welfordMoments(chains)
+		got, gerr := GelmanRubinMoments(len(chains[0]), means, vars)
+		if werr != nil || gerr != nil {
+			t.Fatalf("%s: errors %v / %v", name, werr, gerr)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: R^ from moments = %v, from series = %v", name, got, want)
+		}
+	}
+
+	one := [][]float64{ar1(100, 0.1, 0, 1)}
+	means, vars := welfordMoments(one)
+	_, werr := GelmanRubin(one)
+	_, gerr := GelmanRubinMoments(100, means, vars)
+	if werr == nil || !errors.Is(werr, errTooFewChains) || !errors.Is(gerr, errTooFewChains) {
+		t.Fatalf("single chain: errors %v / %v", werr, gerr)
+	}
+	short := [][]float64{{1, 2, 3}, {4, 5, 6}}
+	means, vars = welfordMoments(short)
+	_, werr = GelmanRubin(short)
+	_, gerr = GelmanRubinMoments(3, means, vars)
+	if !errors.Is(werr, ErrTooShort) || !errors.Is(gerr, ErrTooShort) {
+		t.Fatalf("n < 4: errors %v / %v", werr, gerr)
+	}
+	if _, err := GelmanRubinMoments(10, []float64{1, 2}, []float64{1}); err == nil {
+		t.Fatal("mismatched moments accepted")
 	}
 }
 

@@ -760,7 +760,7 @@ func (m *Manager) drive(ctx context.Context, j *job) (*session.Result, error) {
 			for next[u.Chain] <= u.Spent {
 				next[u.Chain] += stride
 			}
-			m.emitProgress(j, *cp, runningEstimates(sess))
+			m.emitProgress(j, *cp, runningEstimates(sess.Result()))
 			if sinceCheckpoint++; sinceCheckpoint >= m.opts.CheckpointEvery {
 				sinceCheckpoint = 0
 				m.checkpoint(j, sess)
@@ -768,8 +768,10 @@ func (m *Manager) drive(ctx context.Context, j *job) (*session.Result, error) {
 		}
 	}
 	// Final per-chain snapshots, in chain order, with the completed
-	// estimates attached to the last one.
-	ests := runningEstimates(sess)
+	// estimates attached to the last one. One merge serves both: a merge
+	// error fails the job only after the snapshots, as the job's Result.
+	res, err := sess.Result()
+	ests := runningEstimates(res, err)
 	for i := range track {
 		track[i].Done = true
 		var e []RunningEstimate
@@ -778,7 +780,7 @@ func (m *Manager) drive(ctx context.Context, j *job) (*session.Result, error) {
 		}
 		m.emitProgress(j, track[i], e)
 	}
-	return sess.Result()
+	return res, err
 }
 
 // replay advances a fresh session to the job's recovered checkpoint.
@@ -823,10 +825,10 @@ func (m *Manager) checkpoint(j *job, sess *session.Session) {
 	_ = j.store.RecordCheckpoint(j.id, sess.Checkpoint())
 }
 
-// runningEstimates merges the session's current samples into pooled
-// running estimates; nil until every chain has retained a sample.
-func runningEstimates(sess *session.Session) []RunningEstimate {
-	res, err := sess.Result()
+// runningEstimates renders the outcome of a session merge as pooled
+// running estimates; nil when the merge failed, as it does until every
+// chain has retained a sample.
+func runningEstimates(res *session.Result, err error) []RunningEstimate {
 	if err != nil {
 		return nil
 	}

@@ -45,6 +45,7 @@ import (
 	"histwalk/internal/graph"
 	"histwalk/internal/graphstore"
 	"histwalk/internal/obs"
+	"histwalk/internal/stats"
 )
 
 // DesignChoice selects the estimator's stationary-distribution
@@ -860,6 +861,14 @@ func (s *Session) snapshot() Progress {
 // least one retained sample) and again later; the final call, after
 // Next has returned ok == false, equals Run's Result for the same
 // Spec.
+//
+// Merges are incremental: each chain keeps its per-estimator
+// accumulators across calls, so a mid-run merge costs O(samples
+// retained since the last merge) plus one add pass over all retained
+// samples for the pooled point, and equals a from-scratch merge bit
+// for bit. Because a merge advances those accumulators, Next's rule
+// applies to it: never run Result or PartialResult at the same time
+// as Next, Drive or another merge on the same Session.
 func (s *Session) Result() (*Result, error) {
 	return merge(s.sp, s.chains, s.chains)
 }
@@ -871,7 +880,10 @@ func (s *Session) Result() (*Result, error) {
 // that subset (each ChainResult.Chain carries the chain's original
 // index), while under CacheShared the global network counters remain
 // the whole run's ledger. It errors only when no chain has a sample;
-// once every chain has sampled it is identical to Result.
+// once every chain has sampled it is identical to Result. It merges
+// incrementally like Result, at the same cost, bit-identical to a
+// from-scratch merge of the sampled chains, and under the same rule:
+// never at the same time as Next, Drive or another merge.
 func (s *Session) PartialResult() (*Result, error) {
 	var sampled []*chainRun
 	for _, cr := range s.chains {
@@ -937,6 +949,10 @@ type chainRun struct {
 	// resumed chain must land on the same count, which pins that replay
 	// reproduced the exact draw sequence.
 	rngDraws *uint64
+
+	// accs holds each estimator's merge accumulators over the retained
+	// samples; only merges touch them, never a transition.
+	accs []estAcc
 }
 
 // countingSource wraps a chain's rand.Source64, counting draws so a
@@ -984,8 +1000,16 @@ func newChain(sp *Spec, c int) (*chainRun, error) {
 		idx:      c,
 		seed:     seed,
 		values:   make([][]float64, len(sp.Estimators)),
+		accs:     make([]estAcc, len(sp.Estimators)),
 		scratch:  make([]float64, len(sp.Estimators)),
 		rngDraws: draws,
+	}
+	for e := range cr.accs {
+		ci, err := estimate.NewMeanCI(sp.design(), sp.CIBatch)
+		if err != nil {
+			return nil, err
+		}
+		cr.accs[e].ci = ci
 	}
 	switch {
 	case sp.pipe != nil:
@@ -1205,7 +1229,102 @@ func (cr *chainRun) runToCompletion(ctx context.Context, sp *Spec) error {
 // holds every chain of the run, which a shared-cache ledger always
 // spans. The merge is sequential and ordered by chain index, so it is
 // deterministic regardless of how the chains were scheduled.
+//
+// Each chain's per-estimator accumulators (estAcc) persist across
+// merges and fold only the samples retained since the last one, so a
+// mid-run merge costs O(new samples) plus the pooled point's refold.
+// That refold adds every retained sample again, chain by chain in
+// retention order, because floating-point addition is not
+// associative: pooling per-chain partial sums instead would round
+// differently from a from-scratch merge.
 func merge(sp *Spec, run, chains []*chainRun) (*Result, error) {
+	res := mergeLedger(sp, run, chains)
+	design := sp.design()
+	means := make([]float64, len(chains))
+	vars := make([]float64, len(chains))
+	for e, es := range sp.Estimators {
+		out := Estimate{Name: es.label(), Design: design}
+		pooled := estimate.NewMean(design)
+		var allW, allWF []float64
+		minLen := -1
+		for _, cr := range chains {
+			vals := cr.values[e]
+			// Every sample goes into the pooled refold; only those
+			// retained since the last merge go into the chain's MeanCI.
+			ci := cr.accs[e].ci
+			folded := ci.N()
+			for i, raw := range vals {
+				val := es.transform(raw)
+				if err := pooled.Add(val, cr.degrees[i]); err != nil {
+					return nil, fmt.Errorf("session: %s: %w", es.label(), err)
+				}
+				if i < folded {
+					continue
+				}
+				if err := ci.Add(val, cr.degrees[i]); err != nil {
+					return nil, fmt.Errorf("session: %s: %w", es.label(), err)
+				}
+			}
+			est, err := ci.Estimate()
+			if err != nil {
+				return nil, fmt.Errorf("session: chain %d produced no samples for %s", cr.idx, es.label())
+			}
+			out.PerChain = append(out.PerChain, est)
+			w, wf := ci.Components()
+			allW = append(allW, w...)
+			allWF = append(allWF, wf...)
+			out.Samples += len(vals)
+			if minLen < 0 || len(vals) < minLen {
+				minLen = len(vals)
+			}
+		}
+		point, err := pooled.Estimate()
+		if err != nil {
+			return nil, fmt.Errorf("session: %s: %w", es.label(), err)
+		}
+		out.Point = point
+		if iv, err := estimate.IntervalFromComponents(point, sp.Confidence, allW, allWF); err == nil {
+			out.Interval, out.HasInterval = iv, true
+		}
+		// R̂ over equal-length prefixes of the chains' retained series.
+		if len(chains) >= 2 && minLen >= 4 {
+			for i, cr := range chains {
+				means[i], vars[i] = cr.accs[e].moments(es, cr.values[e], minLen)
+			}
+			if r, err := diagnostics.GelmanRubinMoments(minLen, means, vars); err == nil {
+				out.GelmanRubin = r
+			}
+		}
+		res.Estimates = append(res.Estimates, out)
+	}
+	return res, nil
+}
+
+// estAcc is one estimator's merge state for one chain, over the
+// transformed values of its retained samples: ci is the batch-means
+// estimator of its first ci.N() samples, and rhat the Welford moments
+// of its first rhat.N() samples, the R̂ prefix the last merge needed.
+type estAcc struct {
+	ci   *estimate.MeanCI
+	rhat stats.Welford
+}
+
+// moments returns the mean and variance of the first n transformed
+// values, advancing rhat to that prefix — from zero when an earlier
+// merge needed a longer one.
+func (a *estAcc) moments(es EstimatorSpec, vals []float64, n int) (mean, variance float64) {
+	if int(a.rhat.N()) > n {
+		a.rhat = stats.Welford{}
+	}
+	for i := int(a.rhat.N()); i < n; i++ {
+		a.rhat.Add(es.transform(vals[i]))
+	}
+	return a.rhat.Mean(), a.rhat.Variance()
+}
+
+// mergeLedger builds a Result's accounting — per-chain entries, totals
+// and the network ledger — for merge; it leaves Estimates empty.
+func mergeLedger(sp *Spec, run, chains []*chainRun) *Result {
 	res := &Result{}
 	shared := sp.Cache == CacheShared
 	for _, cr := range chains {
@@ -1270,68 +1389,5 @@ func merge(sp *Spec, run, chains []*chainRun) (*Result, error) {
 			res.CrossChainHitRate = float64(res.CrossChainHits) / float64(denom)
 		}
 	}
-	design := sp.design()
-	for e, es := range sp.Estimators {
-		pooled := estimate.NewMean(design)
-		var perChain []float64
-		var allW, allWF []float64
-		var series [][]float64
-		minLen, samples := -1, 0
-		for _, cr := range chains {
-			ci, err := estimate.NewMeanCI(design, sp.CIBatch)
-			if err != nil {
-				return nil, err
-			}
-			vals := make([]float64, len(cr.degrees))
-			for i, raw := range cr.values[e] {
-				val := es.transform(raw)
-				vals[i] = val
-				if err := pooled.Add(val, cr.degrees[i]); err != nil {
-					return nil, fmt.Errorf("session: %s: %w", es.label(), err)
-				}
-				if err := ci.Add(val, cr.degrees[i]); err != nil {
-					return nil, fmt.Errorf("session: %s: %w", es.label(), err)
-				}
-			}
-			est, err := ci.Estimate()
-			if err != nil {
-				return nil, fmt.Errorf("session: chain %d produced no samples for %s", cr.idx, es.label())
-			}
-			perChain = append(perChain, est)
-			w, wf := ci.Components()
-			allW = append(allW, w...)
-			allWF = append(allWF, wf...)
-			samples += len(vals)
-			series = append(series, vals)
-			if minLen < 0 || len(vals) < minLen {
-				minLen = len(vals)
-			}
-		}
-		point, err := pooled.Estimate()
-		if err != nil {
-			return nil, fmt.Errorf("session: %s: %w", es.label(), err)
-		}
-		out := Estimate{
-			Name:     es.label(),
-			Design:   design,
-			Point:    point,
-			PerChain: perChain,
-			Samples:  samples,
-		}
-		if iv, err := estimate.IntervalFromComponents(point, sp.Confidence, allW, allWF); err == nil {
-			out.Interval, out.HasInterval = iv, true
-		}
-		// R̂ over equal-length prefixes of the chains' retained series.
-		if len(chains) >= 2 && minLen >= 4 {
-			trimmed := make([][]float64, len(series))
-			for i, s := range series {
-				trimmed[i] = s[:minLen]
-			}
-			if r, err := diagnostics.GelmanRubin(trimmed); err == nil {
-				out.GelmanRubin = r
-			}
-		}
-		res.Estimates = append(res.Estimates, out)
-	}
-	return res, nil
+	return res
 }
