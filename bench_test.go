@@ -339,7 +339,7 @@ func BenchmarkFigureEstimationParallel(b *testing.B) {
 // the Google Plus stand-in under both cache policies. The shared
 // variant asserts its estimates are bit-identical to the isolated run
 // and its global network cost strictly lower; the reported metrics
-// make the saving machine-readable (see BENCH_access.json):
+// make the saving machine-readable (see BENCH_micro.json):
 //
 //	global_queries  — unique queries actually paid to the network
 //	local_queries   — Σ chain-local unique queries (the budget spend)
@@ -396,8 +396,8 @@ func BenchmarkSharedVsIsolatedChains(b *testing.B) {
 // asserted bit-identical across windows (the house invariant), so any
 // wall-clock difference is pure pipelining: demand stalls replaced by
 // speculative warm hits. cmd/benchgate gates the single-chain
-// window-1 → window-32 pair at the min_speedup recorded in
-// BENCH_access.json. Run with -benchtime 1x: one crawl per
+// window-1 → window-32 ratio at the minimum recorded in
+// BENCH_micro.json. Run with -benchtime 1x: one crawl per
 // configuration is the measurement.
 //
 // Reported metrics (see internal/access.PipelineStats):
@@ -462,7 +462,7 @@ func BenchmarkPipelinedCrawl(b *testing.B) {
 // --- per-step micro-benchmarks ---
 
 // BenchmarkWalkStep is the hot-path suite the allocation gate watches
-// (cmd/benchgate, BENCH_core.json): one sub-benchmark per registry
+// (cmd/benchgate, BENCH_micro.json): one sub-benchmark per registry
 // walker, each stepping a single walker over the 2000-node Google Plus
 // stand-in (the reviews-grouped GNRW runs on the Yelp stand-in, which
 // carries the reviews_count attribute). Run with -benchmem: the gate is
@@ -472,7 +472,7 @@ func BenchmarkPipelinedCrawl(b *testing.B) {
 // The SRW/MHRW/NB-SRW/CNRW/GNRW(By-Degree) cases keep the graph, seed
 // and start node of the retired BenchmarkStep* benchmarks, so their
 // ns/op compare directly against the pre-rewrite baselines recorded in
-// BENCH_core.json.
+// BENCH_micro.json.
 func BenchmarkWalkStep(b *testing.B) {
 	gplus := histwalk.GooglePlusN(2000, 1)
 	yelp := histwalk.YelpN(2000, 1)
@@ -648,73 +648,4 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-// BenchmarkServiceThroughput measures the sampling-job service end to
-// end on one shared Manager: K identical-shape CNRW jobs (distinct
-// seeds) submitted together, waiting until every Result is served, at
-// K = 1, 4 and 16 concurrent jobs. The reported jobs_per_sec metric is
-// the service's completed-job throughput including admission, the
-// per-transition event stream and the final merge — the number
-// BENCH_service.json records. Every job's Result stays bit-identical
-// to a direct Run (asserted by the internal/service tests); this bench
-// only measures the cost of serving them concurrently.
-func BenchmarkServiceThroughput(b *testing.B) {
-	for _, jobs := range []int{1, 4, 16} {
-		b.Run("jobs="+itoa(jobs), func(b *testing.B) {
-			m := histwalk.NewManager(histwalk.ManagerOptions{
-				MaxConcurrent: jobs,
-				QueueDepth:    2 * jobs,
-				StoreLimit:    4 * jobs * (b.N + 1),
-			})
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-				defer cancel()
-				if err := m.Shutdown(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}()
-			seed := int64(1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ids := make([]string, jobs)
-				for k := range ids {
-					st, err := m.Submit(histwalk.SpecJSON{
-						Dataset: "clustered",
-						Walker:  "cnrw",
-						Budget:  200,
-						Chains:  4,
-						Seed:    seed,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					ids[k] = st.ID
-					seed++
-				}
-				for _, id := range ids {
-					after := 0
-					for {
-						evs, terminal, err := m.WaitEvents(context.Background(), id, after)
-						if err != nil {
-							b.Fatal(err)
-						}
-						after += len(evs)
-						if terminal {
-							break
-						}
-					}
-					st, err := m.Get(id)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if st.State != histwalk.JobDone {
-						b.Fatalf("job %s ended %s (%s)", id, st.State, st.Error)
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs_per_sec")
-		})
-	}
 }

@@ -1,58 +1,35 @@
-// Command benchgate enforces the walk hot path's allocation gate and
-// reports performance deltas against the recorded baseline.
+// Command benchgate checks `go test -bench` output against the gates
+// recorded in BENCH_micro.json and prints each benchmark's ns/op next
+// to its recorded baseline.
 //
-// It reads `go test -bench -benchmem` output on stdin, extracts the
-// BenchmarkWalkStep/* results, and
+// A gate is one of two kinds:
 //
-//   - FAILS (exit 1) if any step benchmark exceeds the baseline's
-//     max_allocs_per_step gate — the zero-allocation hot path is a
-//     tested contract, not an aspiration;
-//   - FAILS (exit 1) if any step benchmark exceeds the baseline's
-//     max_b_per_step bytes-per-op gate, when the baseline sets one —
-//     B/op is host-independent like allocs/op, and catching byte
-//     regressions catches the "amortized history grew" class of bug
-//     that a pure allocation count misses;
-//   - prints each walker's ns/op and steps/sec next to the baseline
-//     recorded in BENCH_core.json, with the delta, so CI logs show at a
-//     glance whether the step path got slower (ns/op itself is not
-//     gated: it is host-dependent);
-//   - when BenchmarkBatchedChains results are on stdin, additionally
-//     prints the aggregate multi-chain steps/sec per walker and K, and
-//     the batched-vs-sequential speedup for every pair present (also
-//     not gated: it is a throughput report, not a contract);
-//   - FAILS (exit 1) if the baseline declares speedup_gate pairs and
-//     the slow/fast wall-clock ratio of any pair falls below its
-//     min_speedup — the pipelined access layer's latency hiding is a
-//     tested contract too. Ratios are host-independent where both
-//     sides are dominated by the same simulated transport latency.
+//   - a count gate {bench, metric, max}: every benchmark whose name
+//     starts with bench must report at most max of metric, which is
+//     allocs_per_op or b_per_op (both need -benchmem);
+//   - a ratio gate {slow, fast, min}: ns/op(slow) / ns/op(fast) must be
+//     at least min, both measured in the same run.
 //
-// A baseline with "max_allocs_per_step": -1 disables the allocation
-// and bytes gates (and the -benchmem requirement) — used by baselines
-// whose benchmarks measure wall-clock crawls, not per-step allocation
-// (BENCH_access.json). An explicit 0 gates at exactly zero allocs/op
-// (BENCH_obs.json's metric record paths); omitting the field keeps the
-// legacy gate of 1.
+// Only host-independent numbers are gated: allocation counts, bytes and
+// a ratio whose two sides stall on the same simulated latency. A gate
+// whose benchmarks are missing from the input fails, because a contract
+// that did not run has not passed. ns/op is host-dependent and is
+// printed for information only, as is each batched-vs-sequential
+// speedup of BenchmarkBatchedChains.
 //
-// Usage:
+// Usage (CI concatenates the output of every gated bench command):
 //
-//	go test -run xxx -bench 'WalkStep|BatchedChains' -benchmem -benchtime 1000000x . | go run ./cmd/benchgate -baseline BENCH_core.json
-//	go test -run xxx -bench PipelinedCrawl -benchtime 1x . | go run ./cmd/benchgate -baseline BENCH_access.json -prefix BenchmarkPipelinedCrawl/
-//
-// With -loadgen it gates a cmd/loadgen report instead of bench output:
-// any lost or failed job fails unconditionally (durability and
-// correctness are host-independent), and the p99 submit-to-terminal
-// latency is gated against the baseline's loadgen.p99_ms — but only
-// when the baseline is not marked "provisional": true, the repo's
-// convention for numbers recorded on an unrepresentative host, where
-// wall-clock comparisons would gate noise.
-//
-//	go run ./cmd/loadgen -jobs 2000 -out loadgen.json
-//	go run ./cmd/benchgate -baseline BENCH_service.json -loadgen loadgen.json
+//	go test -run xxx -bench 'WalkStep|BatchedChains' -benchmem -benchtime 1000000x . > bench.out
+//	go test -run xxx -bench ObsRecord -benchmem -benchtime 2000000x ./internal/obs/ >> bench.out
+//	go test -run xxx -bench ColdStartLoad -benchmem -benchtime 3x ./internal/graphstore/ >> bench.out
+//	go test -run xxx -bench PipelinedCrawl -benchtime 1x . >> bench.out
+//	go run ./cmd/benchgate -baseline BENCH_micro.json < bench.out
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,123 +39,48 @@ import (
 	"strings"
 )
 
-// baselineFile mirrors the machine-readable part of BENCH_core.json.
-type baselineFile struct {
-	Gate struct {
-		// MaxAllocsPerStep is a pointer so an explicit 0 gates at
-		// exactly zero allocs/op (BENCH_obs.json's record-path
-		// contract) while an absent field keeps the legacy default of
-		// 1; -1 disables the alloc/bytes gates.
-		MaxAllocsPerStep *float64 `json:"max_allocs_per_step"`
-		// MaxBPerStep gates bytes per op; 0 (absent) disables the gate.
-		MaxBPerStep float64 `json:"max_b_per_step"`
-	} `json:"gate"`
-	Benchmarks map[string]struct {
-		NsPerOp       float64 `json:"ns_per_op"`
-		BPerOp        float64 `json:"b_per_op"`
-		AllocsPerOp   float64 `json:"allocs_per_op"`
-		BeforeNsPerOp float64 `json:"before_ns_per_op,omitempty"`
-	} `json:"benchmarks"`
-	// SpeedupGates are wall-clock ratio contracts: slow/fast must be at
-	// least min_speedup, both names measured in this run.
-	SpeedupGates []struct {
-		Slow       string  `json:"slow"`
-		Fast       string  `json:"fast"`
-		MinSpeedup float64 `json:"min_speedup"`
-	} `json:"speedup_gate"`
-	// Provisional marks baselines recorded on an unrepresentative host;
-	// wall-clock gates (the loadgen p99) are reported but not enforced.
-	Provisional bool `json:"provisional"`
-	// Loadgen is the cmd/loadgen latency baseline for -loadgen mode.
-	Loadgen *struct {
-		P99MS float64 `json:"p99_ms"`
-		// MaxP99Ratio is the allowed measured/baseline headroom
-		// (0 = 1.5): latency gates need slack that allocation gates
-		// don't.
-		MaxP99Ratio float64 `json:"max_p99_ratio"`
-	} `json:"loadgen"`
+// baseline is BENCH_micro.json.
+type baseline struct {
+	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
+	Gates      []gate                        `json:"gates"`
 }
 
-// loadgenReport mirrors cmd/loadgen's Output.
-type loadgenReport struct {
-	Mode       string  `json:"mode"`
-	Jobs       int     `json:"jobs"`
-	JobsPerSec float64 `json:"jobs_per_sec"`
-	Latency    struct {
-		P50 float64 `json:"p50"`
-		P99 float64 `json:"p99"`
-	} `json:"latency_ms"`
-	Done     int `json:"done"`
-	Failed   int `json:"failed"`
-	Rejected int `json:"rejected"`
-	Lost     int `json:"lost"`
+// gate is a count gate (Bench, Metric, Max) or a ratio gate (Slow,
+// Fast, Min).
+type gate struct {
+	Bench  string  `json:"bench"`
+	Metric string  `json:"metric"`
+	Max    float64 `json:"max"`
+	Slow   string  `json:"slow"`
+	Fast   string  `json:"fast"`
+	Min    float64 `json:"min"`
 }
 
-// runLoadgen gates a loadgen report: loss and failure are absolute
-// contracts; the p99 latency is gated against the baseline only when
-// the baseline is non-provisional.
-func runLoadgen(out io.Writer, baselinePath, reportPath string) (failures int, err error) {
-	raw, err := os.ReadFile(baselinePath)
+// loadBaseline reads and validates a gate file.
+func loadBaseline(path string) (*baseline, error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return 0, fmt.Errorf("benchgate: reading baseline: %w", err)
+		return nil, fmt.Errorf("benchgate: reading baseline: %w", err)
 	}
-	var base baselineFile
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return 0, fmt.Errorf("benchgate: parsing baseline %s: %w", baselinePath, err)
+	var b baseline
+	if err := json.Unmarshal(raw, &b); err != nil {
+		return nil, fmt.Errorf("benchgate: parsing baseline %s: %w", path, err)
 	}
-	raw, err = os.ReadFile(reportPath)
-	if err != nil {
-		return 0, fmt.Errorf("benchgate: reading loadgen report: %w", err)
+	for i, g := range b.Gates {
+		count := g.Bench != "" && (g.Metric == "allocs_per_op" || g.Metric == "b_per_op") && g.Slow+g.Fast == "" && g.Min == 0
+		ratio := g.Slow != "" && g.Fast != "" && g.Min > 0 && g.Bench+g.Metric == "" && g.Max == 0
+		if !count && !ratio {
+			return nil, fmt.Errorf("benchgate: %s: gate %d is neither {bench, metric: allocs_per_op|b_per_op, max} nor {slow, fast, min > 0}", path, i)
+		}
 	}
-	var rep loadgenReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return 0, fmt.Errorf("benchgate: parsing loadgen report %s: %w", reportPath, err)
-	}
-	fmt.Fprintf(out, "loadgen (%s): %d jobs, %.1f done jobs/sec, p50 %.1fms p99 %.1fms, rejected %d\n",
-		rep.Mode, rep.Jobs, rep.JobsPerSec, rep.Latency.P50, rep.Latency.P99, rep.Rejected)
-	if rep.Lost > 0 {
-		failures++
-		fmt.Fprintf(out, "LOADGEN GATE FAILED: %d job(s) lost — acknowledged submissions vanished\n", rep.Lost)
-	}
-	if rep.Failed > 0 {
-		failures++
-		fmt.Fprintf(out, "LOADGEN GATE FAILED: %d job(s) failed\n", rep.Failed)
-	}
-	if rep.Done == 0 {
-		failures++
-		fmt.Fprintln(out, "LOADGEN GATE FAILED: no jobs completed")
-	}
-	if base.Loadgen == nil || base.Loadgen.P99MS <= 0 {
-		fmt.Fprintln(out, "loadgen p99: no baseline recorded, not gated")
-		return failures, nil
-	}
-	ratio := rep.Latency.P99 / base.Loadgen.P99MS
-	maxRatio := base.Loadgen.MaxP99Ratio
-	if maxRatio <= 0 {
-		maxRatio = 1.5
-	}
-	switch {
-	case base.Provisional:
-		fmt.Fprintf(out, "loadgen p99: %.1fms vs provisional baseline %.1fms (%.2fx, not gated)\n",
-			rep.Latency.P99, base.Loadgen.P99MS, ratio)
-	case ratio > maxRatio:
-		failures++
-		fmt.Fprintf(out, "LOADGEN GATE FAILED: p99 %.1fms > baseline %.1fms * %.2f\n",
-			rep.Latency.P99, base.Loadgen.P99MS, maxRatio)
-	default:
-		fmt.Fprintf(out, "loadgen p99: %.1fms <= baseline %.1fms * %.2f ok\n",
-			rep.Latency.P99, base.Loadgen.P99MS, maxRatio)
-	}
-	return failures, nil
+	return &b, nil
 }
 
 // result is one parsed benchmark line.
 type result struct {
-	name    string // normalized, e.g. "BenchmarkWalkStep/CNRW"
+	name    string // GOMAXPROCS suffix stripped, e.g. "BenchmarkWalkStep/CNRW"
 	nsPerOp float64
-	bytes   float64
-	allocs  float64
-	hasMem  bool
+	metrics map[string]float64 // b_per_op and allocs_per_op, with -benchmem
 }
 
 // benchLine matches `BenchmarkX/Y-8  1000  123 ns/op  4 B/op  0 allocs/op`
@@ -196,193 +98,114 @@ func parseBench(r io.Reader) ([]result, error) {
 			continue
 		}
 		name := m[1]
-		// Strip the trailing -P GOMAXPROCS suffix, if present.
 		if i := strings.LastIndex(name, "-"); i > 0 {
 			if _, err := strconv.Atoi(name[i+1:]); err == nil {
 				name = name[:i]
 			}
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
+		res := result{name: name}
+		var err error
+		if res.nsPerOp, err = strconv.ParseFloat(m[2], 64); err != nil {
 			return nil, fmt.Errorf("benchgate: bad ns/op in %q: %v", sc.Text(), err)
 		}
-		res := result{name: name, nsPerOp: ns}
 		if m[4] != "" {
-			res.bytes, err = strconv.ParseFloat(m[3], 64)
-			if err != nil {
-				return nil, fmt.Errorf("benchgate: bad B/op in %q: %v", sc.Text(), err)
+			b, errB := strconv.ParseFloat(m[3], 64)
+			a, errA := strconv.ParseFloat(m[4], 64)
+			if err := errors.Join(errB, errA); err != nil {
+				return nil, fmt.Errorf("benchgate: bad memory columns in %q: %v", sc.Text(), err)
 			}
-			res.allocs, err = strconv.ParseFloat(m[4], 64)
-			if err != nil {
-				return nil, fmt.Errorf("benchgate: bad allocs/op in %q: %v", sc.Text(), err)
-			}
-			res.hasMem = true
+			res.metrics = map[string]float64{"b_per_op": b, "allocs_per_op": a}
 		}
 		out = append(out, res)
 	}
 	return out, sc.Err()
 }
 
-// stepsPerSec converts a per-step latency to throughput.
-func stepsPerSec(nsPerOp float64) float64 {
-	if nsPerOp <= 0 {
-		return 0
-	}
-	return 1e9 / nsPerOp
-}
-
-// run is the testable body of main.
-func run(in io.Reader, out io.Writer, baselinePath, prefix string) (failures int, err error) {
-	raw, err := os.ReadFile(baselinePath)
+// run is the testable body of main: it prints the report, checks every
+// gate and returns the number of gates that failed.
+func run(in io.Reader, out io.Writer, baselinePath string) (failures int, err error) {
+	base, err := loadBaseline(baselinePath)
 	if err != nil {
-		return 0, fmt.Errorf("benchgate: reading baseline: %w", err)
+		return 0, err
 	}
-	var base baselineFile
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return 0, fmt.Errorf("benchgate: parsing baseline %s: %w", baselinePath, err)
-	}
-	gate := 1.0 // legacy default when the baseline omits the field
-	if base.Gate.MaxAllocsPerStep != nil {
-		gate = *base.Gate.MaxAllocsPerStep
-	}
-	memGated := gate >= 0 // -1 disables the alloc/bytes gates entirely
 	results, err := parseBench(in)
 	if err != nil {
 		return 0, err
 	}
-	matched := 0
+	if len(results) == 0 {
+		return 0, errors.New("benchgate: no benchmark results on stdin (did the bench run?)")
+	}
+	nsPerOp := map[string]float64{}
 	for _, r := range results {
-		if !strings.HasPrefix(r.name, prefix) {
+		nsPerOp[r.name] = r.nsPerOp // repeated runs (-count): last wins
+	}
+	report(out, base, results, nsPerOp)
+	for _, g := range base.Gates {
+		msg, ok := check(g, results, nsPerOp)
+		if ok {
+			fmt.Fprintln(out, "gate ok:", msg)
 			continue
 		}
-		matched++
-		line := fmt.Sprintf("%-38s %10.1f ns/op %14.0f steps/sec", r.name, r.nsPerOp, stepsPerSec(r.nsPerOp))
-		if b, ok := base.Benchmarks[r.name]; ok && b.NsPerOp > 0 {
-			delta := 100 * (r.nsPerOp - b.NsPerOp) / b.NsPerOp
-			line += fmt.Sprintf("   baseline %8.1f ns/op (%+6.1f%%)", b.NsPerOp, delta)
-			if b.BeforeNsPerOp > 0 {
-				line += fmt.Sprintf("   pre-rewrite %8.1f ns/op (%.2fx)", b.BeforeNsPerOp, b.BeforeNsPerOp/r.nsPerOp)
-			}
-		} else {
-			line += "   (no baseline entry)"
-		}
-		if !memGated {
-			// wall-clock benchmark; no per-op memory contract
-		} else if !r.hasMem {
-			failures++
-			line += "   MISSING allocs/op (run with -benchmem)"
-		} else if r.allocs > gate {
-			failures++
-			line += fmt.Sprintf("   ALLOC GATE FAILED: %.1f allocs/op > %.1f", r.allocs, gate)
-		} else if bGate := base.Gate.MaxBPerStep; bGate > 0 && r.bytes > bGate {
-			failures++
-			line += fmt.Sprintf("   BYTES GATE FAILED: %.1f B/op > %.1f", r.bytes, bGate)
-		} else {
-			line += fmt.Sprintf("   allocs/op %.0f <= %.0f ok", r.allocs, gate)
-		}
-		fmt.Fprintln(out, line)
+		failures++
+		fmt.Fprintln(out, "GATE FAILED:", msg)
 	}
-	if matched == 0 {
-		return 1, fmt.Errorf("benchgate: no %s* results on stdin (did the bench run?)", prefix)
-	}
-	reportBatched(out, &base, results)
-	failures += gateSpeedups(out, &base, results)
 	return failures, nil
 }
 
-// gateSpeedups enforces the baseline's speedup_gate entries against
-// the measured results, returning the number of failed gates. A gate
-// whose benchmarks are missing from stdin fails — a contract that did
-// not run has not passed.
-func gateSpeedups(out io.Writer, base *baselineFile, results []result) (failures int) {
-	if len(base.SpeedupGates) == 0 {
-		return 0
-	}
-	byName := map[string]float64{}
-	for _, r := range results {
-		byName[r.name] = r.nsPerOp // repeated runs (-count): last wins
-	}
-	for _, g := range base.SpeedupGates {
-		slow, okS := byName[g.Slow]
-		fast, okF := byName[g.Fast]
+// check evaluates one gate and describes the outcome.
+func check(g gate, results []result, nsPerOp map[string]float64) (msg string, ok bool) {
+	if g.Slow != "" {
+		slow, okS := nsPerOp[g.Slow]
+		fast, okF := nsPerOp[g.Fast]
 		if !okS || !okF || fast <= 0 {
-			failures++
-			fmt.Fprintf(out, "SPEEDUP GATE FAILED: %s vs %s: results missing from this run\n", g.Slow, g.Fast)
-			continue
+			return fmt.Sprintf("%s / %s: results missing from this run", g.Slow, g.Fast), false
 		}
 		ratio := slow / fast
-		if ratio < g.MinSpeedup {
-			failures++
-			fmt.Fprintf(out, "SPEEDUP GATE FAILED: %s / %s = %.2fx < required %.2fx\n",
-				g.Slow, g.Fast, ratio, g.MinSpeedup)
+		return fmt.Sprintf("%s / %s = %.2fx, min %.2fx", g.Slow, g.Fast, ratio, g.Min), ratio >= g.Min
+	}
+	worst, matched := 0.0, 0
+	for _, r := range results {
+		if !strings.HasPrefix(r.name, g.Bench) {
 			continue
 		}
-		fmt.Fprintf(out, "speedup gate: %s / %s = %.2fx >= %.2fx ok\n", g.Slow, g.Fast, ratio, g.MinSpeedup)
+		matched++
+		v, has := r.metrics[g.Metric]
+		if !has {
+			return fmt.Sprintf("%s: no %s (run with -benchmem)", r.name, g.Metric), false
+		}
+		if v > g.Max {
+			return fmt.Sprintf("%s: %s %g > max %g", r.name, g.Metric, v, g.Max), false
+		}
+		worst = max(worst, v)
 	}
-	return failures
+	if matched == 0 {
+		return fmt.Sprintf("%s* %s: results missing from this run", g.Bench, g.Metric), false
+	}
+	return fmt.Sprintf("%s* %s: worst %g of %d, max %g", g.Bench, g.Metric, worst, matched, g.Max), true
 }
 
-// batchedPrefix marks the multi-chain throughput benchmarks; their
-// names are BenchmarkBatchedChains/<walker>/K=<k>/<seq|batched>.
-const batchedPrefix = "BenchmarkBatchedChains/"
-
-// reportBatched prints the aggregate multi-chain stepping report when
-// BenchmarkBatchedChains results are present: steps/sec per entry
-// (with the baseline delta when BENCH_core.json records one) and the
-// batched-vs-sequential speedup for every <walker>/K=<k> pair. Nothing
-// here is gated — aggregate throughput is host-dependent.
-func reportBatched(out io.Writer, base *baselineFile, results []result) {
-	byName := map[string]float64{}
-	var names []string
+// report prints every result's ns/op with the delta to its recorded
+// baseline, plus each BenchmarkBatchedChains .../batched result's
+// aggregate speedup over its .../seq sibling. Nothing here is gated.
+func report(out io.Writer, base *baseline, results []result, nsPerOp map[string]float64) {
 	for _, r := range results {
-		if !strings.HasPrefix(r.name, batchedPrefix) {
-			continue
+		line := fmt.Sprintf("%-46s %14.1f ns/op", r.name, r.nsPerOp)
+		if b := base.Benchmarks[r.name]["ns_per_op"]; b > 0 {
+			line += fmt.Sprintf("   baseline %14.1f ns/op (%+6.1f%%)", b, 100*(r.nsPerOp-b)/b)
 		}
-		if _, seen := byName[r.name]; !seen {
-			names = append(names, r.name)
-		}
-		byName[r.name] = r.nsPerOp // repeated runs (-count): last wins
-	}
-	if len(names) == 0 {
-		return
-	}
-	fmt.Fprintln(out, "batched multi-chain stepping (aggregate, not gated):")
-	for _, name := range names {
-		ns := byName[name]
-		line := fmt.Sprintf("%-46s %10.1f ns/op %14.0f steps/sec", name, ns, stepsPerSec(ns))
-		if b, ok := base.Benchmarks[name]; ok && b.NsPerOp > 0 {
-			line += fmt.Sprintf("   baseline %8.1f ns/op (%+6.1f%%)", b.NsPerOp, 100*(ns-b.NsPerOp)/b.NsPerOp)
+		if name, ok := strings.CutSuffix(r.name, "/batched"); ok && r.nsPerOp > 0 {
+			if seq, ok := nsPerOp[name+"/seq"]; ok {
+				line += fmt.Sprintf("   %.2fx over seq", seq/r.nsPerOp)
+			}
 		}
 		fmt.Fprintln(out, line)
-	}
-	for _, name := range names {
-		if !strings.HasSuffix(name, "/seq") {
-			continue
-		}
-		pair := strings.TrimSuffix(name, "/seq") + "/batched"
-		bns, ok := byName[pair]
-		if !ok || bns <= 0 {
-			continue
-		}
-		fmt.Fprintf(out, "%-46s %.2fx aggregate speedup over sequential\n",
-			strings.TrimSuffix(strings.TrimPrefix(name, batchedPrefix), "/seq"), byName[name]/bns)
 	}
 }
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_core.json", "baseline JSON with the allocation gate and reference numbers")
-	prefix := flag.String("prefix", "BenchmarkWalkStep/", "benchmark name prefix to gate")
-	loadgen := flag.String("loadgen", "", "gate a cmd/loadgen JSON report instead of bench output on stdin")
+	baselinePath := flag.String("baseline", "BENCH_micro.json", "gate file with the gates and reference numbers")
 	flag.Parse()
-	var (
-		failures int
-		err      error
-	)
-	if *loadgen != "" {
-		failures, err = runLoadgen(os.Stdout, *baseline, *loadgen)
-	} else {
-		failures, err = run(os.Stdin, os.Stdout, *baseline, *prefix)
-	}
+	failures, err := run(os.Stdin, os.Stdout, *baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -3,343 +3,198 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-const sampleBaseline = `{
-  "gate": {"max_allocs_per_step": 1, "max_b_per_step": 64},
-  "benchmarks": {
-    "BenchmarkWalkStep/SRW":  {"ns_per_op": 26.1, "allocs_per_op": 0, "before_ns_per_op": 18.0},
-    "BenchmarkWalkStep/CNRW": {"ns_per_op": 240.0, "allocs_per_op": 0, "before_ns_per_op": 695.1},
-    "BenchmarkBatchedChains/CNRW/K=16/batched": {"ns_per_op": 1000.0}
-  }
-}`
+// gateFile is the checked-in gate file every CI run is checked against.
+const gateFile = "../../BENCH_micro.json"
 
-func writeBaseline(t *testing.T) string {
-	t.Helper()
-	p := filepath.Join(t.TempDir(), "BENCH_core.json")
-	if err := os.WriteFile(p, []byte(sampleBaseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func TestGatePassesCleanRun(t *testing.T) {
-	in := strings.NewReader(`
+// cleanRun holds a passing result for every gate in BENCH_micro.json,
+// plus results no gate matches.
+const cleanRun = `
 goos: linux
-BenchmarkWalkStep/SRW-8      	 1000000	        26.29 ns/op	       0 B/op	       0 allocs/op
-BenchmarkWalkStep/CNRW       	 1000000	       287.9 ns/op	      18 B/op	       0 allocs/op
-BenchmarkOther/ignored       	 1000000	       100.0 ns/op	     999 B/op	      99 allocs/op
+BenchmarkWalkStep/SRW-8                       	 1000000	        26.29 ns/op	       0 B/op	       0 allocs/op
+BenchmarkWalkStep/CNRW                        	 1000000	       287.9 ns/op	      18 B/op	       0 allocs/op
+BenchmarkBatchedChains/CNRW/K=16/seq-8        	 1000000	      2400.0 ns/op	      40 B/op	       0 allocs/op
+BenchmarkBatchedChains/CNRW/K=16/batched-8    	 1000000	       960.0 ns/op	      40 B/op	       0 allocs/op
+BenchmarkObsRecord/counter-8                  	 2000000	         6.1 ns/op	       0 B/op	       0 allocs/op
+BenchmarkColdStartLoad/mmap-8                 	       3	    100000 ns/op	     728 B/op	      10 allocs/op
+BenchmarkColdStartLoad/text-8                 	       3	 118750076 ns/op	38707944 B/op	  509175 allocs/op
+BenchmarkPipelinedCrawl/w=1/chains=1          	       1	1600000000 ns/op	       135.0 demand_misses
+BenchmarkPipelinedCrawl/w=32/chains=1         	       1	 250000000 ns/op	         8.000 demand_misses
 PASS
-`)
-	var out strings.Builder
-	failures, err := run(in, &out, writeBaseline(t), "BenchmarkWalkStep/")
-	if err != nil {
-		t.Fatal(err)
+`
+
+// withLine returns cleanRun with the line of benchmark name replaced by
+// line, or dropped when line is empty.
+func withLine(t *testing.T, name, line string) string {
+	t.Helper()
+	var out []string
+	found := false
+	for _, l := range strings.Split(cleanRun, "\n") {
+		if f := strings.Fields(l); len(f) > 0 && strings.TrimSuffix(f[0], "-8") == name {
+			found = true
+			if line == "" {
+				continue
+			}
+			l = line
+		}
+		out = append(out, l)
 	}
-	if failures != 0 {
-		t.Fatalf("failures = %d, want 0\n%s", failures, out.String())
+	if !found {
+		t.Fatalf("cleanRun has no %s line", name)
 	}
-	if !strings.Contains(out.String(), "pre-rewrite") {
-		t.Fatalf("delta against pre-rewrite baseline not printed:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "ignored") {
-		t.Fatal("non-prefixed benchmark leaked into the gate")
-	}
+	return strings.Join(out, "\n")
 }
 
-func TestGateFailsOnAllocRegression(t *testing.T) {
-	in := strings.NewReader(`BenchmarkWalkStep/CNRW-4 	 1000000	       300.0 ns/op	     120 B/op	       3 allocs/op`)
-	var out strings.Builder
-	failures, err := run(in, &out, writeBaseline(t), "BenchmarkWalkStep/")
+// gateRun runs the gate over in against the checked-in gate file.
+func gateRun(t *testing.T, in string) (failures int, out string) {
+	t.Helper()
+	var b strings.Builder
+	failures, err := run(strings.NewReader(in), &b, gateFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failures != 1 {
-		t.Fatalf("failures = %d, want 1\n%s", failures, out.String())
-	}
-	if !strings.Contains(out.String(), "ALLOC GATE FAILED") {
-		t.Fatalf("failure not reported:\n%s", out.String())
-	}
+	return failures, b.String()
 }
 
-func TestGateFailsOnByteRegression(t *testing.T) {
-	in := strings.NewReader(`BenchmarkWalkStep/CNRW-4 	 1000000	       300.0 ns/op	     120 B/op	       0 allocs/op`)
-	var out strings.Builder
-	failures, err := run(in, &out, writeBaseline(t), "BenchmarkWalkStep/")
-	if err != nil {
-		t.Fatal(err)
+// wantFailures checks the failure count and that every want string
+// appears in the report.
+func wantFailures(t *testing.T, in string, n int, want ...string) {
+	t.Helper()
+	failures, out := gateRun(t, in)
+	if failures != n {
+		t.Fatalf("failures = %d, want %d\n%s", failures, n, out)
 	}
-	if failures != 1 {
-		t.Fatalf("failures = %d, want 1\n%s", failures, out.String())
-	}
-	if !strings.Contains(out.String(), "BYTES GATE FAILED") {
-		t.Fatalf("byte regression not reported:\n%s", out.String())
-	}
-}
-
-func TestBatchedAggregateReport(t *testing.T) {
-	in := strings.NewReader(`
-BenchmarkWalkStep/SRW-8                          	 1000000	        26.29 ns/op	       0 B/op	       0 allocs/op
-BenchmarkBatchedChains/CNRW/K=16/seq-8           	 1000000	      2400.0 ns/op	      40 B/op	       0 allocs/op
-BenchmarkBatchedChains/CNRW/K=16/batched-8       	 1000000	       960.0 ns/op	      40 B/op	       0 allocs/op
-PASS
-`)
-	var out strings.Builder
-	failures, err := run(in, &out, writeBaseline(t), "BenchmarkWalkStep/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Batched entries report throughput only: their 40 B/op must not
-	// trip the step gate, which applies to the -prefix benchmarks.
-	if failures != 0 {
-		t.Fatalf("failures = %d, want 0\n%s", failures, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{
-		"batched multi-chain stepping",
-		"1041667 steps/sec", // 1e9 / 960
-		"2.50x aggregate speedup over sequential",
-		"baseline   1000.0 ns/op", // the batched baseline entry matched
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("report missing %q:\n%s", want, got)
+	for _, w := range want {
+		if !strings.Contains(out, w) {
+			t.Fatalf("report missing %q:\n%s", w, out)
 		}
 	}
 }
 
-func TestGateFailsWithoutBenchmem(t *testing.T) {
-	in := strings.NewReader(`BenchmarkWalkStep/SRW 	 1000000	       26.3 ns/op`)
-	var out strings.Builder
-	failures, err := run(in, &out, writeBaseline(t), "BenchmarkWalkStep/")
+// TestCheckedInGates pins every gate's bound: moving one is a decision
+// this test makes visible.
+func TestCheckedInGates(t *testing.T) {
+	b, err := loadBaseline(gateFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failures != 1 {
-		t.Fatalf("failures = %d, want 1 (missing -benchmem must not pass silently)", failures)
+	want := []gate{
+		{Bench: "BenchmarkWalkStep/", Metric: "allocs_per_op", Max: 1},
+		{Bench: "BenchmarkWalkStep/", Metric: "b_per_op", Max: 64},
+		{Bench: "BenchmarkObsRecord/", Metric: "allocs_per_op", Max: 0},
+		{Bench: "BenchmarkColdStartLoad/mmap", Metric: "allocs_per_op", Max: 32},
+		{Bench: "BenchmarkColdStartLoad/mmap", Metric: "b_per_op", Max: 8192},
+		{Slow: "BenchmarkPipelinedCrawl/w=1/chains=1", Fast: "BenchmarkPipelinedCrawl/w=32/chains=1", Min: 5.0},
 	}
+	if !reflect.DeepEqual(b.Gates, want) {
+		t.Fatalf("gates =\n%+v\nwant\n%+v", b.Gates, want)
+	}
+}
+
+func TestGatePassesCleanRun(t *testing.T) {
+	// The text cold start and the batched chains allocate far past
+	// every ceiling; no gate's prefix matches them.
+	failures, out := gateRun(t, cleanRun)
+	if failures != 0 || strings.Contains(out, "GATE FAILED") {
+		t.Fatalf("failures = %d, want 0\n%s", failures, out)
+	}
+	for _, w := range []string{
+		"BenchmarkWalkStep/* allocs_per_op: worst 0 of 2, max 1",
+		"BenchmarkWalkStep/* b_per_op: worst 18 of 2, max 64",
+		"BenchmarkColdStartLoad/mmap* allocs_per_op: worst 10 of 1, max 32",
+		"= 6.40x, min 5.00x",
+	} {
+		if !strings.Contains(out, w) {
+			t.Fatalf("report missing %q:\n%s", w, out)
+		}
+	}
+}
+
+func TestGateFailsOnAllocRegression(t *testing.T) {
+	wantFailures(t, withLine(t, "BenchmarkWalkStep/CNRW",
+		"BenchmarkWalkStep/CNRW-4 	 1000000	       300.0 ns/op	      48 B/op	       3 allocs/op"),
+		1, "GATE FAILED: BenchmarkWalkStep/CNRW: allocs_per_op 3 > max 1")
+}
+
+func TestGateFailsOnByteRegression(t *testing.T) {
+	wantFailures(t, withLine(t, "BenchmarkWalkStep/CNRW",
+		"BenchmarkWalkStep/CNRW-4 	 1000000	       300.0 ns/op	     120 B/op	       1 allocs/op"),
+		1, "GATE FAILED: BenchmarkWalkStep/CNRW: b_per_op 120 > max 64")
+}
+
+// The record-path gate is an explicit 0: one allocation fails it.
+func TestZeroAllocGate(t *testing.T) {
+	wantFailures(t, withLine(t, "BenchmarkObsRecord/counter",
+		"BenchmarkObsRecord/counter-8 	 2000000	       6.1 ns/op	       8 B/op	       1 allocs/op"),
+		1, "GATE FAILED: BenchmarkObsRecord/counter: allocs_per_op 1 > max 0")
+}
+
+// A count gate over output run without -benchmem must not pass
+// silently: both WalkStep gates fail.
+func TestGateFailsWithoutBenchmem(t *testing.T) {
+	wantFailures(t, withLine(t, "BenchmarkWalkStep/SRW",
+		"BenchmarkWalkStep/SRW 	 1000000	       26.3 ns/op"),
+		2, "BenchmarkWalkStep/SRW: no allocs_per_op (run with -benchmem)")
+}
+
+// A gated bench command dropped from the run fails its gates.
+func TestGateFailsWhenBenchMissing(t *testing.T) {
+	wantFailures(t, withLine(t, "BenchmarkColdStartLoad/mmap", ""),
+		2, "GATE FAILED: BenchmarkColdStartLoad/mmap* b_per_op: results missing")
 }
 
 func TestGateErrorsOnEmptyInput(t *testing.T) {
 	var out strings.Builder
-	if _, err := run(strings.NewReader("PASS\n"), &out, writeBaseline(t), "BenchmarkWalkStep/"); err == nil {
-		t.Fatal("want error when no step benchmarks are present")
+	if _, err := run(strings.NewReader("PASS\n"), &out, gateFile); err == nil {
+		t.Fatal("want error when no benchmark results are present")
 	}
 }
 
-// An explicit "max_allocs_per_step": 0 must gate at exactly zero (the
-// obs record-path contract), while a baseline that omits the field
-// keeps the legacy gate of 1.
-func TestZeroAllocGate(t *testing.T) {
-	zeroBaseline := `{
-  "gate": {"max_allocs_per_step": 0},
-  "benchmarks": {"BenchmarkObsRecord/counter": {"ns_per_op": 6.0, "allocs_per_op": 0}}
-}`
-	p := filepath.Join(t.TempDir(), "BENCH_obs.json")
-	if err := os.WriteFile(p, []byte(zeroBaseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var out strings.Builder
-	failures, err := run(strings.NewReader(
-		`BenchmarkObsRecord/counter-8 	 2000000	       6.1 ns/op	       0 B/op	       0 allocs/op`),
-		&out, p, "BenchmarkObsRecord/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures != 0 {
-		t.Fatalf("0 allocs/op under a 0 gate: failures = %d, want 0\n%s", failures, out.String())
-	}
-
-	out.Reset()
-	failures, err = run(strings.NewReader(
-		`BenchmarkObsRecord/counter-8 	 2000000	       6.1 ns/op	       8 B/op	       1 allocs/op`),
-		&out, p, "BenchmarkObsRecord/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures == 0 {
-		t.Fatalf("1 alloc/op under a 0 gate must fail\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "ALLOC GATE FAILED") {
-		t.Fatalf("failure not reported:\n%s", out.String())
-	}
-}
-
-func TestOmittedAllocGateDefaultsToOne(t *testing.T) {
-	noGateBaseline := `{
-  "gate": {},
-  "benchmarks": {"BenchmarkWalkStep/SRW": {"ns_per_op": 26.1, "allocs_per_op": 0}}
-}`
-	p := filepath.Join(t.TempDir(), "BENCH_legacy.json")
-	if err := os.WriteFile(p, []byte(noGateBaseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	failures, err := run(strings.NewReader(
-		`BenchmarkWalkStep/SRW-8 	 1000000	       26.3 ns/op	       8 B/op	       1 allocs/op`),
-		&out, p, "BenchmarkWalkStep/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures != 0 {
-		t.Fatalf("1 alloc/op under the legacy default gate of 1: failures = %d, want 0\n%s", failures, out.String())
-	}
-}
-
-const pipelineBaseline = `{
-  "gate": {"max_allocs_per_step": -1},
-  "benchmarks": {
-    "BenchmarkPipelinedCrawl/w=1/chains=1":  {"ns_per_op": 1500000000},
-    "BenchmarkPipelinedCrawl/w=32/chains=1": {"ns_per_op": 250000000}
-  },
-  "speedup_gate": [
-    {"slow": "BenchmarkPipelinedCrawl/w=1/chains=1",
-     "fast": "BenchmarkPipelinedCrawl/w=32/chains=1",
-     "min_speedup": 5.0}
-  ]
-}`
-
-func writePipelineBaseline(t *testing.T) string {
-	t.Helper()
-	p := filepath.Join(t.TempDir(), "BENCH_access.json")
-	if err := os.WriteFile(p, []byte(pipelineBaseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// The -1 alloc-gate sentinel must accept wall-clock benchmarks run
-// without -benchmem, and the speedup gate must pass when the measured
-// ratio clears the minimum.
+// The ratio gate is inclusive: exactly the minimum passes.
 func TestSpeedupGatePasses(t *testing.T) {
-	in := strings.NewReader(`
-BenchmarkPipelinedCrawl/w=1/chains=1     	       1	1600000000 ns/op	       135.0 demand_misses
-BenchmarkPipelinedCrawl/w=32/chains=1    	       1	 250000000 ns/op	         8.000 demand_misses
-PASS
-`)
-	var out strings.Builder
-	failures, err := run(in, &out, writePipelineBaseline(t), "BenchmarkPipelinedCrawl/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures != 0 {
-		t.Fatalf("failures = %d, want 0\n%s", failures, out.String())
-	}
-	if !strings.Contains(out.String(), "6.40x >= 5.00x ok") {
-		t.Fatalf("speedup gate report missing:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "MISSING allocs/op") {
-		t.Fatalf("disabled alloc gate still requires -benchmem:\n%s", out.String())
-	}
+	wantFailures(t, withLine(t, "BenchmarkPipelinedCrawl/w=1/chains=1",
+		"BenchmarkPipelinedCrawl/w=1/chains=1 	       1	1250000000 ns/op"),
+		0, "= 5.00x, min 5.00x")
 }
 
 func TestSpeedupGateFailsBelowMinimum(t *testing.T) {
-	in := strings.NewReader(`
-BenchmarkPipelinedCrawl/w=1/chains=1     	       1	 900000000 ns/op
-BenchmarkPipelinedCrawl/w=32/chains=1    	       1	 250000000 ns/op
-`)
-	var out strings.Builder
-	failures, err := run(in, &out, writePipelineBaseline(t), "BenchmarkPipelinedCrawl/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures != 1 {
-		t.Fatalf("failures = %d, want 1\n%s", failures, out.String())
-	}
-	if !strings.Contains(out.String(), "SPEEDUP GATE FAILED") {
-		t.Fatalf("failure not reported:\n%s", out.String())
-	}
+	wantFailures(t, withLine(t, "BenchmarkPipelinedCrawl/w=1/chains=1",
+		"BenchmarkPipelinedCrawl/w=1/chains=1 	       1	 900000000 ns/op"),
+		1, "GATE FAILED: BenchmarkPipelinedCrawl/w=1/chains=1 / BenchmarkPipelinedCrawl/w=32/chains=1 = 3.60x, min 5.00x")
 }
 
 func TestSpeedupGateFailsWhenPairMissing(t *testing.T) {
-	in := strings.NewReader(`BenchmarkPipelinedCrawl/w=1/chains=1 	       1	1600000000 ns/op`)
-	var out strings.Builder
-	failures, err := run(in, &out, writePipelineBaseline(t), "BenchmarkPipelinedCrawl/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures != 1 {
-		t.Fatalf("failures = %d, want 1 (a gate that did not run has not passed)\n%s", failures, out.String())
-	}
-	if !strings.Contains(out.String(), "results missing") {
-		t.Fatalf("missing-pair failure not reported:\n%s", out.String())
-	}
+	wantFailures(t, withLine(t, "BenchmarkPipelinedCrawl/w=32/chains=1", ""),
+		1, "results missing from this run")
 }
 
-// writeFiles drops a baseline and a loadgen report into a temp dir and
-// returns their paths.
-func writeLoadgenPair(t *testing.T, baseline, report string) (string, string) {
-	t.Helper()
-	dir := t.TempDir()
-	bp := filepath.Join(dir, "baseline.json")
-	rp := filepath.Join(dir, "report.json")
-	if err := os.WriteFile(bp, []byte(baseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(rp, []byte(report), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return bp, rp
+// ns/op is reported against the recorded baseline, and each batched
+// result against its sequential sibling; neither is gated.
+func TestBatchedAggregateReport(t *testing.T) {
+	wantFailures(t, cleanRun, 0,
+		"2.50x over seq",
+		"baseline           24.3 ns/op (  +8.1%)", // BenchmarkWalkStep/SRW
+	)
 }
 
-func TestLoadgenGateFailsOnLoss(t *testing.T) {
-	bp, rp := writeLoadgenPair(t,
-		`{"provisional": true, "loadgen": {"p99_ms": 100}}`,
-		`{"mode":"kill","jobs":100,"done":97,"failed":1,"lost":2,"latency_ms":{"p50":10,"p99":50}}`)
-	var out strings.Builder
-	failures, err := runLoadgen(&out, bp, rp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures != 2 {
-		t.Fatalf("failures = %d, want 2 (loss + failure)\n%s", failures, out.String())
-	}
-	if !strings.Contains(out.String(), "2 job(s) lost") || !strings.Contains(out.String(), "1 job(s) failed") {
-		t.Fatalf("loss/failure not reported:\n%s", out.String())
-	}
-}
-
-func TestLoadgenP99GateSkippedWhileProvisional(t *testing.T) {
-	bp, rp := writeLoadgenPair(t,
-		`{"provisional": true, "loadgen": {"p99_ms": 100}}`,
-		`{"mode":"inproc","jobs":100,"done":100,"latency_ms":{"p50":10,"p99":900}}`)
-	var out strings.Builder
-	failures, err := runLoadgen(&out, bp, rp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures != 0 {
-		t.Fatalf("failures = %d, want 0 (provisional baseline must not gate wall clock)\n%s", failures, out.String())
-	}
-	if !strings.Contains(out.String(), "not gated") {
-		t.Fatalf("provisional skip not reported:\n%s", out.String())
-	}
-}
-
-func TestLoadgenP99GateEnforcedWhenNotProvisional(t *testing.T) {
-	bp, rp := writeLoadgenPair(t,
-		`{"loadgen": {"p99_ms": 100, "max_p99_ratio": 1.5}}`,
-		`{"mode":"inproc","jobs":100,"done":100,"latency_ms":{"p50":10,"p99":200}}`)
-	var out strings.Builder
-	failures, err := runLoadgen(&out, bp, rp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures != 1 || !strings.Contains(out.String(), "LOADGEN GATE FAILED: p99") {
-		t.Fatalf("failures = %d, want p99 gate failure\n%s", failures, out.String())
-	}
-
-	bp2, rp2 := writeLoadgenPair(t,
-		`{"loadgen": {"p99_ms": 100, "max_p99_ratio": 1.5}}`,
-		`{"mode":"inproc","jobs":100,"done":100,"latency_ms":{"p50":10,"p99":120}}`)
-	out.Reset()
-	failures, err = runLoadgen(&out, bp2, rp2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures != 0 || !strings.Contains(out.String(), "ok") {
-		t.Fatalf("failures = %d, want pass within headroom\n%s", failures, out.String())
+func TestLoadBaselineRejectsMalformedGates(t *testing.T) {
+	for _, g := range []string{
+		`{"bench": "BenchmarkWalkStep/", "metric": "ns_per_op", "max": 1}`,
+		`{"metric": "allocs_per_op", "max": 1}`,
+		`{"slow": "BenchmarkA", "fast": "BenchmarkB"}`,
+		`{"slow": "BenchmarkA", "min": 2}`,
+		`{"bench": "BenchmarkA", "metric": "b_per_op", "slow": "BenchmarkA", "fast": "BenchmarkB", "min": 2}`,
+	} {
+		p := filepath.Join(t.TempDir(), "gates.json")
+		if err := os.WriteFile(p, []byte(`{"gates": [`+g+`]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadBaseline(p); err == nil {
+			t.Errorf("gate %s accepted", g)
+		}
 	}
 }

@@ -52,11 +52,22 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// startChild launches this test binary as a histwalkd process over
-// store dir and waits for its listening line.
+// startChild launches this test binary as a single-worker histwalkd
+// process over store dir and waits for its listening line.
 func startChild(t *testing.T, dir string) (string, *exec.Cmd) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-max-concurrent", "1", "-store-dir", dir)
+	base, cmd, _ := spawnChild(t, dir, "-max-concurrent", "1")
+	return base, cmd
+}
+
+// spawnChild launches this test binary as a histwalkd process over
+// store dir with extra daemon flags, waits for its listening line and
+// returns the recovery line printed before it. A child the test has
+// not waited for by its end is killed, so a failed test leaves no
+// daemon behind.
+func spawnChild(t *testing.T, dir string, flags ...string) (base string, cmd *exec.Cmd, recovery string) {
+	t.Helper()
+	cmd = exec.Command(os.Args[0], append([]string{"-addr", "127.0.0.1:0", "-store-dir", dir}, flags...)...)
 	cmd.Env = append(os.Environ(), childEnv+"=1")
 	cmd.Stderr = os.Stderr
 	out, err := cmd.StdoutPipe()
@@ -66,6 +77,12 @@ func startChild(t *testing.T, dir string) (string, *exec.Cmd) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
 	lines := bufio.NewReader(out)
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -78,7 +95,11 @@ func startChild(t *testing.T, dir string) (string, *exec.Cmd) {
 			cmd.Process.Kill()
 			t.Fatalf("child exited before listening: %v", err)
 		}
-		if base, ok := strings.CutPrefix(strings.TrimSpace(line), "histwalkd listening on "); ok {
+		line = strings.TrimSpace(line)
+		if strings.HasPrefix(line, "histwalkd recovered ") {
+			recovery = line
+		}
+		if base, ok := strings.CutPrefix(line, "histwalkd listening on "); ok {
 			go func() {
 				for {
 					if _, err := lines.ReadString('\n'); err != nil {
@@ -86,7 +107,7 @@ func startChild(t *testing.T, dir string) (string, *exec.Cmd) {
 					}
 				}
 			}()
-			return base, cmd
+			return base, cmd, recovery
 		}
 	}
 }
@@ -219,4 +240,164 @@ func TestDaemonKillRestartResume(t *testing.T) {
 		child2.Process.Kill()
 		t.Fatal("second child did not exit on SIGTERM")
 	}
+}
+
+// TestDaemonKillUnderLoad holds the service's load contract across a
+// crash. A two-worker daemon over -store-dir takes a mixed batch of
+// jobs and is SIGKILLed while some are done, some running and some
+// still queued; a daemon restarted on the same store takes the rest of
+// the submissions. No acknowledged job may be lost or fail: each must
+// end done with a Result byte-equal to a direct Run of its spec, and
+// the recovery line must show every recovery path taken.
+func TestDaemonKillUnderLoad(t *testing.T) {
+	const beforeKill, total = 12, 24
+	walkers := []string{"cnrw", "gnrw-degree", "srw", "mhrw"}
+	specs := make([]histwalk.SpecJSON, total)
+	for i := range specs {
+		specs[i] = histwalk.SpecJSON{
+			Dataset: "clustered", Walker: walkers[i%len(walkers)],
+			Budget: 50, Chains: 4, Seed: int64(500 + i),
+		}
+	}
+	// Job 0 finishes at once; jobs 1 and 2 then hold both workers long
+	// enough for the kill to land while they run and the rest queue.
+	for _, i := range []int{1, 2} {
+		specs[i].Budget, specs[i].Cost = 20000, "steps"
+	}
+
+	dir := t.TempDir()
+	flags := []string{"-max-concurrent", "2"}
+	base, child, _ := spawnChild(t, dir, flags...)
+	ids := make([]string, total)
+	for i := 0; i < beforeKill; i++ {
+		ids[i] = submitSpec(t, base, specs[i])
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		n := map[histwalk.JobState]int{}
+		for _, st := range listJobs(t, base) {
+			n[st.State]++
+		}
+		if n[histwalk.JobDone] >= 1 && n[histwalk.JobRunning] >= 1 && n[histwalk.JobQueued] >= 1 {
+			break
+		}
+		if n[histwalk.JobRunning]+n[histwalk.JobQueued] == 0 || time.Now().After(deadline) {
+			t.Fatalf("never done, running and queued at once: %v", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := child.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	child.Wait()
+
+	base2, child2, recovery := spawnChild(t, dir, flags...)
+	t.Log(recovery)
+	var recovered, requeued, resumed, restarted, failed int
+	_, err1 := fmt.Sscanf(recovery, "histwalkd recovered %d jobs", &recovered)
+	_, err2 := fmt.Sscanf(recovery[strings.LastIndex(recovery, "(")+1:],
+		"requeued %d, resumed %d, restarted %d, failed %d)", &requeued, &resumed, &restarted, &failed)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("bad recovery line %q: %v %v", recovery, err1, err2)
+	}
+	terminal := recovered - requeued - resumed - restarted - failed
+	if recovered != beforeKill || requeued < 1 || resumed+restarted < 1 || terminal < 1 || failed != 0 {
+		t.Fatalf("recovery %q: want all %d jobs back with requeued, resumed or restarted, and terminal jobs each >= 1 and none failed",
+			recovery, beforeKill)
+	}
+	for i := beforeKill; i < total; i++ {
+		ids[i] = submitSpec(t, base2, specs[i])
+	}
+
+	deadline = time.Now().Add(120 * time.Second)
+	for i, id := range ids {
+		var fin histwalk.JobStatus
+		for {
+			resp, err := http.Get(base2 + "/v1/jobs/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode == http.StatusNotFound {
+				t.Fatalf("job %d (%s) lost across the kill", i, id)
+			}
+			err = json.NewDecoder(resp.Body).Decode(&fin)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fin.State.Terminal() {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d stuck in %s", i, fin.State)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if fin.State != histwalk.JobDone || fin.Result == nil {
+			t.Fatalf("job %d (%s) ended %s (%s)", i, specs[i].Walker, fin.State, fin.Error)
+		}
+		resolved, err := specs[i].Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := histwalk.Run(context.Background(), resolved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := json.Marshal(fin.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantJSON, gotJSON) {
+			t.Fatalf("job %d (%s) differs from a direct Run:\n%s\nvs\n%s", i, specs[i].Walker, gotJSON, wantJSON)
+		}
+	}
+
+	if err := child2.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := child2.Wait(); err != nil {
+		t.Fatalf("graceful child exit: %v", err)
+	}
+}
+
+// submitSpec posts spec and returns the acknowledged job ID.
+func submitSpec(t *testing.T, base string, spec histwalk.SpecJSON) string {
+	t.Helper()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st histwalk.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted || st.ID == "" {
+		t.Fatalf("submit: %d %+v", resp.StatusCode, st)
+	}
+	return st.ID
+}
+
+// listJobs returns every job the daemon knows.
+func listJobs(t *testing.T, base string) []histwalk.JobStatus {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var all []histwalk.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
+		t.Fatal(err)
+	}
+	return all
 }

@@ -195,7 +195,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 // endpoint, and the finished job must carry the same estimates and
 // chain-local query accounting as a direct histwalk.Run of the same
 // spec — the pipeline's network-side counters are scheduling-dependent
-// and deliberately excluded from the comparison.
+// and deliberately excluded from the comparison. The job authenticates
+// upstream, but its credential appears in no response body: not the
+// POST reply, a GET, the job list or the SSE stream.
 func TestDaemonHTTPTransportJob(t *testing.T) {
 	g := histwalk.GooglePlusN(200, 1)
 	inner := histwalk.HTTPTransportHandler(g)
@@ -230,17 +232,29 @@ func TestDaemonHTTPTransportJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	// read returns a successful response's body after checking that it
+	// does not carry the credential.
+	read := func(resp *http.Response, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode/100 != 2 {
+			t.Fatalf("%s %s: %d %v %s", resp.Request.Method, resp.Request.URL.Path, resp.StatusCode, err, raw)
+		}
+		if bytes.Contains(raw, []byte("sekrit")) {
+			t.Fatalf("%s %s leaks the auth value: %s", resp.Request.Method, resp.Request.URL.Path, raw)
+		}
+		return raw
 	}
 	var st histwalk.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(read(http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))), &st); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || st.ID == "" {
-		t.Fatalf("submit: %d %+v", resp.StatusCode, st)
+	if st.ID == "" || st.Spec.Transport == nil || st.Spec.Transport.AuthValue != "<redacted>" {
+		t.Fatalf("submit: %+v", st)
 	}
 
 	// Poll to a terminal state; the crawl is small but goes over two
@@ -248,14 +262,9 @@ func TestDaemonHTTPTransportJob(t *testing.T) {
 	var fin histwalk.JobStatus
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		resp, err := http.Get(base + "/v1/jobs/" + st.ID)
-		if err != nil {
+		if err := json.Unmarshal(read(http.Get(base+"/v1/jobs/"+st.ID)), &fin); err != nil {
 			t.Fatal(err)
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&fin); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
 		if fin.State != histwalk.JobQueued && fin.State != histwalk.JobRunning {
 			break
 		}
@@ -269,6 +278,10 @@ func TestDaemonHTTPTransportJob(t *testing.T) {
 	}
 	if hits.Load() == 0 {
 		t.Fatal("daemon never reached the HTTP endpoint")
+	}
+	read(http.Get(base + "/v1/jobs"))
+	if sse := read(http.Get(base + "/v1/jobs/" + st.ID + "/events")); !bytes.Contains(sse, []byte(`"type":"result"`)) {
+		t.Fatalf("event stream ended without its result: %s", sse)
 	}
 
 	// A direct Run of the same wire spec (same endpoint, same seed) must

@@ -213,7 +213,7 @@ func TestPublicAPIRateLimiter(t *testing.T) {
 }
 
 // TestSharedCacheLedger pins the shared-cache ledger on
-// BenchmarkSharedVsIsolatedChains' spec (the counts BENCH_access.json
+// BenchmarkSharedVsIsolatedChains' spec (the counts BENCH_micro.json
 // records): 16 CNRW chains × 500 unique queries on the 4000-node Google
 // Plus stand-in pay the network 8000 queries with isolated caches but
 // 3003 with a shared one, for any Workers value.

@@ -3,7 +3,7 @@ package access
 // Tests for the allocation-free NeighborsAppend contract: identical
 // content and cost accounting to Neighbors, caller-owned buffers that
 // never alias internal storage, buffer preservation on error, and the
-// contract holding through every wrapper (Budgeted, Recorder).
+// contract holding through the Budgeted wrapper.
 
 import (
 	"errors"
@@ -108,17 +108,5 @@ func TestNeighborsAppendThroughBudgeted(t *testing.T) {
 	// ...while cached nodes stay readable.
 	if _, err := b.NeighborsAppend(out[:0], 0); err != nil {
 		t.Fatalf("cached node refused after exhaustion: %v", err)
-	}
-}
-
-func TestNeighborsAppendRecordedAsNeighbors(t *testing.T) {
-	g := appendTestGraph()
-	rec := NewRecorder(NewSimulator(g))
-	if _, err := rec.NeighborsAppend(nil, 1); err != nil {
-		t.Fatal(err)
-	}
-	log := rec.Log()
-	if len(log) != 1 || log[0].Kind != KindNeighbors || log[0].Node != 1 || !log[0].Paid() {
-		t.Fatalf("unexpected record: %+v", log)
 	}
 }

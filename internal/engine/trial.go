@@ -155,7 +155,7 @@ func maxStepsFor(budgets []int) int {
 // and Measure reads the graph directly, so a trial's steady-state
 // allocations are only the snapshot rows and the optional recorded path
 // — which is what lets the pool's workers scale with cores instead of
-// fighting the allocator (BENCH_engine.json tracks the end-to-end win).
+// fighting the allocator (BENCH_micro.json records the figure's cost).
 func RunTrial(job Job, seed int64) (*TrialResult, error) {
 	if err := validateBudgets(job.Budgets); err != nil {
 		return nil, err

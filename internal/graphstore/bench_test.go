@@ -73,7 +73,7 @@ func touchRows(b *testing.B, st Store, probe []graph.Node) {
 // served from the page cache); the text variant parses the edge list
 // into a heap graph, which is the pre-store baseline. The mmap
 // variant's allocs/op is gated in CI via cmd/benchgate and
-// BENCH_graph.json — opening a store must stay O(attrs), independent
+// BENCH_micro.json — opening a store must stay O(attrs), independent
 // of graph size. The text variant allocates the whole adjacency by
 // design and is reported for the ratio only.
 func BenchmarkColdStartLoad(b *testing.B) {

@@ -7,7 +7,7 @@ import (
 
 // BenchmarkObsRecord measures the three record paths the rest of the
 // stack calls from hot code. CI gates these at 0 allocs/op via
-// cmd/benchgate against BENCH_obs.json — the contract that lets
+// cmd/benchgate against BENCH_micro.json — the contract that lets
 // instrumentation sit on the access hot path without breaking the
 // walk's zero-alloc step budget.
 func BenchmarkObsRecord(b *testing.B) {

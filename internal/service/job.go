@@ -104,7 +104,8 @@ type JobStatus struct {
 	State State `json:"state"`
 	// Error is the failure or cancellation reason, when terminal.
 	Error string `json:"error,omitempty"`
-	// Spec is the wire spec the job was submitted with.
+	// Spec is the wire spec the job was submitted with, with a
+	// transport auth_value replaced by "<redacted>".
 	Spec session.SpecJSON `json:"spec"`
 	// Chains holds the latest per-chain progress (empty until the job
 	// starts emitting progress).
@@ -200,7 +201,12 @@ func (j *job) setStateLocked(s State, errMsg string) {
 	j.appendLocked(ev)
 }
 
-// status snapshots the job.
+// redacted replaces a transport credential in every JobStatus.
+const redacted = "<redacted>"
+
+// status snapshots the job. The spec's transport credential is
+// redacted, so no client reads another's upstream secret; j.wire keeps
+// it, because resuming the job needs it.
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -212,6 +218,11 @@ func (j *job) status() JobStatus {
 		Events:   len(j.events),
 		Result:   j.result,
 		Pipeline: j.pipeline,
+	}
+	if t := j.wire.Transport; t != nil && t.AuthValue != "" {
+		red := *t
+		red.AuthValue = redacted
+		st.Spec.Transport = &red
 	}
 	if len(j.chains) > 0 {
 		st.Chains = append([]ChainProgress(nil), j.chains...)

@@ -62,8 +62,8 @@ const (
 	DesignUniform
 )
 
-// CachePolicy selects how the chains' query caches relate in Graph
-// mode.
+// CachePolicy selects how the chains' query caches relate in
+// Graph/Store mode.
 type CachePolicy int
 
 const (
@@ -171,8 +171,9 @@ func (e EstimatorSpec) transform(raw float64) float64 {
 }
 
 // Spec declares one sampling run. The zero value is not runnable; at
-// minimum Graph or Client, Walker and Budget must be set. All other
-// fields have working defaults (see each field's comment).
+// minimum one of Graph, Store, Client and Transport, plus Walker and
+// Budget, must be set. All other fields have working defaults (see
+// each field's comment).
 type Spec struct {
 	// Graph is the network to sample in simulation mode: every chain
 	// gets its own access.Simulator over it (private cache, private
@@ -185,7 +186,8 @@ type Spec struct {
 	// It behaves exactly like Graph mode in every other respect:
 	// trajectories, query costs and estimates are bit-identical to a
 	// heap graph with the same contents, per the backend-invariance
-	// contract. Exactly one of Graph, Store and Client must be set.
+	// contract. Exactly one of Graph, Store, Client and Transport must
+	// be set.
 	Store graphstore.Store
 	// Client is a live restricted-access interface to walk directly
 	// (online mode). A shared client has one cache and one query
@@ -235,11 +237,11 @@ type Spec struct {
 	// has its own RNG, cache and budget — the practical OSN deployment
 	// mode, where every crawler account is rate-limited separately.
 	Chains int
-	// Cache selects the chains' cache topology in Graph mode (default
-	// CacheIsolated). CacheShared accounts the chains as one fleet
-	// sharing a crawl cache, which changes only the Result's network
-	// ledger, never a chain's trajectory or budget accounting; see
-	// CachePolicy.
+	// Cache selects the chains' cache topology in Graph/Store mode
+	// (default CacheIsolated). CacheShared accounts the chains as one
+	// fleet sharing a crawl cache, which changes only the Result's
+	// network ledger, never a chain's trajectory or budget accounting;
+	// see CachePolicy.
 	Cache CachePolicy
 	// Window is the pipelined access layer's speculative in-flight
 	// window: how many prefetch fetches may be outstanding at once.
@@ -610,53 +612,11 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, err
 	}
 	defer sp.closePipe()
-	if sp.Stepping == SteppingBatched {
-		return runBatched(ctx, sp)
-	}
-	chains := make([]*chainRun, sp.Chains)
-	var hook func(done, total int)
-	if sp.Progress != nil {
-		hook = func(done, total int) {
-			sp.Progress(Progress{Chains: total, ChainsDone: done})
-		}
-	}
-	eng := engine.New(engine.Options{Workers: sp.Workers, Progress: hook})
-	err = eng.Each(ctx, sp.Chains, func(ctx context.Context, c int) error {
-		cr, err := newChain(sp, c)
-		if err != nil {
-			return err
-		}
-		chains[c] = cr
-		return cr.runToCompletion(ctx, sp)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return merge(sp, chains, chains)
-}
-
-// runBatched executes a normalized batched spec: one goroutine drives
-// all chains in lockstep rounds to completion. The Result is
-// bit-identical to the per-chain path's for the same Spec (minus
-// Stepping). Cancellation is honored between transitions and reports
-// the ctx cause.
-func runBatched(ctx context.Context, sp *Spec) (*Result, error) {
 	s, err := newSession(sp)
 	if err != nil {
 		return nil, err
 	}
-	for {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, context.Cause(ctx)
-		}
-		_, ok, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return merge(sp, s.chains, s.chains)
-		}
-	}
+	return s.Drive(ctx, nil)
 }
 
 // Update reports one Session transition.
@@ -1207,21 +1167,6 @@ func (cr *chainRun) measure(sp *Spec, v graph.Node) (int, []float64, error) {
 		vals[e] = x
 	}
 	return deg, vals, nil
-}
-
-// runToCompletion drives the chain until it finishes or ctx is
-// canceled; cancellation reports the ctx cause, like Drive and
-// NextContext.
-func (cr *chainRun) runToCompletion(ctx context.Context, sp *Spec) error {
-	for !cr.done {
-		if ctx.Err() != nil {
-			return context.Cause(ctx)
-		}
-		if _, _, err := cr.advance(sp); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // merge pools the retained samples of chains — every chain of the run,
