@@ -17,9 +17,10 @@
 // printed for information only, as is each batched-vs-sequential
 // speedup of BenchmarkBatchedChains.
 //
-// Usage (CI concatenates the output of every gated bench command):
+// Usage (CI concatenates the output of these bench commands):
 //
-//	go test -run xxx -bench 'WalkStep|BatchedChains' -benchmem -benchtime 1000000x . > bench.out
+//	go test -run xxx -bench WalkStep -benchmem -benchtime 1000000x . > bench.out
+//	go test -run xxx -bench BatchedChains -benchmem -benchtime 100000x . >> bench.out
 //	go test -run xxx -bench ObsRecord -benchmem -benchtime 2000000x ./internal/obs/ >> bench.out
 //	go test -run xxx -bench ColdStartLoad -benchmem -benchtime 3x ./internal/graphstore/ >> bench.out
 //	go test -run xxx -bench PipelinedCrawl -benchtime 1x . >> bench.out

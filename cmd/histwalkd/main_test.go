@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,16 +27,30 @@ import (
 
 // startDaemon runs the daemon on a random port and returns its base
 // URL plus a shutdown func that cancels its ctx and waits for exit.
+// The same shutdown runs as a test cleanup, so a test that fails
+// part-way leaves no daemon or job running behind it; calling it again
+// returns the first call's result.
 func startDaemon(t *testing.T, args ...string) (string, func() error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	pr, pw := io.Pipe()
-	done := make(chan error, 1)
+	var runErr error
+	exited := make(chan struct{}) // closed once run has returned runErr
 	go func() {
-		err := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), pw)
+		runErr = run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), pw)
 		pw.Close()
-		done <- err
+		close(exited)
 	}()
+	stop := sync.OnceValue(func() error {
+		cancel()
+		select {
+		case <-exited:
+			return runErr
+		case <-time.After(60 * time.Second):
+			return fmt.Errorf("daemon did not exit")
+		}
+	})
+	t.Cleanup(func() { stop() })
 	lines := bufio.NewReader(pr)
 	first := make(chan string, 1)
 	go func() {
@@ -55,20 +70,12 @@ func startDaemon(t *testing.T, args ...string) (string, func() error) {
 			t.Fatalf("unexpected startup line %q", line)
 		}
 		base = strings.TrimPrefix(line, prefix)
-	case err := <-done:
-		t.Fatalf("daemon exited before listening: %v", err)
+	case <-exited:
+		t.Fatalf("daemon exited before listening: %v", runErr)
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon never started listening")
 	}
-	return base, func() error {
-		cancel()
-		select {
-		case err := <-done:
-			return err
-		case <-time.After(60 * time.Second):
-			return fmt.Errorf("daemon did not exit")
-		}
-	}
+	return base, stop
 }
 
 func TestDaemonEndToEnd(t *testing.T) {
@@ -192,9 +199,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 // histwalk dataset is served as a fake social API (the HTTP transport's
 // JSON neighbor-list wire format, behind an auth check), the daemon
 // receives a wire-form spec whose transport entry points at that
-// endpoint, and the finished job must carry the same estimates and
-// chain-local query accounting as a direct histwalk.Run of the same
-// spec — the pipeline's network-side counters are scheduling-dependent
+// endpoint, and the finished job's Result must equal a direct
+// histwalk.Run of the same spec byte for byte as JSON, except for
+// Pipeline: the pipeline's wire-side counters are scheduling-dependent
 // and deliberately excluded from the comparison. The job authenticates
 // upstream, but its credential appears in no response body: not the
 // POST reply, a GET, the job list or the SSE stream.
@@ -228,10 +235,6 @@ func TestDaemonHTTPTransportJob(t *testing.T) {
 			AuthValue:  "sekrit",
 		},
 	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// read returns a successful response's body after checking that it
 	// does not carry the credential.
 	read := func(resp *http.Response, err error) []byte {
@@ -249,74 +252,85 @@ func TestDaemonHTTPTransportJob(t *testing.T) {
 		}
 		return raw
 	}
-	var st histwalk.JobStatus
-	if err := json.Unmarshal(read(http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ID == "" || st.Spec.Transport == nil || st.Spec.Transport.AuthValue != "<redacted>" {
-		t.Fatalf("submit: %+v", st)
-	}
-
-	// Poll to a terminal state; the crawl is small but goes over two
-	// real HTTP hops (daemon -> api), so give it a generous deadline.
-	var fin histwalk.JobStatus
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if err := json.Unmarshal(read(http.Get(base+"/v1/jobs/"+st.ID)), &fin); err != nil {
+	// The job runs under each cache policy: the shared ledger composes
+	// with the pipeline like the isolated one.
+	for _, cache := range []string{"isolated", "shared"} {
+		spec.Cache = cache
+		body, err := json.Marshal(spec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if fin.State != histwalk.JobQueued && fin.State != histwalk.JobRunning {
-			break
+		var st histwalk.JobStatus
+		if err := json.Unmarshal(read(http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))), &st); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", fin.State)
+		if st.ID == "" || st.Spec.Transport == nil || st.Spec.Transport.AuthValue != "<redacted>" {
+			t.Fatalf("submit: %+v", st)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if fin.State != histwalk.JobDone || fin.Result == nil {
-		t.Fatalf("job ended %s (%s)", fin.State, fin.Error)
-	}
-	if hits.Load() == 0 {
-		t.Fatal("daemon never reached the HTTP endpoint")
-	}
-	read(http.Get(base + "/v1/jobs"))
-	if sse := read(http.Get(base + "/v1/jobs/" + st.ID + "/events")); !bytes.Contains(sse, []byte(`"type":"result"`)) {
-		t.Fatalf("event stream ended without its result: %s", sse)
-	}
 
-	// A direct Run of the same wire spec (same endpoint, same seed) must
-	// produce identical estimates and chain-local accounting: the
-	// speculation window changes wall-clock only, never trajectories.
-	resolved, err := spec.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := histwalk.Run(context.Background(), resolved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin.Result.TotalQueries != want.TotalQueries {
-		t.Fatalf("total queries: daemon %d, direct %d", fin.Result.TotalQueries, want.TotalQueries)
-	}
-	wantJSON, err := json.Marshal(want.Estimates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := json.Marshal(fin.Result.Estimates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Fatalf("daemon estimates differ from direct Run:\n%s\nvs\n%s", gotJSON, wantJSON)
-	}
-	if fin.Result.Pipeline == nil || fin.Result.Pipeline.NetworkFetches == 0 {
-		t.Fatalf("result missing pipeline stats: %+v", fin.Result.Pipeline)
-	}
-	// The status itself also surfaces the pipeline's final wire-side
-	// accounting, so clients can read fetch/dedup behavior without
-	// digging into the Result.
-	if fin.Pipeline == nil || fin.Pipeline.NetworkFetches == 0 {
-		t.Fatalf("job status missing pipeline stats: %+v", fin.Pipeline)
+		// Poll to a terminal state; the crawl is small but goes over two
+		// real HTTP hops (daemon -> api), so give it a generous deadline.
+		var fin histwalk.JobStatus
+		deadline := time.Now().Add(60 * time.Second)
+		for {
+			if err := json.Unmarshal(read(http.Get(base+"/v1/jobs/"+st.ID)), &fin); err != nil {
+				t.Fatal(err)
+			}
+			if fin.State != histwalk.JobQueued && fin.State != histwalk.JobRunning {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job stuck in %s", fin.State)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if fin.State != histwalk.JobDone || fin.Result == nil {
+			t.Fatalf("%s: job ended %s (%s)", cache, fin.State, fin.Error)
+		}
+		if hits.Load() == 0 {
+			t.Fatal("daemon never reached the HTTP endpoint")
+		}
+		read(http.Get(base + "/v1/jobs"))
+		if sse := read(http.Get(base + "/v1/jobs/" + st.ID + "/events")); !bytes.Contains(sse, []byte(`"type":"result"`)) {
+			t.Fatalf("event stream ended without its result: %s", sse)
+		}
+
+		// A direct Run of the same wire spec (same endpoint, same seed) must
+		// produce the same Result but for Pipeline: the speculation window
+		// changes wall-clock only, never trajectories or the ledger.
+		resolved, err := spec.Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := histwalk.Run(context.Background(), resolved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin.Result.Pipeline == nil || fin.Result.Pipeline.NetworkFetches == 0 {
+			t.Fatalf("result missing pipeline stats: %+v", fin.Result.Pipeline)
+		}
+		got := *fin.Result
+		got.Pipeline, want.Pipeline = nil, nil
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := json.Marshal(&got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantJSON, gotJSON) {
+			t.Fatalf("%s: daemon Result differs from direct Run:\n%s\nvs\n%s", cache, gotJSON, wantJSON)
+		}
+		if (cache == "shared") != (got.CrossChainHits > 0) {
+			t.Fatalf("%s: %d cross-chain hits from two chains that start at one node", cache, got.CrossChainHits)
+		}
+		// The status itself also surfaces the pipeline's final wire-side
+		// accounting, so clients can read fetch/dedup behavior without
+		// digging into the Result.
+		if fin.Pipeline == nil || fin.Pipeline.NetworkFetches == 0 {
+			t.Fatalf("job status missing pipeline stats: %+v", fin.Pipeline)
+		}
 	}
 
 	if err := stop(); err != nil {
@@ -330,6 +344,44 @@ func TestDaemonHTTPTransportJob(t *testing.T) {
 // /debug/pprof/ must be mounted when (and only when) -pprof is set.
 func TestDaemonObservability(t *testing.T) {
 	base, stop := startDaemon(t, "-pprof")
+
+	// scrape returns the /metrics text exposition: Prometheus format
+	// with the instrumented families from the service, engine, session
+	// and runtime.
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("metrics: %d", resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
+			t.Fatalf("metrics content type %q", ct)
+		}
+		return string(raw)
+	}
+	metricIn := func(text, name string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(text, "\n") {
+			if rest, ok := strings.CutPrefix(line, name+" "); ok {
+				v, err := strconv.ParseFloat(rest, 64)
+				if err != nil {
+					t.Fatalf("metric %s: bad value %q", name, rest)
+				}
+				return v
+			}
+		}
+		t.Fatalf("exposition missing %s:\n%s", name, text)
+		return 0
+	}
+	before := scrape()
 
 	// Run one tiny job so the scrape below reflects real activity.
 	body, err := json.Marshal(histwalk.SpecJSON{
@@ -384,40 +436,10 @@ func TestDaemonObservability(t *testing.T) {
 		t.Fatalf("healthz: %d %+v", resp.StatusCode, h)
 	}
 
-	// /metrics: Prometheus text exposition with the instrumented
-	// families from the service, engine, session, and runtime.
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Fatalf("metrics content type %q", ct)
-	}
-	text := string(raw)
 	// The registry is process-wide, so counters accumulate across the
 	// tests in this binary: assert relations, not exact totals.
-	metric := func(name string) float64 {
-		t.Helper()
-		for _, line := range strings.Split(text, "\n") {
-			if rest, ok := strings.CutPrefix(line, name+" "); ok {
-				v, err := strconv.ParseFloat(rest, 64)
-				if err != nil {
-					t.Fatalf("metric %s: bad value %q", name, rest)
-				}
-				return v
-			}
-		}
-		t.Fatalf("exposition missing %s:\n%s", name, text)
-		return 0
-	}
+	text := scrape()
+	metric := func(name string) float64 { t.Helper(); return metricIn(text, name) }
 	if v := metric("histwalk_jobs_submitted_total"); v < 1 {
 		t.Errorf("jobs_submitted_total = %v, want >= 1", v)
 	}
@@ -435,9 +457,13 @@ func TestDaemonObservability(t *testing.T) {
 	if v := metric("histwalk_job_run_seconds_count"); v < 1 {
 		t.Errorf("job_run_seconds_count = %v, want >= 1", v)
 	}
-	started, finished := metric("histwalk_chains_started_total"), metric("histwalk_chains_finished_total")
+	// Chains are counted over this test's own job: a job that an
+	// earlier, failing test left to be cancelled by its cleanup has
+	// chains that started but never reached a stop condition.
+	started := metric("histwalk_chains_started_total") - metricIn(before, "histwalk_chains_started_total")
+	finished := metric("histwalk_chains_finished_total") - metricIn(before, "histwalk_chains_finished_total")
 	if started < 2 || finished != started {
-		t.Errorf("chains started/finished = %v/%v, want >= 2 and equal", started, finished)
+		t.Errorf("chains started/finished by this job = %v/%v, want >= 2 and equal", started, finished)
 	}
 	if v := metric("histwalk_engine_trials_started_total"); v < 1 {
 		t.Errorf("engine_trials_started_total = %v, want >= 1", v)

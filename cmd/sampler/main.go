@@ -39,9 +39,10 @@
 // simulates a transport round trip per unique fetch, and -window N
 // allows N speculative prefetches in flight, warming the walkers'
 // candidate frontiers ahead of the walk. Every trajectory, estimate
-// and chain-local query count is bit-identical for any window — the
-// pipeline only changes wall-clock time, and the report shows the
-// network-side stats (fetches, speculative waste, warm-hit rate).
+// and query count is bit-identical for any window — the pipeline only
+// changes wall-clock time, and the report adds the network-side stats
+// (fetches, speculative waste, warm-hit rate). It combines with
+// -shared-cache, which then reports the same ledger as without it.
 //
 // -endpoint crawls a live JSON neighbor-list API over HTTP instead of
 // a local dataset (see internal/access/httpclient for the wire format
@@ -232,22 +233,20 @@ func main() {
 	}
 	fmt.Printf("chains           %d × budget %d (workers %s%s)\n", *chains, *budget, workersLabel(*workers), budgetLabel)
 	fmt.Printf("total steps      %d\n", res.TotalSteps)
-	switch {
-	case res.Pipeline != nil:
-		st := res.Pipeline
-		fmt.Printf("unique queries   %d chain-local (budgets), %d network fetches (%d speculative)\n",
-			res.TotalQueries, st.NetworkFetches, st.SpeculativeFetches)
+	if *sharedCache {
+		fmt.Printf("unique queries   %d chain-local (budgets), %d paid to the network\n", res.TotalQueries, res.GlobalQueries)
+		fmt.Printf("shared cache     %d cross-chain hits (%.1f%% of chain-local queries saved)\n",
+			res.CrossChainHits, 100*res.CrossChainHitRate)
+	} else {
+		fmt.Printf("unique queries   %d (per-chain caches)\n", res.TotalQueries)
+	}
+	if st := res.Pipeline; st != nil {
+		fmt.Printf("network fetches  %d (%d speculative)\n", st.NetworkFetches, st.SpeculativeFetches)
 		if fresh := st.DemandMisses + st.DemandJoined + st.DemandWarm; fresh > 0 {
 			fmt.Printf("pipeline         window %d: %d misses, %d joined in-flight, %d warm hits (%.1f%% of fresh demands stall-free)\n",
 				*window, st.DemandMisses, st.DemandJoined, st.DemandWarm,
 				100*float64(st.DemandWarm)/float64(fresh))
 		}
-	case *sharedCache:
-		fmt.Printf("unique queries   %d chain-local (budgets), %d paid to the network\n", res.TotalQueries, res.GlobalQueries)
-		fmt.Printf("shared cache     %d cross-chain hits (%.1f%% of chain-local queries saved)\n",
-			res.CrossChainHits, 100*res.CrossChainHitRate)
-	default:
-		fmt.Printf("unique queries   %d (per-chain caches)\n", res.TotalQueries)
 	}
 	for i, c := range res.Chains {
 		fmt.Printf("chain %-3d        start %d, %d steps, %d queries (%d cache hits), estimate %.4f\n",

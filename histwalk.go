@@ -83,9 +83,10 @@
 // per-chain rate/budget semantics (Budgeted) are unchanged. The
 // shared cache only changes who pays the network. Because cache state
 // never alters the neighbor data a walker sees, every chain runs on
-// its own Simulator under either policy, and the shared ledger is
-// derived when the Result is merged: the network pays once for each
-// node any chain queried (the union of the chains' caches), and every
+// its own client under either policy (a Simulator, or a PipeView in
+// pipelined runs), and the shared ledger is derived when the Result is
+// merged: the network pays once for each node any chain queried (the
+// union of the chains' ledgers), and every
 // other chain-locally-new query is a cross-chain hit. Chain
 // trajectories, estimates and budget accounting are therefore
 // bit-identical between CacheShared and CacheIsolated for any Workers

@@ -82,18 +82,83 @@ type Client interface {
 	QueryCost() int
 }
 
+// Ledger is one chain's query accounting under the paper's cost rule
+// (§2.3): every query is one request, and a query costs one unique
+// query only the first time the chain asks for its key. Keys are small
+// non-negative integers held in a bitset: node IDs for a Simulator,
+// which sizes the bitset to its store up front, and row-entry indexes
+// for a PipeView, whose bitset grows with the rows its Prefetcher has
+// fetched. A Ledger is not safe for concurrent use.
+type Ledger struct {
+	bits   []uint64 // bit k%64 of word k/64 is set once key k was queried
+	unique int
+	total  int
+}
+
+// has reports whether key k was queried before.
+func (l *Ledger) has(k int) bool {
+	w := uint(k >> 6)
+	return w < uint(len(l.bits)) && l.bits[w]&(1<<(k&63)) != 0
+}
+
+// charge records one request for key k >= 0 and reports whether k was
+// new to the ledger, which costs one unique query.
+func (l *Ledger) charge(k int) bool {
+	w := k >> 6
+	if w >= len(l.bits) {
+		l.bits = append(l.bits, make([]uint64, w+1-len(l.bits))...)
+	}
+	l.total++
+	bit := uint64(1) << (k & 63)
+	if l.bits[w]&bit != 0 {
+		return false
+	}
+	l.bits[w] |= bit
+	l.unique++
+	return true
+}
+
+// QueryCost implements Client: the number of unique queries so far.
+func (l *Ledger) QueryCost() int { return l.unique }
+
+// TotalRequests returns all requests including cache hits, for
+// measuring cache effectiveness.
+func (l *Ledger) TotalRequests() int { return l.total }
+
+// UniqueAcross returns how many distinct keys the ledgers hold between
+// them: the unique-query cost a fleet sharing one local cache would
+// have paid the network (§2.3), where each ledger's QueryCost is what
+// its own chain paid. The ledgers must key the same way: Simulators
+// over one store, or PipeViews of one Prefetcher.
+func UniqueAcross(ls []*Ledger) int {
+	words := 0
+	for _, l := range ls {
+		words = max(words, len(l.bits))
+	}
+	n := 0
+	for w := range words {
+		var word uint64
+		for _, l := range ls {
+			if w < len(l.bits) {
+				word |= l.bits[w]
+			}
+		}
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
 // Simulator is a Client backed by any graphstore.Store — the in-memory
 // heap CSR or a memory-mapped .hwg file; the choice is invisible to
 // walkers, whose trajectories and query costs are bit-identical for a
 // fixed seed regardless of backend (both backends serve the same
-// sorted rows from the same CSR shape). It caches responses (a bitset
-// of queried nodes) and counts unique queries. Simulator is not safe
-// for concurrent use; experiments give each trial its own instance.
+// sorted rows from the same CSR shape). It caches responses and counts
+// unique queries in its Ledger, keyed by node ID. Simulator is not
+// safe for concurrent use; experiments give each trial its own
+// instance.
 type Simulator struct {
+	Ledger
 	g       graphstore.Store
-	queried []uint64 // bit u%64 of word u/64 is set once u was queried
-	unique  int
-	total   int
 	limiter *RateLimiter
 }
 
@@ -104,7 +169,7 @@ func NewSimulator(g *graph.Graph) *Simulator { return NewSimulatorStore(g) }
 // NewSimulatorStore returns a Simulator over any storage backend with
 // no rate limit.
 func NewSimulatorStore(st graphstore.Store) *Simulator {
-	return &Simulator{g: st, queried: make([]uint64, (st.NumNodes()+63)/64)}
+	return &Simulator{Ledger: Ledger{bits: make([]uint64, (st.NumNodes()+63)/64)}, g: st}
 }
 
 // SetRateLimiter installs a rate limiter applied to unique queries
@@ -120,20 +185,10 @@ func (s *Simulator) touch(u graph.Node) error {
 	if u < 0 || int(u) >= s.g.NumNodes() {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, u)
 	}
-	s.total++
-	if !s.cached(u) {
-		if s.limiter != nil {
-			s.limiter.Take()
-		}
-		s.queried[u>>6] |= 1 << (u & 63)
-		s.unique++
+	if s.charge(int(u)) && s.limiter != nil {
+		s.limiter.Take()
 	}
 	return nil
-}
-
-// cached reports whether the in-range node u has been queried before.
-func (s *Simulator) cached(u graph.Node) bool {
-	return s.queried[u>>6]&(1<<(u&63)) != 0
 }
 
 // Touch implements Toucher: it registers a neighborhood query against u
@@ -193,7 +248,7 @@ func (s *Simulator) summaryCheck(owner, w graph.Node) error {
 	if owner < 0 || int(owner) >= s.g.NumNodes() {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, owner)
 	}
-	if !s.cached(owner) {
+	if !s.has(int(owner)) {
 		return fmt.Errorf("%w: owner %d not queried", ErrNotInSummary, owner)
 	}
 	if !s.g.HasEdge(owner, w) {
@@ -224,37 +279,10 @@ func (s *Simulator) SummaryDegree(owner, w graph.Node) (int, error) {
 	return s.g.Degree(w), nil
 }
 
-// QueryCost implements Client: the number of unique queries so far.
-func (s *Simulator) QueryCost() int { return s.unique }
-
 // IsCached reports whether u has been queried before (a further query
 // for u is free).
 func (s *Simulator) IsCached(u graph.Node) bool {
-	return u >= 0 && int(u) < s.g.NumNodes() && s.cached(u)
-}
-
-// TotalRequests returns all requests including cache hits, for measuring
-// cache effectiveness.
-func (s *Simulator) TotalRequests() int { return s.total }
-
-// UniqueAcross returns how many distinct nodes the simulators queried
-// between them: the unique-query cost a fleet sharing one local cache
-// would have paid the network (§2.3), where each simulator's QueryCost
-// is what its own chain paid. The simulators must serve stores of the
-// same size.
-func UniqueAcross(sims []*Simulator) int {
-	if len(sims) == 0 {
-		return 0
-	}
-	n := 0
-	for w := range sims[0].queried {
-		var word uint64
-		for _, s := range sims {
-			word |= s.queried[w]
-		}
-		n += bits.OnesCount64(word)
-	}
-	return n
+	return u >= 0 && int(u) < s.g.NumNodes() && s.has(int(u))
 }
 
 // Reset clears the cache, the counters and the installed rate limiter's
@@ -262,7 +290,7 @@ func UniqueAcross(sims []*Simulator) int {
 // simulator therefore starts each run with a full token bucket and zero
 // virtual wait, like a fresh one.
 func (s *Simulator) Reset() {
-	clear(s.queried)
+	clear(s.bits)
 	s.unique, s.total = 0, 0
 	if s.limiter != nil {
 		s.limiter.Reset()

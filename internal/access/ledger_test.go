@@ -72,10 +72,10 @@ func TestSimulatorBitsetWordEdges(t *testing.T) {
 		}
 	}
 
-	if got := UniqueAcross([]*Simulator{a, b}); got != 6 {
+	if got := UniqueAcross([]*Ledger{&a.Ledger, &b.Ledger}); got != 6 {
 		t.Fatalf("UniqueAcross = %d, want 6 (0, 63, 64, 127, 128, %d)", got, n-1)
 	}
-	if got := UniqueAcross([]*Simulator{a}); got != a.QueryCost() {
+	if got := UniqueAcross([]*Ledger{&a.Ledger}); got != a.QueryCost() {
 		t.Fatalf("UniqueAcross of one simulator = %d, want its QueryCost %d", got, a.QueryCost())
 	}
 	if got := UniqueAcross(nil); got != 0 {
@@ -94,7 +94,7 @@ func TestSimulatorBitsetWordEdges(t *testing.T) {
 	if a.QueryCost() != 0 || a.TotalRequests() != 0 {
 		t.Fatalf("Reset left cost %d, requests %d", a.QueryCost(), a.TotalRequests())
 	}
-	if got := UniqueAcross([]*Simulator{a, b}); got != b.QueryCost() {
+	if got := UniqueAcross([]*Ledger{&a.Ledger, &b.Ledger}); got != b.QueryCost() {
 		t.Fatalf("UniqueAcross after Reset = %d, want b's %d", got, b.QueryCost())
 	}
 }
@@ -119,7 +119,7 @@ func TestSharedGlobalAccounting(t *testing.T) {
 	if a.QueryCost() != 2 || b.QueryCost() != 2 {
 		t.Fatalf("local costs = %d, %d, want 2, 2", a.QueryCost(), b.QueryCost())
 	}
-	global := UniqueAcross([]*Simulator{a, b})
+	global := UniqueAcross([]*Ledger{&a.Ledger, &b.Ledger})
 	if global != 3 {
 		t.Fatalf("global cost = %d, want 3 (nodes 0, 1, 2)", global)
 	}
@@ -136,8 +136,10 @@ func TestSharedGlobalAccounting(t *testing.T) {
 func TestUniqueAcrossMatchesDistinctCount(t *testing.T) {
 	g := graph.BarabasiAlbert(400, 3, rand.New(rand.NewSource(17)))
 	sims := make([]*Simulator, 8)
+	ledgers := make([]*Ledger, len(sims))
 	for i := range sims {
 		sims[i] = NewSimulator(g)
+		ledgers[i] = &sims[i].Ledger
 		rng := rand.New(rand.NewSource(int64(100 + i)))
 		for q := 0; q < 150; q++ {
 			if _, err := sims[i].Neighbors(graph.Node(rng.Intn(g.NumNodes()))); err != nil {
@@ -154,7 +156,7 @@ func TestUniqueAcrossMatchesDistinctCount(t *testing.T) {
 			}
 		}
 	}
-	if got := UniqueAcross(sims); got != distinct {
+	if got := UniqueAcross(ledgers); got != distinct {
 		t.Fatalf("UniqueAcross = %d, distinct nodes queried = %d", got, distinct)
 	}
 }

@@ -3,8 +3,9 @@ package access
 // The middle layer of the pipelined access stack: a Prefetcher wraps
 // any Transport with a shared row cache, single-flight dedup across
 // chains, and windowed speculative frontier prefetch. Chains talk to
-// it through per-chain PipeViews, whose chain-local accounting is
-// bit-identical to a private Simulator's for the same query sequence.
+// it through per-chain PipeViews, which keep the same Ledger as a
+// private Simulator and count exactly what it would for the same query
+// sequence.
 //
 // The central rule — the reason the whole layer is admissible under
 // the house determinism invariant — is that *prefetch only warms
@@ -66,8 +67,9 @@ type Prefetcher struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu   sync.Mutex
-	rows map[graph.Node]*rowEntry
+	mu      sync.Mutex
+	rows    map[graph.Node]*rowEntry
+	entries int // row entries inserted so far: the next entry's idx
 
 	// slots bounds outstanding *speculative* fetches; demand fetches
 	// run on the demanding chain's goroutine and are not window-limited
@@ -83,11 +85,23 @@ type Prefetcher struct {
 
 // rowEntry is one single-flight cache slot: done is closed exactly once
 // after row/err are written, so any goroutine that observes the close
-// may read them without locking.
+// may read them without locking. idx is the entry's dense insertion
+// index, the key PipeView ledgers charge its row under; a failed
+// entry leaves the cache, and a retry inserts a new one.
 type rowEntry struct {
 	done chan struct{}
+	idx  int
 	row  Row
 	err  error
+}
+
+// insert caches a new in-flight entry for u under the next index. The
+// caller holds p.mu.
+func (p *Prefetcher) insert(u graph.Node) *rowEntry {
+	e := &rowEntry{done: make(chan struct{}), idx: p.entries}
+	p.entries++
+	p.rows[u] = e
+	return e
 }
 
 // NewPrefetcher returns a pipeline over t with the given speculative
@@ -165,66 +179,62 @@ func (p *Prefetcher) fetch(u graph.Node, e *rowEntry, speculative bool) {
 	close(e.done)
 }
 
-// demand returns u's row, fetching it if no fetch is cached or in
-// flight (single-flight: concurrent demands for the same node share
-// one fetch). It blocks until the row is available and is safe for
-// concurrent use. The counted flag tells demand whether this call is a
-// chain-locally-new query (views pass false for repeat touches, whose
-// rows are guaranteed cached and must not skew the demand statistics).
-func (p *Prefetcher) demand(u graph.Node, counted bool) (Row, error) {
+// outcome is how a demand found its row entry.
+type outcome int
+
+const (
+	fetchedInline  outcome = iota // nothing cached or in flight
+	joinedInFlight                // joined a fetch already in flight
+	alreadyWarm                   // the fetch had already completed
+)
+
+// demand returns u's row entry once its fetch has completed, fetching
+// it inline if no fetch is cached or in flight (single-flight:
+// concurrent demands for the same node share one fetch), and how it
+// found the entry. The entry's err reports a failed fetch. It is safe
+// for concurrent use.
+func (p *Prefetcher) demand(u graph.Node) (*rowEntry, outcome) {
 	p.mu.Lock()
 	e, ok := p.rows[u]
 	if !ok {
-		e = &rowEntry{done: make(chan struct{})}
-		p.rows[u] = e
+		e = p.insert(u)
 		p.mu.Unlock()
-		if counted {
-			p.demandMiss.Add(1)
-			obsDemandMiss.Inc()
-		}
 		// Run the fetch inline: the chain blocks on this row anyway,
 		// exactly like the synchronous path.
 		p.fetch(u, e, false)
-	} else {
-		p.mu.Unlock()
-		select {
-		case <-e.done:
-			if counted {
-				p.demandWarm.Add(1)
-				obsDemandWarm.Inc()
-			}
-		default:
-			if counted {
-				p.demandJoin.Add(1)
-				obsDemandJoin.Inc()
-			}
-			<-e.done
-		}
+		return e, fetchedInline
 	}
-	if e.err != nil {
-		return Row{}, e.err
-	}
-	return e.row, nil
-}
-
-// cached returns u's row if a successful fetch for it has completed,
-// without blocking or fetching.
-func (p *Prefetcher) cached(u graph.Node) (Row, bool) {
-	p.mu.Lock()
-	e, ok := p.rows[u]
 	p.mu.Unlock()
-	if !ok {
-		return Row{}, false
-	}
 	select {
 	case <-e.done:
+		return e, alreadyWarm
 	default:
-		return Row{}, false
+		<-e.done
+		return e, joinedInFlight
 	}
-	if e.err != nil {
-		return Row{}, false
+}
+
+// count adds one chain-locally-new demand's outcome to the statistics.
+func (p *Prefetcher) count(o outcome) {
+	switch o {
+	case fetchedInline:
+		p.demandMiss.Add(1)
+		obsDemandMiss.Inc()
+	case joinedInFlight:
+		p.demandJoin.Add(1)
+		obsDemandJoin.Inc()
+	default:
+		p.demandWarm.Add(1)
+		obsDemandWarm.Inc()
 	}
-	return e.row, true
+}
+
+// entry returns u's cache entry, or nil when no fetch for u is cached
+// or in flight.
+func (p *Prefetcher) entry(u graph.Node) *rowEntry {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.rows[u]
 }
 
 // Warm hints that the nodes in ns are candidates for upcoming demand
@@ -297,8 +307,7 @@ func (p *Prefetcher) warm(ns []graph.Node, depth int) {
 				obsFetchInflight.Add(-1)
 				continue // a sibling inserted u between the lookup and here
 			}
-			e = &rowEntry{done: make(chan struct{})}
-			p.rows[u] = e
+			e = p.insert(u)
 			p.mu.Unlock()
 			p.speculative.Add(1)
 			obsFetchSpeculative.Inc()
@@ -341,12 +350,6 @@ type PipelineStats struct {
 	DemandWarm int `json:"demand_warm"`
 }
 
-// DemandSaves returns how many chain-locally-new demands avoided a
-// full synchronous fetch — the pipelined analogue of the shared
-// cache's cross-chain hits, except the savers include this pipeline's
-// own speculation.
-func (st PipelineStats) DemandSaves() int { return st.DemandJoined + st.DemandWarm }
-
 // Stats returns a snapshot of the pipeline's network-side counters.
 // The snapshot is exact at quiescence; taken concurrently with traffic
 // the individual counters are each atomically read but not mutually
@@ -365,23 +368,21 @@ func (p *Prefetcher) Stats() PipelineStats {
 // taken and used from different goroutines concurrently; each View
 // itself is confined to one chain (not safe for concurrent use),
 // exactly like a private Simulator.
-func (p *Prefetcher) View() *PipeView {
-	return &PipeView{p: p, queried: make(map[graph.Node]bool)}
-}
+func (p *Prefetcher) View() *PipeView { return &PipeView{p: p} }
 
 // PipeView is one chain's window onto a Prefetcher. It implements
-// Client with chain-local accounting replicated from Simulator.touch:
-// a failed fetch counts nothing; a successful touch counts one request,
-// and one unique query iff this chain had not queried the node before.
-// QueryCost, TotalRequests and IsCached therefore report exactly what
-// a private Simulator would for the same query sequence — the walker-
-// visible surface is independent of the window size, of speculation,
-// and of what sibling chains are doing.
+// Client with the Ledger a private Simulator keeps, keyed by each row
+// entry's index instead of its node ID, so a view's memory grows with
+// the rows the pipeline fetched, never with the node IDs an upstream
+// returns. A failed fetch counts nothing; a successful touch counts
+// one request, and one unique query iff this chain had not queried the
+// node before. QueryCost, TotalRequests and IsCached therefore report
+// exactly what a private Simulator would for the same query sequence —
+// the walker-visible surface is independent of the window size, of
+// speculation, and of what sibling chains are doing.
 type PipeView struct {
-	p       *Prefetcher
-	queried map[graph.Node]bool
-	unique  int
-	total   int
+	Ledger
+	p *Prefetcher
 }
 
 // Pipeline returns the Prefetcher this view draws from.
@@ -392,32 +393,20 @@ func (v *PipeView) Pipeline() *Prefetcher { return v.p }
 func (v *PipeView) Warm(ns []graph.Node) { v.p.Warm(ns) }
 
 // touch obtains u's row and applies chain-local accounting in
-// Simulator.touch's exact order: error first (nothing counted), then
-// the request, then uniqueness.
+// Simulator.touch's order: error first (nothing counted), then the
+// request and its uniqueness. The demand's outcome enters the pipeline
+// statistics only when the row is new to this chain, so repeat
+// touches, whose rows are always warm, do not skew them.
 func (v *PipeView) touch(u graph.Node) (Row, error) {
-	fresh := !v.queried[u]
-	var row Row
-	if !fresh {
-		// A chain-queried node's row is always cached (rows are never
-		// evicted after success), so serve it without touching the
-		// pipeline's demand statistics; fall through to a counted
-		// demand only in the impossible case.
-		var ok bool
-		if row, ok = v.p.cached(u); ok {
-			v.total++
-			return row, nil
-		}
+	e, how := v.p.demand(u)
+	if !v.has(e.idx) {
+		v.p.count(how)
 	}
-	row, err := v.p.demand(u, fresh)
-	if err != nil {
-		return Row{}, err
+	if e.err != nil {
+		return Row{}, e.err
 	}
-	v.total++
-	if fresh {
-		v.queried[u] = true
-		v.unique++
-	}
-	return row, nil
+	v.charge(e.idx)
+	return e.row, nil
 }
 
 // Neighbors implements Client. The returned slice aliases the cached
@@ -470,14 +459,13 @@ func (v *PipeView) Attribute(u graph.Node, name string) (float64, error) {
 // data to this one — accounting parity requires the chain-local view),
 // and w must appear in owner's neighbor list.
 func (v *PipeView) summary(owner, w graph.Node) (NeighborSummary, error) {
-	if !v.queried[owner] {
+	e := v.p.entry(owner)
+	if e == nil || !v.has(e.idx) {
 		return NeighborSummary{}, fmt.Errorf("%w: owner %d not queried", ErrNotInSummary, owner)
 	}
-	row, ok := v.p.cached(owner)
-	if !ok {
-		// Unreachable: chain-queried rows are never evicted.
-		return NeighborSummary{}, fmt.Errorf("%w: owner %d not queried", ErrNotInSummary, owner)
-	}
+	// This chain charged the entry after its fetch completed, and
+	// successful entries are never evicted, so its row is readable.
+	row := e.row
 	for i, n := range row.Neighbors {
 		if n == w {
 			if row.Summaries == nil {
@@ -513,14 +501,10 @@ func (v *PipeView) SummaryDegree(owner, w graph.Node) (int, error) {
 	return s.Degree, nil
 }
 
-// QueryCost implements Client: this chain's unique queries.
-func (v *PipeView) QueryCost() int { return v.unique }
-
 // IsCached implements CacheAware against this chain's own query set,
 // like a private Simulator — NOT the shared row cache, so Budgeted
 // admission decisions are bit-identical to isolated mode.
-func (v *PipeView) IsCached(u graph.Node) bool { return v.queried[u] }
-
-// TotalRequests returns all of this chain's requests including
-// chain-local cache hits.
-func (v *PipeView) TotalRequests() int { return v.total }
+func (v *PipeView) IsCached(u graph.Node) bool {
+	e := v.p.entry(u)
+	return e != nil && v.has(e.idx)
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,6 +68,74 @@ func TestPipeViewMatchesSimulator(t *testing.T) {
 			t.Fatalf("IsCached(%d) diverged", u)
 		}
 	}
+}
+
+// TestPipeViewLedgerFarNodeIDs crawls a transport whose node IDs sit
+// near 2^31. The view's ledger is keyed by row entry, so it stays one
+// word where a bitset keyed by node ID would need 256 MiB, and it
+// counts cost and requests exactly as a Simulator over the same graph
+// under small IDs does.
+func TestPipeViewLedgerFarNodeIDs(t *testing.T) {
+	g := testGraph(t)
+	p := NewPrefetcher(farTransport{NewSimTransport(g, 0)}, 4)
+	defer p.Close()
+	view := p.View()
+	sim := NewSimulator(g)
+	view.Warm([]graph.Node{far(2)}) // speculation inserts entries too
+	for _, u := range []graph.Node{0, 3, 0, 4, 9, 3, 1, -1, 1} {
+		nsV, errV := view.Neighbors(far(u))
+		nsS, errS := sim.Neighbors(u)
+		if (errV == nil) != (errS == nil) {
+			t.Fatalf("node %d: error mismatch: view=%v sim=%v", u, errV, errS)
+		}
+		for i := range nsS {
+			if nsV[i] != far(nsS[i]) {
+				t.Fatalf("node %d: neighbors %v, want %v relabeled", u, nsV, nsS)
+			}
+		}
+		if view.QueryCost() != sim.QueryCost() || view.TotalRequests() != sim.TotalRequests() {
+			t.Fatalf("node %d: accounting diverged: view %d/%d sim %d/%d", u,
+				view.QueryCost(), view.TotalRequests(), sim.QueryCost(), sim.TotalRequests())
+		}
+	}
+	if len(view.bits) != 1 {
+		t.Fatalf("ledger holds %d words, want 1", len(view.bits))
+	}
+	// Six demands were new to the chain, two of them failed fetches;
+	// the three repeats stay out of the demand statistics.
+	if st := p.Stats(); st.DemandMisses+st.DemandJoined+st.DemandWarm != 6 {
+		t.Fatalf("stats = %+v, want 6 chain-locally-new demands", st)
+	}
+	for u := graph.Node(0); u < 5; u++ {
+		if view.IsCached(far(u)) != sim.IsCached(u) {
+			t.Fatalf("IsCached(%d) = %v, simulator says %v", far(u), view.IsCached(far(u)), sim.IsCached(u))
+		}
+	}
+	for _, u := range []graph.Node{-1, math.MinInt32, far(9)} {
+		if view.IsCached(u) {
+			t.Fatalf("IsCached(%d) for a node never fetched", u)
+		}
+	}
+}
+
+// farTransport serves a graph under node IDs near 2^31: graph node u
+// is far(u), in its own ID and in every neighbor list.
+type farTransport struct{ inner *SimTransport }
+
+// far maps node u to math.MaxInt32 - u and back.
+func far(u graph.Node) graph.Node { return math.MaxInt32 - u }
+
+func (t farTransport) Fetch(ctx context.Context, u graph.Node) (Row, error) {
+	row, err := t.inner.Fetch(ctx, far(u))
+	if err != nil {
+		return Row{}, err
+	}
+	ns := make([]graph.Node, len(row.Neighbors))
+	for i, w := range row.Neighbors {
+		ns[i] = far(w)
+	}
+	row.Neighbors = ns
+	return row, nil
 }
 
 // TestPipelineSingleFlight checks cross-chain dedup: demands from many

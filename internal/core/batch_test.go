@@ -250,8 +250,15 @@ func TestBatchedSharedLedgerIdentity(t *testing.T) {
 		sumLocal += s.QueryCost()
 	}
 	assertChainsEqual(t, "shared-ledger", seqT, batT, seqC, batC, seqR, batR)
-	global := access.UniqueAcross(sims)
-	if want := access.UniqueAcross(seqSims); global != want {
+	ledgers := func(ss []*access.Simulator) []*access.Ledger {
+		ls := make([]*access.Ledger, len(ss))
+		for i, s := range ss {
+			ls[i] = &s.Ledger
+		}
+		return ls
+	}
+	global := access.UniqueAcross(ledgers(sims))
+	if want := access.UniqueAcross(ledgers(seqSims)); global != want {
 		t.Fatalf("batched global cost %d, sequential %d", global, want)
 	}
 	if global >= sumLocal {

@@ -11,21 +11,15 @@ import (
 	"histwalk/internal/registry"
 )
 
-// resultJSON canonicalizes a Result for byte-level comparison. In
-// pipelined mode the network-side counters (Pipeline, GlobalQueries,
-// CrossChainHits, CrossChainHitRate) are stripped first: per the
+// resultJSON canonicalizes a Result for byte-level comparison. The
+// pipelined wire-side counters (Pipeline) are stripped first: per the
 // Result docs they depend on goroutine scheduling and sit outside the
-// determinism invariant the parity tests pin. Everywhere else every
-// field is compared.
+// determinism invariant the parity tests pin. Every other field is
+// compared.
 func resultJSON(t testing.TB, r *Result) string {
 	t.Helper()
 	clean := *r
-	if clean.Pipeline != nil {
-		clean.Pipeline = nil
-		clean.GlobalQueries = 0
-		clean.CrossChainHits = 0
-		clean.CrossChainHitRate = 0
-	}
+	clean.Pipeline = nil
 	b, err := json.Marshal(&clean)
 	if err != nil {
 		t.Fatalf("marshal result: %v", err)
@@ -133,8 +127,9 @@ func TestCheckpointResumeParity(t *testing.T) {
 }
 
 // TestCheckpointResumeModes covers the non-default execution modes:
-// shared cache, batched stepping and the pipelined access layer must
-// all resume to a bit-identical Result.
+// shared cache, batched stepping and the pipelined access layer, alone
+// and pipelined under the shared cache, must all resume to a
+// bit-identical Result.
 func TestCheckpointResumeModes(t *testing.T) {
 	g := testGraph(t)
 	cases := []struct {
@@ -144,6 +139,7 @@ func TestCheckpointResumeModes(t *testing.T) {
 		{"shared-cache", func(s *Spec) { s.Cache = CacheShared }},
 		{"batched", func(s *Spec) { s.Stepping = SteppingBatched }},
 		{"pipelined", func(s *Spec) { s.Window = 4; s.Latency = 50 * time.Microsecond }},
+		{"pipelined-shared", func(s *Spec) { s.Window = 4; s.Latency = 50 * time.Microsecond; s.Cache = CacheShared }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"histwalk/internal/access"
 	"histwalk/internal/graph"
 )
 
@@ -257,17 +258,17 @@ func TestPartialResultSharedLedgerSpansRun(t *testing.T) {
 	distinct, local, requests := 0, 0, 0
 	for u := 0; u < g.NumNodes(); u++ {
 		for _, cr := range s.chains {
-			if cr.sim.IsCached(graph.Node(u)) {
+			if cr.client.(access.CacheAware).IsCached(graph.Node(u)) {
 				distinct++
 				break
 			}
 		}
 	}
 	for _, cr := range s.chains {
-		local += cr.sim.QueryCost()
-		requests += cr.sim.TotalRequests()
+		local += cr.ledger.QueryCost()
+		requests += cr.ledger.TotalRequests()
 	}
-	if s.chains[1].sim.QueryCost() == 0 {
+	if s.chains[1].ledger.QueryCost() == 0 {
 		t.Fatal("chain 1 issued no queries before the interruption")
 	}
 	if res.GlobalQueries != distinct {

@@ -3,10 +3,10 @@ package session
 // Observability parity: instrumentation (metric record paths and the
 // lifecycle tracer) consumes no RNG and never reorders work, so a run
 // with tracing enabled is bit-identical to the same run with tracing
-// off — the whole Result in synchronous mode, the chain-local Result in
-// pipelined mode (network-side counters are scheduling-dependent and
-// outside the determinism boundary). This is the house invariant the
-// obs layer ships under.
+// off — the whole Result in synchronous mode, every field but Pipeline
+// in pipelined mode (its wire-side counters are scheduling-dependent
+// and outside the determinism boundary). This is the house invariant
+// the obs layer ships under.
 
 import (
 	"bytes"
@@ -69,8 +69,8 @@ func TestObservabilityParity(t *testing.T) {
 			}
 		}
 
-		// Pipelined mode (speculation + simulated latency): chain-local
-		// accounting must be unchanged by tracing; fetch spans must
+		// Pipelined mode (speculation + simulated latency): everything
+		// but Pipeline must be unchanged by tracing; fetch spans must
 		// appear in the trace.
 		pquiet, err := Run(context.Background(), mk(8, 100*time.Microsecond))
 		if err != nil {

@@ -4,10 +4,9 @@ package session
 // invariant): prefetch only warms caches, so for any speculation
 // window and any simulated latency, every chain's trajectory, RNG
 // consumption, query cost and retained samples are bit-identical to
-// the synchronous path — across all nine registry walkers. Only the
-// network-side counters (Result.Pipeline, GlobalQueries,
-// CrossChainHits) may differ, and those are explicitly outside the
-// determinism boundary.
+// the synchronous path — across all nine registry walkers and both
+// cache policies. Only Result.Pipeline, the wire-side counters, may
+// differ; it is explicitly outside the determinism boundary.
 
 import (
 	"context"
@@ -46,23 +45,18 @@ func pipeGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
-// chainLocal strips the network-side accounting from a Result, leaving
-// exactly the fields the determinism invariant pins: estimates, chain
-// accounting, total steps and total (chain-local) queries.
+// chainLocal strips Pipeline, the one scheduling-dependent field, from
+// a Result, leaving every field the determinism invariant pins.
 func chainLocal(r *Result) Result {
 	c := *r
-	c.GlobalQueries = 0
-	c.GlobalRequests = 0
-	c.CrossChainHits = 0
-	c.CrossChainHitRate = 0
 	c.Pipeline = nil
 	return c
 }
 
 // TestPipelinedBitIdentity runs every registry walker synchronously
 // and through the pipelined access layer at several windows (plus a
-// simulated-latency variant) and requires the chain-local Result to be
-// bit-identical.
+// simulated-latency variant), under both cache policies, and requires
+// every field but Pipeline to be bit-identical.
 func TestPipelinedBitIdentity(t *testing.T) {
 	g := pipeGraph(t)
 	variants := []struct {
@@ -81,52 +75,56 @@ func TestPipelinedBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mk := func(window int, latency time.Duration) Spec {
-			return Spec{
-				Graph:   g,
-				Walker:  factory,
-				Budget:  40,
-				Chains:  3,
-				Seed:    19,
-				Window:  window,
-				Latency: latency,
-				Estimators: []EstimatorSpec{
-					{Kind: AggAvgDegree},
-					{Kind: AggMean, Attr: "score"},
-				},
+		for _, cache := range []CachePolicy{CacheIsolated, CacheShared} {
+			mk := func(window int, latency time.Duration) Spec {
+				return Spec{
+					Graph:   g,
+					Walker:  factory,
+					Budget:  40,
+					Chains:  3,
+					Cache:   cache,
+					Seed:    19,
+					Window:  window,
+					Latency: latency,
+					Estimators: []EstimatorSpec{
+						{Kind: AggAvgDegree},
+						{Kind: AggMean, Attr: "score"},
+					},
+				}
 			}
-		}
-		sync, err := Run(context.Background(), mk(0, 0))
-		if err != nil {
-			t.Fatalf("%s sync: %v", name, err)
-		}
-		want := chainLocal(sync)
-		if sync.Pipeline != nil {
-			t.Fatalf("%s: synchronous run reported pipeline stats", name)
-		}
-		for _, v := range variants {
-			piped, err := Run(context.Background(), mk(v.window, v.latency))
+			sync, err := Run(context.Background(), mk(0, 0))
 			if err != nil {
-				t.Fatalf("%s %s: %v", name, v.name, err)
+				t.Fatalf("%s cache %d sync: %v", name, cache, err)
 			}
-			if piped.Pipeline == nil {
-				t.Fatalf("%s %s: pipelined run reported no pipeline stats", name, v.name)
+			want := chainLocal(sync)
+			if sync.Pipeline != nil {
+				t.Fatalf("%s: synchronous run reported pipeline stats", name)
 			}
-			if got := chainLocal(piped); !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s %s: chain-local result diverged from synchronous run:\n%+v\nvs\n%+v",
-					name, v.name, want, got)
-			}
-			if v.window == 0 && piped.Pipeline.SpeculativeFetches != 0 {
-				t.Fatalf("%s %s: window 0 issued %d speculative fetches",
-					name, v.name, piped.Pipeline.SpeculativeFetches)
+			for _, v := range variants {
+				piped, err := Run(context.Background(), mk(v.window, v.latency))
+				if err != nil {
+					t.Fatalf("%s cache %d %s: %v", name, cache, v.name, err)
+				}
+				if piped.Pipeline == nil {
+					t.Fatalf("%s %s: pipelined run reported no pipeline stats", name, v.name)
+				}
+				if got := chainLocal(piped); !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s cache %d %s: result diverged from synchronous run:\n%+v\nvs\n%+v",
+						name, cache, v.name, want, got)
+				}
+				if v.window == 0 && piped.Pipeline.SpeculativeFetches != 0 {
+					t.Fatalf("%s %s: window 0 issued %d speculative fetches",
+						name, v.name, piped.Pipeline.SpeculativeFetches)
+				}
 			}
 		}
 	}
 }
 
 // TestTransportModeWindowInvariance pins the same invariant in
-// Transport mode (no Graph/Store source): the chain-local Result is
-// identical across windows, and a single-chain transport run matches a
+// Transport mode (no Graph/Store source) under both cache policies:
+// every field but Pipeline is identical across windows, the shared
+// ledger balances, and a single-chain transport run matches a
 // Client-mode run over a plain Simulator from the same start node.
 func TestTransportModeWindowInvariance(t *testing.T) {
 	g := pipeGraph(t)
@@ -151,21 +149,29 @@ func TestTransportModeWindowInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want *Result
-		for _, window := range []int{0, 1, 16} {
-			res, err := Run(context.Background(), mk(window, factory))
-			if err != nil {
-				t.Fatalf("%s w%d: %v", name, window, err)
-			}
-			got := chainLocal(res)
-			if want == nil {
-				w := got
-				want = &w
-				continue
-			}
-			if !reflect.DeepEqual(*want, got) {
-				t.Fatalf("%s w%d: chain-local result diverged across windows:\n%+v\nvs\n%+v",
-					name, window, *want, got)
+		for _, cache := range []CachePolicy{CacheIsolated, CacheShared} {
+			var want *Result
+			for _, window := range []int{0, 1, 16} {
+				spec := mk(window, factory)
+				spec.Cache = cache
+				res, err := Run(context.Background(), spec)
+				if err != nil {
+					t.Fatalf("%s cache %d w%d: %v", name, cache, window, err)
+				}
+				if cache == CacheShared && res.GlobalQueries+res.CrossChainHits != res.TotalQueries {
+					t.Fatalf("%s w%d: shared ledger %d global + %d hits != %d total queries",
+						name, window, res.GlobalQueries, res.CrossChainHits, res.TotalQueries)
+				}
+				got := chainLocal(res)
+				if want == nil {
+					w := got
+					want = &w
+					continue
+				}
+				if !reflect.DeepEqual(*want, got) {
+					t.Fatalf("%s cache %d w%d: result diverged across windows:\n%+v\nvs\n%+v",
+						name, cache, window, *want, got)
+				}
 			}
 		}
 		// One chain over the transport == Client mode over a Simulator.
@@ -220,7 +226,6 @@ func TestPipelinedValidation(t *testing.T) {
 		{"client with window", Spec{Client: sim, Walker: core.SRWFactory(), Budget: 10, Window: 4}},
 		{"client with latency", Spec{Client: sim, Walker: core.SRWFactory(), Budget: 10, Latency: time.Millisecond}},
 		{"transport with latency", Spec{Transport: tr, Walker: core.SRWFactory(), Budget: 10, Latency: time.Millisecond}},
-		{"pipelined shared cache", Spec{Graph: g, Walker: core.SRWFactory(), Budget: 10, Window: 4, Cache: CacheShared}},
 		{"pipelined batched", Spec{Graph: g, Walker: core.SRWFactory(), Budget: 10, Window: 4, Stepping: SteppingBatched}},
 	}
 	for _, tc := range cases {
@@ -270,16 +275,20 @@ func TestPipelinedSessionClose(t *testing.T) {
 }
 
 // FuzzPipelineParity explores walker × window × chains × budget × seed
-// combinations, requiring chain-local bit-identity between the
-// synchronous and pipelined paths. The seeded corpus runs in plain
-// `go test` and under -race in CI; `go test -fuzz=FuzzPipelineParity`
-// explores further.
+// × cache policy combinations, requiring bit-identity of every field
+// but Pipeline between the synchronous and pipelined paths under the
+// same policy. The seeded corpus runs in plain `go test` and under
+// -race in CI; `go test -fuzz=FuzzPipelineParity` explores further.
 func FuzzPipelineParity(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(1), uint8(20), uint8(1))
-	f.Add(int64(9), uint8(3), uint8(32), uint8(35), uint8(4))
-	f.Add(int64(-7), uint8(6), uint8(8), uint8(12), uint8(3))
-	f.Add(int64(42), uint8(8), uint8(2), uint8(28), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, walkerIdx, windowRaw, budgetRaw, chainsRaw uint8) {
+	f.Add(int64(1), uint8(0), uint8(1), uint8(20), uint8(1), uint8(0))
+	f.Add(int64(9), uint8(3), uint8(32), uint8(35), uint8(4), uint8(0))
+	f.Add(int64(-7), uint8(6), uint8(8), uint8(12), uint8(3), uint8(0))
+	f.Add(int64(42), uint8(8), uint8(2), uint8(28), uint8(2), uint8(0))
+	f.Add(int64(9), uint8(3), uint8(32), uint8(35), uint8(4), uint8(1))
+	f.Add(int64(-7), uint8(6), uint8(8), uint8(12), uint8(3), uint8(1))
+	f.Add(int64(42), uint8(8), uint8(2), uint8(28), uint8(2), uint8(1))
+	f.Add(int64(3), uint8(2), uint8(16), uint8(39), uint8(4), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, walkerIdx, windowRaw, budgetRaw, chainsRaw, cacheRaw uint8) {
 		names := registry.WalkerNames()
 		name := names[int(walkerIdx)%len(names)]
 		factory, err := registry.WalkerByName(name, registry.WalkerOptions{})
@@ -301,12 +310,14 @@ func FuzzPipelineParity(f *testing.F) {
 		window := 1 + int(windowRaw)%48
 		budget := 2 + int(budgetRaw)%40
 		chains := 1 + int(chainsRaw)%5
+		cache := CachePolicy(cacheRaw % 2)
 		mk := func(window int) Spec {
 			return Spec{
 				Graph:  g,
 				Walker: factory,
 				Budget: budget,
 				Chains: chains,
+				Cache:  cache,
 				Seed:   seed,
 				Window: window,
 			}
@@ -320,7 +331,7 @@ func FuzzPipelineParity(f *testing.F) {
 			t.Fatalf("%s w%d: %v", name, window, err)
 		}
 		if want, got := chainLocal(sync), chainLocal(piped); !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s w%d: chain-local result diverged:\n%+v\nvs\n%+v", name, window, want, got)
+			t.Fatalf("%s w%d cache %d: result diverged:\n%+v\nvs\n%+v", name, window, cache, want, got)
 		}
 	})
 }

@@ -62,8 +62,10 @@ const (
 	DesignUniform
 )
 
-// CachePolicy selects how the chains' query caches relate in
-// Graph/Store mode.
+// CachePolicy selects how the network bills the chains of a
+// multi-chain source (Graph, Store or Transport). It is a choice made
+// when the Result is merged: every chain keeps its own access.Ledger
+// either way, so it never changes what a chain reads.
 type CachePolicy int
 
 const (
@@ -76,10 +78,10 @@ const (
 	// once any chain has fetched a node, sibling chains read it for
 	// free, as a real multi-account crawler with one local cache would.
 	// A cache hit never changes what a chain reads, so each chain runs
-	// on its own private access.Simulator exactly as under
-	// CacheIsolated — budgets, trajectories and estimates are
-	// bit-identical for any Workers value — and the Result derives the
-	// fleet's network ledger from the union of the chains' query sets
+	// on its own client exactly as under CacheIsolated — budgets,
+	// trajectories and estimates are bit-identical for any Workers
+	// value, stepping or pipelining — and the Result derives the
+	// fleet's network ledger from the union of the chains' ledgers
 	// (access.UniqueAcross): the strictly smaller global network cost
 	// and the cross-chain hit rate.
 	CacheShared
@@ -237,11 +239,11 @@ type Spec struct {
 	// has its own RNG, cache and budget — the practical OSN deployment
 	// mode, where every crawler account is rate-limited separately.
 	Chains int
-	// Cache selects the chains' cache topology in Graph/Store mode
-	// (default CacheIsolated). CacheShared accounts the chains as one
-	// fleet sharing a crawl cache, which changes only the Result's
-	// network ledger, never a chain's trajectory or budget accounting;
-	// see CachePolicy.
+	// Cache selects the chains' cache topology for every multi-chain
+	// source: Graph, Store or Transport (default CacheIsolated).
+	// CacheShared accounts the chains as one fleet sharing a crawl
+	// cache, which changes only the Result's network ledger, never a
+	// chain's trajectory or budget accounting; see CachePolicy.
 	Cache CachePolicy
 	// Window is the pipelined access layer's speculative in-flight
 	// window: how many prefetch fetches may be outstanding at once.
@@ -251,7 +253,9 @@ type Spec struct {
 	// RNG consumption and per-chain query costs bit-identical to the
 	// synchronous path for any value. In Transport mode it tunes the
 	// pipeline over the live transport (0 disables speculation; the
-	// shared cache and single-flight dedup remain).
+	// shared row cache and single-flight dedup remain). Pipelining
+	// composes with either cache policy and changes no Result field
+	// except Pipeline; it requires per-chain stepping.
 	Window int
 	// Latency is the simulated per-fetch transport latency for the
 	// Graph/Store pipelined mode (0 = none). It models a remote API's
@@ -340,13 +344,8 @@ func (s Spec) Validate() error {
 	if s.Transport != nil && s.Latency != 0 {
 		return errors.New("session: Latency simulates a transport's round trip; a live Transport's latency is its own")
 	}
-	if s.pipelined() {
-		if s.Cache == CacheShared {
-			return errors.New("session: the pipelined access layer has its own shared row cache; CacheShared does not compose with it")
-		}
-		if s.Stepping == SteppingBatched {
-			return errors.New("session: pipelined access requires per-chain stepping (the batch stepper has its own fetch sharing)")
-		}
+	if s.pipelined() && s.Stepping == SteppingBatched {
+		return errors.New("session: pipelined access requires per-chain stepping (the batch stepper has its own fetch sharing)")
 	}
 	if s.Walker.New == nil {
 		return errors.New("session: Walker factory without constructor")
@@ -370,7 +369,7 @@ func (s Spec) Validate() error {
 	case CacheIsolated:
 	case CacheShared:
 		if s.Client != nil {
-			return errors.New("session: CacheShared applies to Graph/Store mode; a Client brings its own cache")
+			return errors.New("session: CacheShared applies to multi-chain sources (Graph, Store, Transport); a Client brings its own cache")
 		}
 	default:
 		return fmt.Errorf("session: unknown cache policy %d", int(s.Cache))
@@ -461,6 +460,16 @@ func normalize(s Spec) (*Spec, error) {
 // speculation window or simulated latency is requested.
 func (s *Spec) pipelined() bool {
 	return s.Transport != nil || ((s.Graph != nil || s.Store != nil) && (s.Window > 0 || s.Latency > 0))
+}
+
+// pipelineStats snapshots the pipelined access layer's wire-side
+// counters; nil for non-pipelined specs.
+func (s *Spec) pipelineStats() *access.PipelineStats {
+	if s.pipe == nil {
+		return nil
+	}
+	st := s.pipe.Stats()
+	return &st
 }
 
 // closePipe cancels the pipelined access layer's outstanding
@@ -558,15 +567,18 @@ type Result struct {
 	// charge the chain that issued the query.
 	TotalQueries int `json:"total_queries"`
 	// GlobalQueries is the network-level unique query count — what the
-	// whole run actually paid the OSN for. Under CacheIsolated every
-	// chain pays for its own fetches, so this is the sum of the chains'
-	// unique costs; under CacheShared a node fetched by any chain is
-	// free for the others, so this is the number of distinct nodes the
-	// run's chains queried between them. Under the default CostUnique
-	// metering the ledger balances as GlobalQueries + CrossChainHits ==
-	// TotalQueries (strictly smaller than TotalQueries whenever chains
-	// overlap); under CostSteps, TotalQueries counts transitions
-	// instead and is not comparable to this field.
+	// whole run paid the OSN for under the cache policy, from the
+	// chains' ledgers alone, whatever the source. Under CacheIsolated
+	// every chain pays for its own fetches, so this is the sum of the
+	// chains' unique costs; under CacheShared a node fetched by any
+	// chain is free for the others, so this is the number of distinct
+	// nodes the run's chains queried between them. Under the default
+	// CostUnique metering the ledger balances as GlobalQueries +
+	// CrossChainHits == TotalQueries (strictly smaller than
+	// TotalQueries whenever chains overlap); under CostSteps,
+	// TotalQueries counts transitions instead and is not comparable to
+	// this field. Fetches a pipeline issued on the wire, speculative
+	// ones included, are Pipeline.NetworkFetches.
 	GlobalQueries int `json:"global_queries"`
 	// GlobalRequests counts all requests across chains including cache
 	// hits (0 when the client reports no request totals).
@@ -580,16 +592,12 @@ type Result struct {
 	// that the shared cache saved. 0 under CacheIsolated.
 	CrossChainHitRate float64 `json:"cross_chain_hit_rate"`
 	// Pipeline, present exactly in pipelined mode, snapshots the shared
-	// access pipeline's network-side counters. In that mode
-	// GlobalQueries counts every network fetch the pipeline issued —
-	// demand and speculative alike, so the ledger identity
-	// GlobalQueries + CrossChainHits == TotalQueries deliberately does
-	// NOT hold: speculation may fetch rows no chain ever demands, waste
-	// that buys wall-clock time. CrossChainHits counts demands served
-	// without a fresh fetch (by a sibling chain's fetch or by
-	// speculation). Unlike everything else in the Result, these network
-	// counters depend on goroutine scheduling and are not deterministic;
-	// the determinism invariant covers only chain-local accounting.
+	// access pipeline's wire-side counters: every network fetch it
+	// issued, demand and speculative alike (speculation may fetch rows
+	// no chain ever demands, waste that buys wall-clock time), and how
+	// chain-locally-new demands found their rows. It is the only Result
+	// field that depends on goroutine scheduling; every other field is
+	// deterministic and equals the synchronous run of the same Spec.
 	Pipeline *access.PipelineStats `json:"pipeline,omitempty"`
 }
 
@@ -777,13 +785,7 @@ func (s *Session) nextBatched() (Update, bool, error) {
 // counters mid-run or after completion; nil for non-pipelined specs.
 // Like Result.Pipeline, the counters depend on goroutine scheduling
 // and sit outside the determinism invariant.
-func (s *Session) PipelineStats() *access.PipelineStats {
-	if s.sp.pipe == nil {
-		return nil
-	}
-	st := s.sp.pipe.Stats()
-	return &st
-}
+func (s *Session) PipelineStats() *access.PipelineStats { return s.sp.pipelineStats() }
 
 // Close releases the pipelined access layer's background resources
 // (canceling outstanding speculative fetches); it is a no-op for
@@ -861,16 +863,6 @@ func (s *Session) PartialResult() (*Result, error) {
 // including cache hits.
 type requestReporter interface{ TotalRequests() int }
 
-// simClient is the chain-local face of a simulated or pipelined
-// client: a private access.Simulator or a per-chain access.PipeView.
-// Both report chain-local unique cost, cache membership and request
-// totals.
-type simClient interface {
-	access.Client
-	access.CacheAware
-	requestReporter
-}
-
 // chainRun is one chain's in-flight state. Chains share no chain-local
 // state, so a chainRun is confined to whichever goroutine drives it
 // (in pipelined mode the Prefetcher behind the PipeViews is
@@ -879,9 +871,9 @@ type chainRun struct {
 	idx     int
 	seed    int64
 	client  access.Client
-	sim     simClient // nil in Client mode
-	base    int       // Client mode: query cost at chain start
-	reqBase int       // Client mode: request total at chain start
+	ledger  *access.Ledger // the client's own ledger; nil in Client mode
+	base    int            // Client mode: query cost at chain start
+	reqBase int            // Client mode: request total at chain start
 	walker  core.Walker
 	start   graph.Node
 	steps   int
@@ -974,7 +966,7 @@ func newChain(sp *Spec, c int) (*chainRun, error) {
 	switch {
 	case sp.pipe != nil:
 		view := sp.pipe.View()
-		cr.sim = view
+		cr.ledger = &view.Ledger
 		cr.client = view
 		cr.warm = view
 		if sp.src != nil {
@@ -990,8 +982,9 @@ func newChain(sp *Spec, c int) (*chainRun, error) {
 			cr.start = sp.Start
 		}
 	case sp.src != nil:
-		cr.sim = access.NewSimulatorStore(sp.src)
-		cr.client = cr.sim
+		sim := access.NewSimulatorStore(sp.src)
+		cr.ledger = &sim.Ledger
+		cr.client = sim
 		start, err := engine.RandomStart(sp.src, rng)
 		if err != nil {
 			return nil, fmt.Errorf("session: chain %d: %w", c, err)
@@ -1106,7 +1099,7 @@ func (cr *chainRun) finish(sp *Spec, v graph.Node, err error) (Update, bool, err
 	// network is cached, larger budgets are unreachable — stop. The
 	// count is known in Graph/Store mode and for transports that report
 	// one (access.NodeCounter).
-	if cr.sim != nil && sp.nodes > 0 && sp.Cost == engine.CostUnique && cr.sim.QueryCost() >= sp.nodes {
+	if cr.ledger != nil && sp.nodes > 0 && sp.Cost == engine.CostUnique && cr.ledger.QueryCost() >= sp.nodes {
 		cr.markDone(sp)
 	}
 	// Without a node count (Client mode, or a live transport of unknown
@@ -1268,7 +1261,11 @@ func (a *estAcc) moments(es EstimatorSpec, vals []float64, n int) (mean, varianc
 }
 
 // mergeLedger builds a Result's accounting — per-chain entries, totals
-// and the network ledger — for merge; it leaves Estimates empty.
+// and the network ledger — for merge; it leaves Estimates empty. One
+// rule covers every source: isolated chains pay the network the sum of
+// their own costs, while shared chains pay once per key in the union
+// of every chain's ledger (run, not only the merged subset). Only
+// Pipeline, the wire-side counters, depends on scheduling.
 func mergeLedger(sp *Spec, run, chains []*chainRun) *Result {
 	res := &Result{}
 	shared := sp.Cache == CacheShared
@@ -1281,8 +1278,8 @@ func mergeLedger(sp *Spec, run, chains []*chainRun) *Result {
 			Queries: cr.spend(sp),
 			Samples: len(cr.degrees),
 		}
-		if cr.sim != nil {
-			c.Requests = cr.sim.TotalRequests()
+		if cr.ledger != nil {
+			c.Requests = cr.ledger.TotalRequests()
 		} else if tr, ok := cr.client.(requestReporter); ok {
 			c.Requests = tr.TotalRequests() - cr.reqBase
 		}
@@ -1290,49 +1287,24 @@ func mergeLedger(sp *Spec, run, chains []*chainRun) *Result {
 		res.TotalSteps += cr.steps
 		res.TotalQueries += c.Queries
 		if !shared {
-			if sp.pipe == nil {
-				// Isolated caches: every chain pays the network for its
-				// own fetches, so the global cost is the sum of the
-				// chains'.
-				if cr.sim != nil {
-					res.GlobalQueries += cr.sim.QueryCost()
-				} else {
-					res.GlobalQueries += cr.client.QueryCost() - cr.base
-				}
-			}
+			res.GlobalQueries += cr.client.QueryCost() - cr.base
 			res.GlobalRequests += c.Requests
 		}
 	}
 	if shared {
-		// One local cache across the fleet: the network pays once per
-		// node any chain queried, so the global cost is the union of the
-		// chains' query sets, and every other chain-locally-new query
-		// was a sibling's fetch read for free.
-		sims := make([]*access.Simulator, len(run))
+		ledgers := make([]*access.Ledger, len(run))
 		local := 0
 		for i, cr := range run {
-			sims[i] = cr.sim.(*access.Simulator)
-			local += sims[i].QueryCost()
-			res.GlobalRequests += sims[i].TotalRequests()
+			ledgers[i] = cr.ledger
+			local += cr.ledger.QueryCost()
+			res.GlobalRequests += cr.ledger.TotalRequests()
 		}
-		res.GlobalQueries = access.UniqueAcross(sims)
+		res.GlobalQueries = access.UniqueAcross(ledgers)
 		res.CrossChainHits = local - res.GlobalQueries
 		if local > 0 {
 			res.CrossChainHitRate = float64(res.CrossChainHits) / float64(local)
 		}
 	}
-	if sp.pipe != nil {
-		// Pipelined mode: the pipeline's counters are the network
-		// ledger. GlobalQueries is every fetch it issued (speculative
-		// waste included — see the Result field docs); the hit fields
-		// count chain-locally-new demands that needed no fresh fetch.
-		st := sp.pipe.Stats()
-		res.Pipeline = &st
-		res.GlobalQueries = st.NetworkFetches
-		res.CrossChainHits = st.DemandSaves()
-		if denom := res.CrossChainHits + st.DemandMisses; denom > 0 {
-			res.CrossChainHitRate = float64(res.CrossChainHits) / float64(denom)
-		}
-	}
+	res.Pipeline = sp.pipelineStats()
 	return res
 }

@@ -66,11 +66,11 @@ const (
 	// counter (the default): the network cost is the sum of the
 	// chains' costs.
 	CacheIsolated = session.CacheIsolated
-	// CacheShared pools all chains over one concurrency-safe shared
-	// crawl cache: trajectories, budgets and estimates stay
-	// bit-identical to CacheIsolated, while Result additionally
-	// reports the strictly smaller global network cost and the
-	// cross-chain hit rate.
+	// CacheShared accounts all chains as one fleet sharing a crawl
+	// cache, for Graph, Store and Transport sources alike:
+	// trajectories, budgets and estimates stay bit-identical to
+	// CacheIsolated, while Result additionally reports the strictly
+	// smaller global network cost and the cross-chain hit rate.
 	CacheShared = session.CacheShared
 )
 
