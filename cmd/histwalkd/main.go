@@ -36,12 +36,13 @@
 //
 // With -store-dir the daemon is durable: every job's spec, event log
 // and periodic chain checkpoints are persisted to an append-only
-// CRC-framed log in that directory (compacted into snapshots as it
-// grows). On restart — clean or after a kill -9 — terminal jobs reload
-// as queryable history, queued jobs re-enter the queue in admission
-// order, and running jobs resume from their last checkpoint to the
-// bit-identical Result an uninterrupted run would have produced. SSE
-// clients reconnect with Last-Event-ID and miss nothing.
+// CRC-framed log in that directory (compacted as it grows: each
+// finished job is written once, to an immutable segment). On restart —
+// clean or after a kill -9 — terminal jobs reload as queryable history,
+// queued jobs re-enter the queue in admission order, and running jobs
+// resume from their last checkpoint to the bit-identical Result an
+// uninterrupted run would have produced. SSE clients reconnect with
+// Last-Event-ID and miss nothing.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: intake closes,
 // running jobs finish (within -drain), queued jobs are cancelled, and

@@ -206,6 +206,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	defer sess.Close()
 	interrupted := false
 	res, err := sess.Drive(ctx, nil)
 	if err != nil {

@@ -1,42 +1,65 @@
 package service
 
-// FileStore: the durable JobStore. Layout inside the store directory:
+// FileStore: the durable JobStore, laid out like a log-structured file
+// system (LFS, Rosenblum & Ousterhout 1992). Files in the store
+// directory, and the record kinds each holds:
 //
-//	events.log      append-only JSONL of logRec lines (the live tail)
-//	snapshot.jsonl  periodic full-catalog snapshot (committed by rename)
+//	events.log            submit, event, cp, evict: every change since
+//	                      the last compaction, appended
+//	segment-NNNNNN.jsonl  job records of the jobs one compaction found
+//	                      newly terminal, then end; never rewritten
+//	snapshot.jsonl        the manifest: job records of live (queued or
+//	                      running) jobs, an evict tombstone per evicted
+//	                      job whose segment still exists, then end
 //
-// Every line is framed as
+// Every line is framed as "%08x SP payload \n", the hex field being the
+// CRC-32C (Castagnoli, as in internal/graphstore) of the payload.
+// Appends go straight through os.File.Write — no userspace buffer — so
+// a record survives a kill -9 of the process the moment RecordEvent
+// returns (machine-crash durability would need fsync per record; a job
+// service trades that for write latency, as graphstore does).
 //
-//	%08x SP payload \n
+// Compaction runs under fs.mu when the log outgrows CompactBytes, and
+// at Close: (1) apply evictVictims (store.go) to every job in the
+// mirror, sealed or not, in admission order; (2) seal the newly
+// terminal survivors into a new segment, skipped when there are none;
+// (3) delete every segment whose jobs are all evicted; (4) write the
+// manifest; (5) truncate the log. Segments and the manifest are
+// streamed through a bufio.Writer to a temp file, fsynced and renamed.
+// A finished job is thus written once, and compaction costs O(live +
+// newly sealed jobs), not O(catalog). A crash after step 2 leaves the
+// new segment's jobs live in the old manifest, and rule (a) below keeps
+// their sealed records. After step 3, the deleted segments' jobs are
+// evicted by the old manifest's tombstones or the log's evict records;
+// a new manifest written first would drop those tombstones while the
+// segment still existed. After step 4, log replay is idempotent. A job
+// evicted by compaction's own policy has no evict record, so a crash
+// before step 4 may bring it back as terminal history, as the
+// single-snapshot layout could.
 //
-// where the hex field is the CRC-32C (Castagnoli, as in
-// internal/graphstore) of the payload bytes. Appends go straight
-// through os.File.Write — no userspace buffer — so a record is in the
-// kernel page cache the moment RecordEvent returns and survives a
-// kill -9 of the process (machine-crash durability would need fsync
-// per record; a job service trades that for write latency, the same
-// call graphstore makes).
-//
-// Recovery follows the graphstore commit disciplines: the snapshot is
-// written to a temp file with a trailing "end" marker (written last,
-// checked first) and renamed into place, so a torn compaction leaves
-// the previous snapshot intact; the log is replayed up to its first
-// corrupt or partial line and truncated there, so a torn final append
-// costs exactly that append. Replay is idempotent — compaction
-// truncates the log only after the snapshot rename, and a crash
-// between the two replays log records the snapshot already holds.
-//
-// Compaction survival is decided by evictVictims (store.go), the same
-// policy Manager eviction applies to the live catalog.
+// Recovery removes leftover *.tmp files, then loads the segments in
+// numeric order, the manifest, and the log's longest valid prefix,
+// truncating the log's corrupt tail (a torn final append). Two rules
+// keep the fold idempotent: (a) a job record never replaces a terminal
+// record already loaded; (b) an evict of an unknown job is a no-op;
+// events are appended by sequence number. The manifest and segments
+// are committed by rename, so a bad line in one is corruption, not a
+// torn append: each must decode whole and end in an end record whose n
+// counts the records before it, or OpenFileStore fails naming the file.
+// A store written before segments existed is a manifest that still
+// lists terminal jobs; the first compaction seals them.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -50,13 +73,16 @@ const (
 
 var storeCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// logRec is one line of the event log or snapshot.
+// segmentName is segment n's file name; numbers only grow.
+func segmentName(n int) string { return fmt.Sprintf("segment-%06d.jsonl", n) }
+
+// logRec is one line of the event log, a segment or the manifest.
 type logRec struct {
 	// Kind discriminates the record: "submit" (job admission: ID, Seq,
 	// Spec), "event" (one appended Event), "cp" (checkpoint
-	// replacement), "evict" (catalog removal), "job" (snapshot-only:
-	// one full JobRecord), "end" (snapshot-only commit marker with the
-	// record count).
+	// replacement), "evict" (catalog removal; a manifest tombstone),
+	// "job" (segment and manifest: one full JobRecord), "end" (segment
+	// and manifest commit marker with the count of records before it).
 	Kind       string              `json:"k"`
 	ID         string              `json:"id,omitempty"`
 	Seq        int                 `json:"seq,omitempty"`
@@ -115,11 +141,30 @@ func decodeLog(data []byte) (recs []logRec, valid int) {
 	return recs, valid
 }
 
+// readCommitted reads a file committed by rename — a segment or the
+// manifest — and returns its records without the end marker. The file
+// must decode whole and end in an end record counting the records
+// before it.
+func readCommitted(path string) ([]logRec, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	recs, valid := decodeLog(data)
+	if valid < len(data) {
+		return nil, fmt.Errorf("service: %s is corrupt at byte %d", path, valid)
+	}
+	if n := len(recs) - 1; n < 0 || recs[n].Kind != "end" || recs[n].Count != n {
+		return nil, fmt.Errorf("service: %s lacks a valid end marker", path)
+	}
+	return recs[:len(recs)-1], nil
+}
+
 // FileStoreOptions configures a FileStore. The zero value selects the
 // documented defaults.
 type FileStoreOptions struct {
-	// CompactBytes triggers snapshot-and-truncate compaction when the
-	// live log exceeds it (0 = 4 MiB).
+	// CompactBytes triggers compaction when the live log exceeds it
+	// (0 = 4 MiB).
 	CompactBytes int64
 }
 
@@ -130,11 +175,24 @@ func (o FileStoreOptions) withDefaults() FileStoreOptions {
 	return o
 }
 
+// sealedJob is the mirror's index entry for a job in a segment.
+type sealedJob struct {
+	seq int // admission sequence number
+	seg int // segment number
+}
+
+// segment is one segment file's share of the catalog.
+type segment struct {
+	jobs int      // jobs sealed into it
+	dead []string // its evicted jobs: manifest tombstones while it exists
+}
+
 // FileStore is the durable JobStore: a MemStore catalog for the live
-// process plus an append-only log and snapshot on disk. The mirror —
-// the JobRecord view of the catalog — is maintained from the appends
-// themselves, so compaction never reads live job state and takes no
-// job mutexes.
+// process plus an append-only log, segments and a manifest on disk.
+// The mirror — the JobRecord view of the catalog — is maintained from
+// the appends themselves, so compaction never reads live job state and
+// takes no job mutexes. It holds the full record of every unsealed job
+// and an index entry per sealed one.
 type FileStore struct {
 	mem  *MemStore
 	dir  string
@@ -143,32 +201,79 @@ type FileStore struct {
 	mu       sync.Mutex
 	log      *os.File
 	logBytes int64
-	recs     map[string]*JobRecord
-	limit    int // last Evict limit; re-applied at compaction (0 = none yet)
-	closed   bool
+	// recs holds the unsealed jobs: live ones and those that turned
+	// terminal since the last compaction. Between OpenFileStore and
+	// Recover it also holds the sealed jobs' decoded records.
+	recs    map[string]*JobRecord
+	sealed  map[string]sealedJob
+	segs    map[int]*segment
+	lastSeg int  // highest segment number written or loaded
+	limit   int  // last Evict limit; re-applied at compaction (0 = none yet)
+	closed  bool // Close has run
 }
 
-// OpenFileStore opens (or creates) the store directory, loads the
-// snapshot, replays the log's valid prefix and truncates any corrupt
-// tail. The returned store's Recover holds every job the process knew
-// before it died.
+// OpenFileStore opens (or creates) the store directory and loads the
+// segments, the manifest and the log's valid prefix, truncating any
+// corrupt log tail. A corrupt segment or manifest is an error. The
+// returned store's Recover holds every job the process knew before it
+// died.
 func OpenFileStore(dir string, opts FileStoreOptions) (*FileStore, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: creating store dir: %w", err)
 	}
 	fs := &FileStore{
-		mem:  NewMemStore(),
-		dir:  dir,
-		opts: opts,
-		recs: make(map[string]*JobRecord),
+		mem:    NewMemStore(),
+		dir:    dir,
+		opts:   opts,
+		recs:   make(map[string]*JobRecord),
+		sealed: make(map[string]sealedJob),
+		segs:   make(map[int]*segment),
 	}
-	// Snapshot first: it is the compacted prefix of the log's history.
-	if data, err := os.ReadFile(filepath.Join(dir, snapshotName)); err == nil {
-		recs, _ := decodeLog(data)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("service: reading store dir: %w", err)
+	}
+	var nums []int
+	for _, e := range ents {
+		name := e.Name()
+		var n int
+		if e.IsDir() {
+			continue
+		}
+		if strings.HasSuffix(name, ".tmp") {
+			// An uncommitted write of an interrupted compaction.
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return nil, fmt.Errorf("service: removing %s: %w", name, err)
+			}
+		} else if _, err := fmt.Sscanf(name, "segment-%d.jsonl", &n); err == nil && segmentName(n) == name {
+			nums = append(nums, n)
+		}
+	}
+	slices.Sort(nums)
+	for _, n := range nums {
+		recs, err := readCommitted(filepath.Join(dir, segmentName(n)))
+		if err != nil {
+			return nil, err
+		}
+		fs.apply(recs)
+		seg := &segment{}
+		for _, r := range recs {
+			if r.Kind != "job" || r.Job == nil {
+				continue
+			}
+			if _, dup := fs.sealed[r.Job.ID]; !dup {
+				fs.sealed[r.Job.ID] = sealedJob{seq: r.Job.Seq, seg: n}
+				seg.jobs++
+			}
+		}
+		fs.segs[n] = seg
+		fs.lastSeg = n
+	}
+	if recs, err := readCommitted(filepath.Join(dir, snapshotName)); err == nil {
 		fs.apply(recs)
 	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("service: reading snapshot: %w", err)
+		return nil, fmt.Errorf("service: reading manifest: %w", err)
 	}
 	logPath := filepath.Join(dir, logName)
 	data, err := os.ReadFile(logPath)
@@ -197,18 +302,24 @@ func OpenFileStore(dir string, opts FileStoreOptions) (*FileStore, error) {
 	return fs, nil
 }
 
-// apply folds decoded records into the mirror, idempotently: replayed
-// duplicates (snapshot overlap after a crash mid-compaction) are
-// skipped by sequence number, evictions of unknown jobs are ignored.
+// apply folds decoded records into the mirror, idempotently: a job
+// record never replaces a terminal record already loaded (a job sealed
+// just before a crash is still live in the old manifest), replayed
+// events are skipped by sequence number, evictions of unknown jobs are
+// ignored.
 func (fs *FileStore) apply(recs []logRec) {
 	for _, r := range recs {
 		switch r.Kind {
 		case "job":
-			if r.Job != nil && r.Job.ID != "" {
-				rec := *r.Job
-				rec.Events = append([]Event(nil), r.Job.Events...)
-				fs.recs[rec.ID] = &rec
+			if r.Job == nil || r.Job.ID == "" {
+				continue
 			}
+			if old := fs.recs[r.Job.ID]; old != nil && old.State().Terminal() {
+				continue
+			}
+			rec := *r.Job
+			rec.Events = append([]Event(nil), r.Job.Events...)
+			fs.recs[rec.ID] = &rec
 		case "submit":
 			if r.ID == "" {
 				continue
@@ -234,10 +345,21 @@ func (fs *FileStore) apply(recs []logRec) {
 				rec.Checkpoint = r.Checkpoint
 			}
 		case "evict":
-			delete(fs.recs, r.ID)
+			fs.dropLocked(r.ID)
 		case "end":
-			// Snapshot commit marker; nothing to fold.
+			// Commit marker; readCommitted checks and strips it.
 		}
+	}
+}
+
+// dropLocked removes an evicted job from the mirror. A sealed job's ID
+// stays a tombstone of its segment until the segment file is deleted.
+func (fs *FileStore) dropLocked(id string) {
+	delete(fs.recs, id)
+	if s, ok := fs.sealed[id]; ok {
+		delete(fs.sealed, id)
+		seg := fs.segs[s.seg]
+		seg.dead = append(seg.dead, id)
 	}
 }
 
@@ -265,7 +387,8 @@ func (fs *FileStore) appendLocked(recs ...logRec) error {
 func (fs *FileStore) Add(j *job) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, ok := fs.recs[j.id]; ok {
+	_, known := fs.recs[j.id]
+	if _, sealed := fs.sealed[j.id]; known || sealed {
 		fs.mem.Adopt(j)
 		return nil
 	}
@@ -309,7 +432,7 @@ func (fs *FileStore) Evict(limit int) []string {
 	recs := make([]logRec, len(victims))
 	for i, id := range victims {
 		recs[i] = logRec{Kind: "evict", ID: id}
-		delete(fs.recs, id)
+		fs.dropLocked(id)
 	}
 	_ = fs.appendLocked(recs...) // catalog already updated; log error is counted
 	fs.maybeCompactLocked()
@@ -337,7 +460,7 @@ func (fs *FileStore) RecordEvent(id string, ev Event) error {
 }
 
 // RecordCheckpoint persists a job's latest checkpoint; the log carries
-// every write, the mirror (and thus the next snapshot) only the last.
+// every write, the mirror (and thus the next manifest) only the last.
 func (fs *FileStore) RecordCheckpoint(id string, cp *session.Checkpoint) error {
 	t0 := time.Now()
 	fs.mu.Lock()
@@ -356,24 +479,47 @@ func (fs *FileStore) RecordCheckpoint(id string, cp *session.Checkpoint) error {
 	return nil
 }
 
-// Recover returns the durable records in admission order. Event slices
-// are copied: the caller rehydrates jobs from them while RecordEvent
-// keeps appending to the mirror.
+// Recover returns the durable records in admission order. Unsealed
+// records' event slices are copied: the caller rehydrates jobs from
+// them while RecordEvent keeps appending to the mirror. Sealed jobs'
+// decoded records are handed over, leaving only their index entries,
+// so a later call reads them back from their segments.
 func (fs *FileStore) Recover() ([]JobRecord, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	out := make([]JobRecord, 0, len(fs.recs))
-	for _, rec := range fs.recs {
+	out := make([]JobRecord, 0, len(fs.recs)+len(fs.sealed))
+	reread := make(map[int][]string) // segment → its sealed jobs not in recs
+	for id, s := range fs.sealed {
+		if _, ok := fs.recs[id]; !ok {
+			reread[s.seg] = append(reread[s.seg], id)
+		}
+	}
+	for id, rec := range fs.recs {
 		r := *rec
-		r.Events = append([]Event(nil), rec.Events...)
+		if _, ok := fs.sealed[id]; ok {
+			delete(fs.recs, id)
+		} else {
+			r.Events = append([]Event(nil), rec.Events...)
+		}
 		out = append(out, r)
+	}
+	for n, ids := range reread {
+		recs, err := readCommitted(filepath.Join(fs.dir, segmentName(n)))
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range recs {
+			if r.Job != nil && slices.Contains(ids, r.Job.ID) {
+				out = append(out, *r.Job)
+			}
+		}
 	}
 	slices.SortFunc(out, func(a, b JobRecord) int { return a.Seq - b.Seq })
 	return out, nil
 }
 
-// Close compacts once more (so a clean shutdown restarts from a pure
-// snapshot) and closes the log.
+// Close compacts once more (so a clean shutdown restarts with an empty
+// log) and closes the log.
 func (fs *FileStore) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -397,64 +543,72 @@ func (fs *FileStore) maybeCompactLocked() {
 	}
 }
 
-// compactLocked folds the log into a fresh snapshot and truncates it:
-// apply the shared eviction policy to the mirror, write every
-// surviving record to snapshot.tmp with a trailing "end" marker
-// (written last, checked first), fsync, rename over the snapshot, then
-// reset the log. A crash at any point leaves either the old snapshot
-// plus the full log or the new snapshot plus a log whose replay is
-// idempotent against it.
+// compactLocked runs the five compaction steps of the header comment:
+// evict, seal the newly terminal jobs into a new segment, delete dead
+// segments, write the manifest, truncate the log.
 func (fs *FileStore) compactLocked() error {
-	ordered := make([]JobRecord, 0, len(fs.recs))
-	for _, rec := range fs.recs {
-		ordered = append(ordered, *rec)
-	}
-	slices.SortFunc(ordered, func(a, b JobRecord) int { return a.Seq - b.Seq })
-	entries := make([]storeEntry, len(ordered))
-	for i := range ordered {
-		entries[i] = storeEntry{id: ordered[i].ID, terminal: ordered[i].State().Terminal()}
-	}
-	for _, id := range evictVictims(entries, fs.limit) {
-		delete(fs.recs, id)
-	}
-	var buf []byte
-	n := 0
-	for i := range ordered {
-		rec, ok := fs.recs[ordered[i].ID]
-		if !ok {
-			continue // evicted just above
+	seq := func(id string) int {
+		if s, ok := fs.sealed[id]; ok {
+			return s.seq
 		}
-		payload, err := json.Marshal(logRec{Kind: "job", Job: rec})
-		if err != nil {
-			return fmt.Errorf("service: encoding snapshot record: %w", err)
+		return fs.recs[id].Seq
+	}
+	ordered := make([]storeEntry, 0, len(fs.recs)+len(fs.sealed))
+	for id := range fs.sealed {
+		ordered = append(ordered, storeEntry{id: id, terminal: true})
+	}
+	for id, rec := range fs.recs {
+		if _, ok := fs.sealed[id]; !ok {
+			ordered = append(ordered, storeEntry{id: id, terminal: rec.State().Terminal()})
 		}
-		buf = encodeRec(buf, payload)
-		n++
 	}
-	endPayload, err := json.Marshal(logRec{Kind: "end", Count: n})
-	if err != nil {
-		return err
+	slices.SortFunc(ordered, func(a, b storeEntry) int { return seq(a.id) - seq(b.id) })
+	for _, id := range evictVictims(ordered, fs.limit) {
+		fs.dropLocked(id)
 	}
-	buf = encodeRec(buf, endPayload)
 
-	tmp := filepath.Join(fs.dir, snapshotName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("service: creating snapshot: %w", err)
+	var fresh, live []logRec
+	for _, e := range ordered {
+		rec, ok := fs.recs[e.id]
+		if _, sealed := fs.sealed[e.id]; !ok || sealed {
+			continue // evicted just above, or sealed earlier
+		}
+		if e.terminal {
+			fresh = append(fresh, logRec{Kind: "job", Job: rec})
+		} else {
+			live = append(live, logRec{Kind: "job", Job: rec})
+		}
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("service: writing snapshot: %w", err)
+	if len(fresh) > 0 {
+		n := fs.lastSeg + 1
+		if err := fs.commitFile(segmentName(n), fresh); err != nil {
+			return err
+		}
+		fs.lastSeg = n
+		fs.segs[n] = &segment{jobs: len(fresh)}
+		for _, r := range fresh {
+			fs.sealed[r.Job.ID] = sealedJob{seq: r.Job.Seq, seg: n}
+			delete(fs.recs, r.Job.ID)
+		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("service: syncing snapshot: %w", err)
+
+	var tombs []logRec
+	for _, n := range slices.Sorted(maps.Keys(fs.segs)) {
+		seg := fs.segs[n]
+		if len(seg.dead) == seg.jobs {
+			if err := os.Remove(filepath.Join(fs.dir, segmentName(n))); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("service: deleting dead segment: %w", err)
+			}
+			delete(fs.segs, n)
+			continue
+		}
+		for _, id := range seg.dead {
+			tombs = append(tombs, logRec{Kind: "evict", ID: id})
+		}
 	}
-	if err := f.Close(); err != nil {
+
+	if err := fs.commitFile(snapshotName, append(tombs, live...)); err != nil {
 		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(fs.dir, snapshotName)); err != nil {
-		return fmt.Errorf("service: committing snapshot: %w", err)
 	}
 	if err := fs.log.Truncate(0); err != nil {
 		return fmt.Errorf("service: resetting log: %w", err)
@@ -465,4 +619,48 @@ func (fs *FileStore) compactLocked() error {
 	fs.logBytes = 0
 	obsStoreCompactions.Inc()
 	return nil
+}
+
+// commitFile writes recs and an end marker counting them to name
+// through a temp file, streamed by a bufio.Writer: flush, fsync, close,
+// rename. A crash leaves the old file (or none) whole, plus a temp file
+// that OpenFileStore removes.
+func (fs *FileStore) commitFile(name string, recs []logRec) error {
+	tmp := filepath.Join(fs.dir, name+".tmp")
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("service: creating %s: %w", name, err)
+	}
+	err = writeRecs(f, recs)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(fs.dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("service: committing %s: %w", name, err)
+	}
+	return nil
+}
+
+// writeRecs streams recs and their end marker to f and fsyncs it.
+func writeRecs(f *os.File, recs []logRec) error {
+	w := bufio.NewWriterSize(f, 64<<10)
+	var line []byte
+	for _, r := range append(recs[:len(recs):len(recs)], logRec{Kind: "end", Count: len(recs)}) {
+		payload, err := json.Marshal(r)
+		if err != nil {
+			return err
+		}
+		line = encodeRec(line[:0], payload)
+		if _, err := w.Write(line); err != nil {
+			return err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	return f.Sync()
 }

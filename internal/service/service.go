@@ -548,10 +548,10 @@ func (m *Manager) isDraining() bool {
 // Shutdown drains the manager: intake closes (Submit fails with
 // ErrDraining), still-queued jobs transition to cancelled, running
 // jobs finish normally, and the job store is closed (a FileStore
-// compacts to a clean snapshot). If ctx expires first, running jobs
-// are aborted with cause ErrShutdown and the ctx cause is returned
-// once the pool has stopped. Shutdown is idempotent; concurrent calls
-// all wait for the drain.
+// compacts once more, leaving an empty log). If ctx expires first,
+// running jobs are aborted with cause ErrShutdown and the ctx cause is
+// returned once the pool has stopped. Shutdown is idempotent;
+// concurrent calls all wait for the drain.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if !m.draining {
@@ -684,15 +684,18 @@ func (m *Manager) drive(ctx context.Context, j *job) (*session.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Surface the pipeline's final network counters on the job status
-	// whatever the outcome — a cancelled or failed pipelined crawl still
-	// reports what it paid on the wire.
+	// Whatever the outcome, surface the pipeline's final network
+	// counters on the job status — a cancelled or failed pipelined crawl
+	// still reports what it paid on the wire — then close the session
+	// drive ends with (replay may have swapped it): its speculative
+	// fetches stop, and its unfinished chains count as abandoned.
 	defer func() {
 		if ps := sess.PipelineStats(); ps != nil {
 			j.mu.Lock()
 			j.pipeline = ps
 			j.mu.Unlock()
 		}
+		sess.Close()
 	}()
 	if resume != nil {
 		s2, err := m.replay(ctx, j, sess, resume)

@@ -3,7 +3,7 @@ package service
 // The job store abstraction. A Manager keeps its jobs behind a
 // JobStore: MemStore is the original in-process map (no durability,
 // vanishes with the process), FileStore (filestore.go) adds an
-// append-only event log with snapshots so the catalog survives a
+// append-only event log with segments so the catalog survives a
 // kill -9. The store owns two concerns the Manager used to conflate:
 //
 //   - the catalog: which jobs exist, in admission order, looked up by

@@ -15,8 +15,10 @@ var (
 		"Chains constructed (walker seeded and positioned).")
 	obsChainsFinished = obs.Default.Counter("histwalk_chains_finished_total",
 		"Chains that reached a stop condition (budget, caps, error).")
+	obsChainsAbandoned = obs.Default.Counter("histwalk_chains_abandoned_total",
+		"Chains a closed session left before any stop condition (cancelled runs).")
 	obsBudgetSpent = obs.Default.Counter("histwalk_budget_spent_total",
-		"Total budget consumed by finished chains, under each run's cost model.")
+		"Total budget consumed by finished and abandoned chains, under each run's cost model.")
 )
 
 // markDone transitions the chain to done exactly once, recording the
@@ -36,4 +38,13 @@ func (cr *chainRun) markDone(sp *Spec) {
 			"spent": cr.spend(sp), "samples": len(cr.degrees),
 		})
 	}
+}
+
+// abandon records a chain that a closed session left unfinished. Close
+// calls it at most once per session, and only for chains markDone never
+// reached, so every started chain is counted exactly once as finished
+// or abandoned.
+func (cr *chainRun) abandon(sp *Spec) {
+	obsChainsAbandoned.Inc()
+	obsBudgetSpent.Add(int64(cr.spend(sp)))
 }

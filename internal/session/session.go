@@ -615,15 +615,11 @@ func (r *Result) Lookup(name string) (Estimate, bool) {
 // their estimates. For a fixed Spec the Result is bit-identical for
 // every Workers value; ctx cancellation stops the pool.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
-	sp, err := normalize(spec)
+	s, err := NewSession(spec)
 	if err != nil {
 		return nil, err
 	}
-	defer sp.closePipe()
-	s, err := newSession(sp)
-	if err != nil {
-		return nil, err
-	}
+	defer s.Close()
 	return s.Drive(ctx, nil)
 }
 
@@ -653,6 +649,7 @@ type Session struct {
 	chains   []*chainRun
 	cursor   int
 	reported bool // final Progress callback already delivered
+	closed   bool // Close counted the unfinished chains
 	// batch drives the chains in lockstep rounds when the spec selects
 	// SteppingBatched; nil on the per-chain path.
 	batch *core.BatchStepper
@@ -668,15 +665,18 @@ func NewSession(spec Spec) (*Session, error) {
 	return newSession(sp)
 }
 
-// newSession builds a Session over an already-normalized spec.
+// newSession builds a Session over an already-normalized spec. On
+// failure it closes what it built: the chains constructed so far count
+// as abandoned, and the pipeline is released.
 func newSession(sp *Spec) (*Session, error) {
-	s := &Session{sp: sp, chains: make([]*chainRun, sp.Chains)}
-	for c := range s.chains {
+	s := &Session{sp: sp, chains: make([]*chainRun, 0, sp.Chains)}
+	for c := range sp.Chains {
 		cr, err := newChain(sp, c)
 		if err != nil {
+			s.Close()
 			return nil, err
 		}
-		s.chains[c] = cr
+		s.chains = append(s.chains, cr)
 	}
 	if sp.Stepping == SteppingBatched {
 		bc := make([]core.BatchChain, len(s.chains))
@@ -690,6 +690,7 @@ func newSession(sp *Spec) (*Session, error) {
 		// is single-chain anyway).
 		b, err := core.NewBatchStepper(bc, core.BatchOptions{ShareRows: sp.src != nil})
 		if err != nil {
+			s.Close()
 			return nil, fmt.Errorf("session: %w", err)
 		}
 		s.batch = b
@@ -787,12 +788,24 @@ func (s *Session) nextBatched() (Update, bool, error) {
 // and sit outside the determinism invariant.
 func (s *Session) PipelineStats() *access.PipelineStats { return s.sp.pipelineStats() }
 
-// Close releases the pipelined access layer's background resources
-// (canceling outstanding speculative fetches); it is a no-op for
-// non-pipelined specs. Result and PartialResult stay callable after
-// Close, but the chains must not be advanced further. Run closes its
-// own pipeline; Session callers in pipelined mode should defer Close.
-func (s *Session) Close() { s.sp.closePipe() }
+// Close ends the session. Each chain that never reached a stop
+// condition (a cancelled or abandoned run) is counted once, as
+// abandoned, with its spend; the pipelined access layer's background
+// resources are released (outstanding speculative fetches cancelled).
+// Result and PartialResult stay callable after Close, but the chains
+// must not be advanced further. Run closes its own session; Session
+// callers should defer Close.
+func (s *Session) Close() {
+	if !s.closed {
+		s.closed = true
+		for _, cr := range s.chains {
+			if !cr.done {
+				cr.abandon(s.sp)
+			}
+		}
+	}
+	s.sp.closePipe()
+}
 
 // Done reports whether every chain has finished.
 func (s *Session) Done() bool {

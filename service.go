@@ -104,9 +104,9 @@ func OpenManager(opts ManagerOptions) (*Manager, *ServiceRecovery, error) {
 func NewMemJobStore() JobStore { return service.NewMemStore() }
 
 // OpenFileJobStore opens (or creates) a durable job store in dir: an
-// append-only, CRC-framed JSONL event log with periodic snapshot
-// compaction. Jobs recorded there survive a kill -9 and are
-// rehydrated by OpenManager.
+// append-only, CRC-framed JSONL event log, compacted into immutable
+// segments of finished jobs plus a manifest of live ones. Jobs recorded
+// there survive a kill -9 and are rehydrated by OpenManager.
 func OpenFileJobStore(dir string, opts FileStoreOptions) (JobStore, error) {
 	return service.OpenFileStore(dir, opts)
 }
