@@ -18,7 +18,6 @@
 //	GET    /v1/jobs/{id}        status + result
 //	GET    /v1/jobs/{id}/events SSE progress stream
 //	DELETE /v1/jobs/{id}        cancel
-//	GET    /v1/metrics          service counters
 //	GET    /metrics             Prometheus text exposition
 //	GET    /healthz             liveness + build info
 //	GET    /debug/pprof/        runtime profiles (with -pprof only)

@@ -78,8 +78,48 @@ func startDaemon(t *testing.T, args ...string) (string, func() error) {
 	return base, stop
 }
 
+// scrapeMetrics returns the daemon's /metrics text exposition:
+// Prometheus format with the instrumented families from the service,
+// engine, session and runtime.
+func scrapeMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics: %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
+		t.Fatalf("metrics content type %q", ct)
+	}
+	return string(raw)
+}
+
+// metricIn returns one sample's value from an exposition.
+func metricIn(t *testing.T, text, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("metric %s: bad value %q", name, rest)
+			}
+			return v
+		}
+	}
+	t.Fatalf("exposition missing %s:\n%s", name, text)
+	return 0
+}
+
 func TestDaemonEndToEnd(t *testing.T) {
 	base, stop := startDaemon(t)
+	before := scrapeMetrics(t, base)
 
 	spec := histwalk.SpecJSON{
 		Dataset: "clustered", // synthetic clustered-cliques stand-in
@@ -177,17 +217,11 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Metrics should reflect the completed job.
-	var met histwalk.ServiceMetrics
-	resp, err = http.Get(base + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&met); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if met.Submitted != 1 || met.Done != 1 {
-		t.Fatalf("metrics %+v", met)
+	after := scrapeMetrics(t, base)
+	for _, name := range []string{"histwalk_jobs_submitted_total", "histwalk_jobs_done_total"} {
+		if d := metricIn(t, after, name) - metricIn(t, before, name); d != 1 {
+			t.Fatalf("%s grew %v, want 1", name, d)
+		}
 	}
 
 	if err := stop(); err != nil {
@@ -344,44 +378,7 @@ func TestDaemonHTTPTransportJob(t *testing.T) {
 // /debug/pprof/ must be mounted when (and only when) -pprof is set.
 func TestDaemonObservability(t *testing.T) {
 	base, stop := startDaemon(t, "-pprof")
-
-	// scrape returns the /metrics text exposition: Prometheus format
-	// with the instrumented families from the service, engine, session
-	// and runtime.
-	scrape := func() string {
-		t.Helper()
-		resp, err := http.Get(base + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("metrics: %d", resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-			t.Fatalf("metrics content type %q", ct)
-		}
-		return string(raw)
-	}
-	metricIn := func(text, name string) float64 {
-		t.Helper()
-		for _, line := range strings.Split(text, "\n") {
-			if rest, ok := strings.CutPrefix(line, name+" "); ok {
-				v, err := strconv.ParseFloat(rest, 64)
-				if err != nil {
-					t.Fatalf("metric %s: bad value %q", name, rest)
-				}
-				return v
-			}
-		}
-		t.Fatalf("exposition missing %s:\n%s", name, text)
-		return 0
-	}
-	before := scrape()
+	before := scrapeMetrics(t, base)
 
 	// Run one tiny job so the scrape below reflects real activity.
 	body, err := json.Marshal(histwalk.SpecJSON{
@@ -438,8 +435,8 @@ func TestDaemonObservability(t *testing.T) {
 
 	// The registry is process-wide, so counters accumulate across the
 	// tests in this binary: assert relations, not exact totals.
-	text := scrape()
-	metric := func(name string) float64 { t.Helper(); return metricIn(text, name) }
+	text := scrapeMetrics(t, base)
+	metric := func(name string) float64 { t.Helper(); return metricIn(t, text, name) }
 	if v := metric("histwalk_jobs_submitted_total"); v < 1 {
 		t.Errorf("jobs_submitted_total = %v, want >= 1", v)
 	}
@@ -460,8 +457,8 @@ func TestDaemonObservability(t *testing.T) {
 	// Chains are counted over this test's own job: a job that an
 	// earlier, failing test left to be cancelled by its cleanup has
 	// chains that started but never reached a stop condition.
-	started := metric("histwalk_chains_started_total") - metricIn(before, "histwalk_chains_started_total")
-	finished := metric("histwalk_chains_finished_total") - metricIn(before, "histwalk_chains_finished_total")
+	started := metric("histwalk_chains_started_total") - metricIn(t, before, "histwalk_chains_started_total")
+	finished := metric("histwalk_chains_finished_total") - metricIn(t, before, "histwalk_chains_finished_total")
 	if started < 2 || finished != started {
 		t.Errorf("chains started/finished by this job = %v/%v, want >= 2 and equal", started, finished)
 	}
@@ -473,6 +470,16 @@ func TestDaemonObservability(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Fatalf("exposition was:\n%s", text)
+	}
+	// The job allocated, so the allocation total grows across it. The
+	// runtime metrics read a MemStats snapshot cached for up to a second:
+	// scrape until a fresh one lands.
+	const alloc = "histwalk_runtime_alloc_bytes_total"
+	for deadline := time.Now().Add(10 * time.Second); metricIn(t, scrapeMetrics(t, base), alloc) <= metricIn(t, before, alloc); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s did not grow across the job", alloc)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 
 	// pprof is mounted because the daemon was started with -pprof.

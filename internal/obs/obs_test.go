@@ -249,6 +249,7 @@ func TestRuntimeMetricsRegistered(t *testing.T) {
 	for _, name := range []string{
 		"histwalk_runtime_goroutines",
 		"histwalk_runtime_heap_alloc_bytes",
+		"histwalk_runtime_alloc_bytes_total",
 		"histwalk_runtime_gc_pause_seconds_total",
 	} {
 		if !strings.Contains(out, "# TYPE "+name) {

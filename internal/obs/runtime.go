@@ -1,10 +1,11 @@
 package obs
 
-// Runtime gauges: goroutine count, heap residency and GC pause totals,
-// computed at scrape time. runtime.ReadMemStats stops the world
-// briefly, so one snapshot is shared across the memstats-backed gauges
-// and cached for a short window — a scrape costs at most one
-// stop-the-world read regardless of how many gauges it renders.
+// Runtime gauges: goroutine count, heap residency, bytes allocated and
+// GC pause totals, computed at scrape time. runtime.ReadMemStats stops
+// the world briefly, so one snapshot is shared across the
+// memstats-backed gauges and cached for a short window — a scrape costs
+// at most one stop-the-world read regardless of how many gauges it
+// renders.
 
 import (
 	"runtime"
@@ -43,6 +44,9 @@ func RegisterRuntimeMetrics(r *Registry) {
 	r.GaugeFunc("histwalk_runtime_heap_sys_bytes",
 		"Bytes of heap memory obtained from the OS (runtime.MemStats.HeapSys).",
 		func() float64 { return float64(memStats(maxAge).HeapSys) })
+	r.CounterFunc("histwalk_runtime_alloc_bytes_total",
+		"Cumulative bytes allocated for heap objects (runtime.MemStats.TotalAlloc).",
+		func() float64 { return float64(memStats(maxAge).TotalAlloc) })
 	r.CounterFunc("histwalk_runtime_gc_total",
 		"Completed GC cycles (runtime.MemStats.NumGC).",
 		func() float64 { return float64(memStats(maxAge).NumGC) })

@@ -93,6 +93,7 @@ func TestFileStoreRestartHistory(t *testing.T) {
 	}
 	shutdown(t, m1)
 
+	before := scrapeMetrics(t)
 	m2, rec2 := openFileManager(t, dir, Options{MaxConcurrent: 2})
 	defer shutdown(t, m2)
 	if rec2.Terminal != 3 || rec2.Requeued+rec2.Resumed+rec2.Restarted+rec2.Failed != 0 {
@@ -118,8 +119,9 @@ func TestFileStoreRestartHistory(t *testing.T) {
 		}
 	}
 	// Metrics reflect the recovery.
-	if met := m2.Metrics(); met.Recovered != 3 || met.Stored != 3 {
-		t.Fatalf("metrics after recovery: %+v", met)
+	recovered := metricDelta(t, before, scrapeMetrics(t), "histwalk_jobs_recovered_total")
+	if stored := len(m2.List()); recovered != 3 || stored != 3 {
+		t.Fatalf("after recovery: jobs_recovered_total grew %v, %d stored", recovered, stored)
 	}
 }
 
@@ -318,6 +320,7 @@ func TestEvictionCompactionAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := scrapeMetrics(t)
 	m1, _, err := OpenManager(Options{MaxConcurrent: 1, StoreLimit: 3, Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -336,8 +339,7 @@ func TestEvictionCompactionAgreement(t *testing.T) {
 	if len(kept) > 4 { // limit 3 + at most one live in flight at submit time
 		t.Fatalf("manager kept %d jobs with StoreLimit 3", len(kept))
 	}
-	met := m1.Metrics()
-	if met.Evicted == 0 {
+	if metricDelta(t, before, scrapeMetrics(t), "histwalk_jobs_evicted_total") == 0 {
 		t.Fatal("no evictions with StoreLimit 3 and 8 jobs")
 	}
 	shutdown(t, m1)

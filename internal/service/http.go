@@ -8,7 +8,6 @@ package service
 //	GET    /v1/jobs/{id}        status + result               → 200 JobStatus
 //	GET    /v1/jobs/{id}/events per-chain progress stream     → 200 SSE
 //	DELETE /v1/jobs/{id}        cancel                        → 200 JobStatus
-//	GET    /v1/metrics          service counters              → 200 Metrics
 //	GET    /metrics             process registry              → 200 Prometheus text
 //	GET    /healthz             liveness + build info         → 200 Health
 //
@@ -50,12 +49,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // an unbounded body.
 const maxSpecBytes = 1 << 20
 
-// statusFor maps manager and request errors to HTTP statuses.
+// clientError marks an error the request itself caused: an undecodable
+// body, or a spec that does not resolve. Its message is the wrapped
+// error's, unchanged.
+type clientError struct{ err error }
+
+func (e clientError) Error() string { return e.err.Error() }
+func (e clientError) Unwrap() error { return e.err }
+
+// statusFor maps manager and request errors to HTTP statuses. An error
+// it does not recognise is the server's fault (a job-store write
+// failure, say), never a bad request.
 func statusFor(err error) int {
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
 		return http.StatusRequestEntityTooLarge
+	case errors.As(err, new(clientError)):
+		return http.StatusBadRequest
 	case errors.Is(err, ErrUnknownJob):
 		return http.StatusNotFound
 	case errors.Is(err, ErrJobTerminal):
@@ -65,7 +76,7 @@ func statusFor(err error) int {
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
 	default:
-		return http.StatusBadRequest
+		return http.StatusInternalServerError
 	}
 }
 
@@ -82,7 +93,7 @@ func NewHandler(m *Manager) http.Handler {
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&wire); err != nil {
-			writeError(w, fmt.Errorf("decoding spec: %w", err))
+			writeError(w, clientError{fmt.Errorf("decoding spec: %w", err)})
 			return
 		}
 		st, err := m.Submit(wire)
@@ -157,10 +168,6 @@ func NewHandler(m *Manager) http.Handler {
 				return // log fully replayed past the terminal event
 			}
 		}
-	})
-
-	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Metrics())
 	})
 
 	mux.Handle("GET /metrics", obs.Default.Handler())

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -74,6 +75,7 @@ func getJSON(t *testing.T, url string, out any) int {
 // direct Run outcome.
 func TestHTTPLifecycle(t *testing.T) {
 	srv, _ := testServer(t, Options{MaxConcurrent: 2})
+	before := scrapeMetrics(t)
 	w := wire(41)
 	st := postJob(t, srv.URL, w)
 	if st.State != StateQueued && st.State != StateRunning {
@@ -114,12 +116,11 @@ func TestHTTPLifecycle(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/v1/jobs", &list); code != http.StatusOK || len(list) != 1 {
 		t.Fatalf("GET /v1/jobs = %d, %d jobs", code, len(list))
 	}
-	var met Metrics
-	if code := getJSON(t, srv.URL+"/v1/metrics", &met); code != http.StatusOK {
-		t.Fatalf("GET /v1/metrics = %d", code)
-	}
-	if met.Submitted != 1 || met.Done != 1 {
-		t.Fatalf("metrics %+v", met)
+	after := scrapeMetrics(t)
+	submitted := metricDelta(t, before, after, "histwalk_jobs_submitted_total")
+	done := metricDelta(t, before, after, "histwalk_jobs_done_total")
+	if submitted != 1 || done != 1 {
+		t.Fatalf("jobs submitted/done grew %v/%v, want 1/1", submitted, done)
 	}
 	if code := getJSON(t, srv.URL+"/healthz", nil); code != http.StatusOK {
 		t.Fatalf("GET /healthz = %d", code)
@@ -231,6 +232,10 @@ func TestHTTPErrors(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/v1/jobs/j99999-deadbeef", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job GET = %d", code)
 	}
+	// /metrics is the only metrics endpoint.
+	if code := getJSON(t, srv.URL+"/v1/metrics", nil); code != http.StatusNotFound {
+		t.Fatalf("GET /v1/metrics = %d, want 404", code)
+	}
 	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"dataset":"clustered","walker":"warp-drive","budget":10,"seed":1}`))
 	if err != nil {
@@ -292,6 +297,44 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// failingStore is a MemStore whose Add fails, as a FileStore's does on
+// a full disk.
+type failingStore struct{ *MemStore }
+
+func (failingStore) Add(*job) error {
+	return errors.New("service: appending to job log: no space left on device")
+}
+
+// TestSubmitStoreFailure: a job-store write failure is the server's
+// fault, not a bad spec. POST /v1/jobs answers 500 with the store's
+// error, admits no job and counts no submission.
+func TestSubmitStoreFailure(t *testing.T) {
+	before := scrapeMetrics(t)
+	srv, m := testServer(t, Options{MaxConcurrent: 1, Store: failingStore{NewMemStore()}})
+	body, err := json.Marshal(wire(44))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var apiErr apiError
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(apiErr.Error, "no space left") {
+		t.Fatalf("POST with a failing store = %d %q, want 500 naming the store error", resp.StatusCode, apiErr.Error)
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("failed store write admitted %d jobs", len(jobs))
+	}
+	if d := metricDelta(t, before, scrapeMetrics(t), "histwalk_jobs_submitted_total"); d != 0 {
+		t.Fatalf("jobs_submitted_total grew %v on a failed store write", d)
+	}
+}
+
 // TestHealthzBuildInfo pins the /healthz payload shape: liveness plus
 // build identity. Go version is always present; VCS fields depend on
 // how the binary was built and stay optional.
@@ -322,11 +365,11 @@ func TestHealthzBuildInfo(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeConcurrent hammers both metric surfaces — the
-// Prometheus exposition at /metrics and the JSON counters at
-// /v1/metrics — while jobs are admitted, run, and drained. Run under
-// -race (as CI does), this pins that every record path and both scrape
-// paths are safe against each other and against the job lifecycle.
+// TestMetricsScrapeConcurrent hammers the Prometheus exposition at
+// /metrics and the job list at /v1/jobs while jobs are admitted, run,
+// and drained. Run under -race (as CI does), this pins that every
+// record path and both read paths are safe against each other and
+// against the job lifecycle.
 func TestMetricsScrapeConcurrent(t *testing.T) {
 	srv, m := testServer(t, Options{MaxConcurrent: 2, QueueDepth: 64})
 
@@ -357,9 +400,15 @@ func TestMetricsScrapeConcurrent(t *testing.T) {
 					t.Errorf("scrape: %d", resp.StatusCode)
 					return
 				}
-				var met Metrics
-				if code := getJSON(t, srv.URL+"/v1/metrics", &met); code != http.StatusOK {
-					t.Errorf("GET /v1/metrics = %d", code)
+				if resp, err = http.Get(srv.URL + "/v1/jobs"); err != nil {
+					t.Error(err)
+					return
+				}
+				var list []JobStatus
+				err = json.NewDecoder(resp.Body).Decode(&list)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil {
+					t.Errorf("GET /v1/jobs = %d, %v", resp.StatusCode, err)
 					return
 				}
 			}

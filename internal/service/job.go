@@ -142,7 +142,7 @@ type job struct {
 	events []Event
 	chains []ChainProgress
 	// pipeline is the final PipelineStats snapshot of a pipelined job,
-	// set by drive when the session winds down.
+	// carried by its terminal event.
 	pipeline *access.PipelineStats
 	// submittedAt/startedAt feed the queue-wait and run-duration
 	// histograms; startedAt is zero until the job enters running.
@@ -168,14 +168,20 @@ func newJob(seq int, id string, wire session.SpecJSON, spec session.Spec) *job {
 	return j
 }
 
-// appendLocked appends ev with the next sequence number, persists it
-// and wakes waiters. Callers hold j.mu; the store's record methods are
-// safe to call under it (store mutexes are leaves of the lock order).
+// appendLocked appends ev with the next sequence number, folds it into
+// the job's status (apply), counts and persists it, and wakes waiters.
+// An event without a State carries the job's current one. Callers hold
+// j.mu; the store's record methods are safe to call under it (store
+// mutexes are leaves of the lock order).
 func (j *job) appendLocked(ev Event) {
 	ev.Seq = len(j.events) + 1
 	ev.Job = j.id
-	ev.State = j.state
+	if ev.State == "" {
+		ev.State = j.state
+	}
 	j.events = append(j.events, ev)
+	j.apply(&ev)
+	obsJobEvents.Inc()
 	if j.store != nil {
 		// Write failures are counted by the store (obsStoreErrors); the
 		// in-memory event stream stays authoritative for live consumers.
@@ -184,20 +190,37 @@ func (j *job) appendLocked(ev Event) {
 	j.cond.Broadcast()
 }
 
-// setStateLocked transitions the job and logs the change. Callers hold
-// j.mu. Terminal events carry the pipelined network counters when the
-// run produced them, so the durable log rebuilds JobStatus.Pipeline.
-func (j *job) setStateLocked(s State, errMsg string) {
-	j.state = s
-	j.errMsg = errMsg
-	ev := Event{Type: "state", Error: errMsg}
-	if s == StateDone {
-		ev.Type = "result"
-		ev.Result = j.result
+// apply folds one event into the job's status: state, error, Result,
+// per-chain progress and pipeline counters. The event log is the single
+// source of truth for them: appendLocked applies every live event, and
+// jobFromRecord replays a recovered log through the same fold.
+func (j *job) apply(ev *Event) {
+	if ev.State != "" {
+		j.state = ev.State
 	}
-	if s.Terminal() {
-		ev.Pipeline = j.pipeline
+	switch ev.Type {
+	case "state", "result":
+		j.errMsg = ev.Error
 	}
+	if ev.Result != nil {
+		j.result = ev.Result
+	}
+	if ev.Chain != nil {
+		for len(j.chains) <= ev.Chain.Chain {
+			j.chains = append(j.chains, ChainProgress{Chain: len(j.chains)})
+		}
+		j.chains[ev.Chain.Chain] = *ev.Chain
+	}
+	if ev.Pipeline != nil {
+		j.pipeline = ev.Pipeline
+	}
+}
+
+// setStateLocked moves the job to ev.State by appending ev, a "state"
+// or "result" event, after moving the job-state ledger
+// (countTransition). Callers hold j.mu.
+func (j *job) setStateLocked(ev Event) {
+	countTransition(j.state, ev.State)
 	j.appendLocked(ev)
 }
 

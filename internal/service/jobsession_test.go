@@ -47,6 +47,13 @@ func metric(t *testing.T, scrape map[string]float64, name string) float64 {
 	return v
 }
 
+// metricDelta returns how far one scraped value moved between two
+// scrapes.
+func metricDelta(t *testing.T, before, after map[string]float64, name string) float64 {
+	t.Helper()
+	return metric(t, after, name) - metric(t, before, name)
+}
+
 // TestPipelinedJobStopsSpeculation: a pipelined-sim job keeps
 // speculative fetches in flight while it runs, and none once it is
 // terminal — drive closes its session before the terminal event.

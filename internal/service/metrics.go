@@ -2,11 +2,11 @@ package service
 
 // The manager's obs instrumentation: process-wide counters, live
 // per-state gauges and latency histograms on the obs.Default registry,
-// served by GET /metrics in Prometheus text format. These mirror (not
-// replace) the JSON Metrics snapshot at /v1/metrics — that endpoint
-// reports one Manager's own counters, while the registry aggregates
-// every Manager in the process, which is why the gauges are maintained
-// at the transition sites rather than derived from Metrics().
+// served by GET /metrics in Prometheus text format, the daemon's one
+// metrics ledger. The registry aggregates every Manager in the process,
+// so each job fact has one writer: countTransition for the state gauges
+// and terminal counters, job.appendLocked for events (plus Submit, for
+// the event a job is seeded with), Manager.evictLocked for evictions.
 
 import "histwalk/internal/obs"
 
@@ -59,11 +59,33 @@ var (
 		"Time to replay a chain checkpoint when resuming a recovered job.")
 )
 
-// noteEvent counts one emitted event on both ledgers (the manager's
-// JSON snapshot and the process-wide registry).
-func (m *Manager) noteEvent() {
-	m.events.Add(1)
-	obsJobEvents.Inc()
+// countTransition is the one writer of the job-state ledger: the queued
+// and running gauges and the done, failed and cancelled counters. from
+// is "" for a live job entering this process's catalog (Submit,
+// rehydrate); a job that stays in its state (a recovered running job
+// re-entering running) moves nothing.
+func countTransition(from, to State) {
+	if from == to {
+		return
+	}
+	switch from {
+	case StateQueued:
+		obsJobsQueued.Add(-1)
+	case StateRunning:
+		obsJobsRunning.Add(-1)
+	}
+	switch to {
+	case StateQueued:
+		obsJobsQueued.Add(1)
+	case StateRunning:
+		obsJobsRunning.Add(1)
+	case StateDone:
+		obsJobsDone.Inc()
+	case StateFailed:
+		obsJobsFailed.Inc()
+	case StateCancelled:
+		obsJobsCancelled.Inc()
+	}
 }
 
 // traceJob emits one job-lifecycle span when tracing is enabled.

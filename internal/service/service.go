@@ -38,9 +38,9 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"histwalk/internal/access"
 	"histwalk/internal/engine"
 	"histwalk/internal/obs"
 	"histwalk/internal/session"
@@ -117,31 +117,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Metrics is the service counter snapshot served by GET /v1/metrics.
-type Metrics struct {
-	// Submitted counts admitted jobs since start.
-	Submitted int `json:"submitted"`
-	// Done, Failed and Cancelled count terminal outcomes.
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Cancelled int `json:"cancelled"`
-	// Evicted counts terminal jobs dropped by store eviction.
-	Evicted int `json:"evicted"`
-	// Recovered counts jobs rehydrated from the durable store at boot.
-	Recovered int `json:"recovered,omitempty"`
-	// Queued and Running count live jobs at snapshot time.
-	Queued  int `json:"queued"`
-	Running int `json:"running"`
-	// Stored is the job-store size at snapshot time.
-	Stored int `json:"stored"`
-	// Events counts progress/state events emitted since start.
-	Events int `json:"events"`
-	// Workers is the configured job-level concurrency bound.
-	Workers int `json:"workers"`
-	// Draining reports whether Shutdown has begun.
-	Draining bool `json:"draining"`
-}
-
 // Manager is the sampling-job service: an admission queue, a bounded
 // worker pool on the trial-execution engine, and an in-memory job
 // store with eviction. All methods are safe for concurrent use.
@@ -155,8 +130,6 @@ type Manager struct {
 	poolCtx  context.Context
 	poolKill context.CancelCauseFunc
 
-	events atomic.Int64 // events emitted across all jobs
-
 	// store is the job catalog + durability layer; catalog mutations
 	// happen under mu, reads may bypass it (the store locks itself).
 	store JobStore
@@ -164,7 +137,6 @@ type Manager struct {
 	mu       sync.Mutex
 	seq      int // admission sequence, part of the job ID
 	draining bool
-	counts   struct{ done, failed, cancelled, evicted, submitted, recovered int }
 
 	// holdForTest, when non-nil, may return a channel for a job ID; the
 	// worker then parks that job — already in the running state —
@@ -243,8 +215,7 @@ func OpenManager(opts Options) (*Manager, *Recovery, error) {
 		m.rehydrate(&records[i], rec)
 	}
 	if n := rec.Terminal + rec.Requeued + rec.Resumed + rec.Restarted + rec.Failed; n > 0 {
-		m.counts.recovered = n
-		m.store.Evict(opts.StoreLimit)
+		m.evictLocked()
 		traceJob("manager.recovered", "", obs.F{
 			"terminal": rec.Terminal, "requeued": rec.Requeued,
 			"resumed": rec.Resumed, "restarted": rec.Restarted, "failed": rec.Failed,
@@ -278,46 +249,39 @@ func (m *Manager) rehydrate(r *JobRecord, rec *Recovery) {
 	if j.seq > m.seq {
 		m.seq = j.seq
 	}
-	state := j.state
-	if !state.Terminal() {
-		spec, err := r.Spec.Spec()
-		if err != nil {
-			// The spec no longer resolves (dataset gone, walker renamed):
-			// surface the job as failed rather than dropping its history.
-			j.setStateLocked(StateFailed, "recovery: "+err.Error())
-			m.events.Add(1)
-			m.store.Adopt(j)
-			rec.Failed++
-			obsJobsRecovered.Inc()
-			return
-		}
-		j.spec = spec
-	}
 	m.store.Adopt(j)
 	obsJobsRecovered.Inc()
-	switch {
-	case state.Terminal():
+	state := j.state
+	if state.Terminal() {
 		rec.Terminal++
-	case state == StateQueued:
+		return
+	}
+	countTransition("", state) // a live job enters this process's catalog
+	spec, err := r.Spec.Spec()
+	if err != nil {
+		// The spec no longer resolves (dataset gone, walker renamed):
+		// surface the job as failed rather than dropping its history.
+		j.setStateLocked(Event{Type: "state", State: StateFailed, Error: "recovery: " + err.Error()})
+		rec.Failed++
+		return
+	}
+	j.spec = spec
+	if state == StateQueued {
 		rec.Requeued++
-		obsJobsQueued.Add(1)
-		m.queue <- j
-	default: // running
+	} else {
 		j.recovered = true
 		if j.resume != nil {
 			rec.Resumed++
 		} else {
 			rec.Restarted++
 		}
-		obsJobsRunning.Add(1)
-		m.queue <- j
 	}
+	m.queue <- j
 }
 
-// jobFromRecord folds a durable record's event log back into the
-// in-memory job shape: state, error, result, per-chain progress and
-// pipeline counters are all derived from the events, which are the
-// single source of truth.
+// jobFromRecord rebuilds the in-memory job from a durable record by
+// replaying its event log through job.apply, the fold the live path
+// runs on every appended event.
 func jobFromRecord(r *JobRecord) *job {
 	j := &job{
 		id:          r.ID,
@@ -330,26 +294,7 @@ func jobFromRecord(r *JobRecord) *job {
 	}
 	j.cond = sync.NewCond(&j.mu)
 	for i := range j.events {
-		ev := &j.events[i]
-		if ev.State != "" {
-			j.state = ev.State
-		}
-		switch ev.Type {
-		case "state", "result":
-			j.errMsg = ev.Error
-		}
-		if ev.Result != nil {
-			j.result = ev.Result
-		}
-		if ev.Chain != nil {
-			for len(j.chains) <= ev.Chain.Chain {
-				j.chains = append(j.chains, ChainProgress{Chain: len(j.chains)})
-			}
-			j.chains[ev.Chain.Chain] = *ev.Chain
-		}
-		if ev.Pipeline != nil {
-			j.pipeline = ev.Pipeline
-		}
+		j.apply(&j.events[i])
 	}
 	return j
 }
@@ -370,7 +315,7 @@ func jobID(seq int, canonical []byte) string {
 func (m *Manager) Submit(wire session.SpecJSON) (JobStatus, error) {
 	spec, err := wire.Spec()
 	if err != nil {
-		return JobStatus{}, err
+		return JobStatus{}, clientError{err}
 	}
 	canonical, err := json.Marshal(wire)
 	if err != nil {
@@ -394,12 +339,11 @@ func (m *Manager) Submit(wire session.SpecJSON) (JobStatus, error) {
 		m.mu.Unlock()
 		return JobStatus{}, err
 	}
+	obsJobsSubmitted.Inc()
+	obsJobEvents.Inc() // the seeded "queued" event
+	countTransition("", StateQueued)
 	m.queue <- j
 	m.seq++
-	m.counts.submitted++
-	m.noteEvent() // the seeded "queued" event
-	obsJobsSubmitted.Inc()
-	obsJobsQueued.Add(1)
 	m.evictLocked()
 	m.mu.Unlock()
 	traceJob("job.queued", j.id, nil)
@@ -410,11 +354,9 @@ func (m *Manager) Submit(wire session.SpecJSON) (JobStatus, error) {
 // store.go): oldest terminal jobs drop while the store exceeds
 // StoreLimit; live (queued/running) jobs are never evicted, so the
 // store may transiently exceed the limit under a burst of live jobs.
+// Every eviction, the one at boot included, goes through here.
 func (m *Manager) evictLocked() {
-	for range m.store.Evict(m.opts.StoreLimit) {
-		m.counts.evicted++
-		obsJobsEvicted.Inc()
-	}
+	obsJobsEvicted.Add(int64(len(m.store.Evict(m.opts.StoreLimit))))
 }
 
 // lookup returns the stored job.
@@ -475,16 +417,8 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 		// Queued — or recovered-running still waiting for a worker
 		// (its cancelRun is only rebuilt at pickup). Either way no run
 		// is in flight: transition directly.
-		wasRunning := j.state == StateRunning
-		j.setStateLocked(StateCancelled, "cancelled while queued")
+		j.setStateLocked(Event{Type: "state", State: StateCancelled, Error: "cancelled while queued"})
 		j.mu.Unlock()
-		m.noteEvent()
-		if wasRunning {
-			obsJobsRunning.Add(-1)
-		} else {
-			obsJobsQueued.Add(-1)
-		}
-		m.count(StateCancelled)
 		traceJob("job.cancelled", j.id, obs.F{"reason": "cancelled while queued"})
 	default: // running
 		cancel := j.cancelRun
@@ -492,50 +426,6 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 		cancel(ErrJobCancelled) // runJob finishes the transition
 	}
 	return j.status(), nil
-}
-
-// Metrics snapshots the service counters.
-func (m *Manager) Metrics() Metrics {
-	m.mu.Lock()
-	met := Metrics{
-		Submitted: m.counts.submitted,
-		Done:      m.counts.done,
-		Failed:    m.counts.failed,
-		Cancelled: m.counts.cancelled,
-		Evicted:   m.counts.evicted,
-		Recovered: m.counts.recovered,
-		Stored:    m.store.Len(),
-		Events:    int(m.events.Load()),
-		Workers:   m.opts.MaxConcurrent,
-		Draining:  m.draining,
-	}
-	m.mu.Unlock()
-	for _, j := range m.store.All() {
-		switch j.stateNow() {
-		case StateQueued:
-			met.Queued++
-		case StateRunning:
-			met.Running++
-		}
-	}
-	return met
-}
-
-// count records a terminal outcome.
-func (m *Manager) count(s State) {
-	m.mu.Lock()
-	switch s {
-	case StateDone:
-		m.counts.done++
-		obsJobsDone.Inc()
-	case StateFailed:
-		m.counts.failed++
-		obsJobsFailed.Inc()
-	case StateCancelled:
-		m.counts.cancelled++
-		obsJobsCancelled.Inc()
-	}
-	m.mu.Unlock()
 }
 
 // isDraining reports whether Shutdown has begun.
@@ -570,18 +460,21 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 }
 
-// finish applies a job's terminal transition and updates the counters.
-// It is only reached from runJob, after the job entered running.
-func (m *Manager) finish(j *job, s State, errMsg string, res *session.Result) {
+// finish applies a job's terminal transition. It is only reached from
+// runJob, after the job entered running. A done job's terminal event is
+// its "result" event; every terminal event carries the pipelined
+// network counters ps when the run produced them, so the durable log
+// rebuilds JobStatus.Pipeline.
+func (m *Manager) finish(j *job, s State, errMsg string, res *session.Result, ps *access.PipelineStats) {
+	ev := Event{Type: "state", State: s, Error: errMsg, Pipeline: ps}
+	if s == StateDone {
+		ev.Type, ev.Result = "result", res
+	}
 	j.mu.Lock()
-	j.result = res
-	j.setStateLocked(s, errMsg)
+	j.setStateLocked(ev)
 	j.cancelRun = nil
 	started := j.startedAt
 	j.mu.Unlock()
-	m.noteEvent()
-	m.count(s)
-	obsJobsRunning.Add(-1)
 	obsJobRun.Since(started)
 	f := obs.F{}
 	if errMsg != "" {
@@ -605,15 +498,8 @@ func (m *Manager) runJob(j *job) {
 			j.mu.Unlock()
 			return
 		}
-		j.setStateLocked(StateCancelled, "cancelled: manager drained before start")
+		j.setStateLocked(Event{Type: "state", State: StateCancelled, Error: "cancelled: manager drained before start"})
 		j.mu.Unlock()
-		m.noteEvent()
-		if recovered {
-			obsJobsRunning.Add(-1)
-		} else {
-			obsJobsQueued.Add(-1)
-		}
-		m.count(StateCancelled)
 		traceJob("job.cancelled", j.id, obs.F{"reason": "manager drained before start"})
 		return
 	}
@@ -627,14 +513,9 @@ func (m *Manager) runJob(j *job) {
 	ctx, cancel := context.WithCancelCause(m.poolCtx)
 	j.cancelRun = cancel
 	j.startedAt = time.Now()
-	j.setStateLocked(StateRunning, "")
+	j.setStateLocked(Event{Type: "state", State: StateRunning})
 	queueWait := j.startedAt.Sub(j.submittedAt)
 	j.mu.Unlock()
-	m.noteEvent()
-	if !recovered {
-		obsJobsQueued.Add(-1)
-		obsJobsRunning.Add(1)
-	}
 	obsJobQueueWait.Observe(queueWait)
 	traceJob("job.running", j.id, nil)
 	defer cancel(nil)
@@ -651,16 +532,16 @@ func (m *Manager) runJob(j *job) {
 		}
 	}
 
-	res, err := m.drive(ctx, j)
+	res, ps, err := m.drive(ctx, j)
 	switch {
 	case err == nil:
-		m.finish(j, StateDone, "", res)
+		m.finish(j, StateDone, "", res, ps)
 	case errors.Is(err, ErrJobCancelled):
-		m.finish(j, StateCancelled, ErrJobCancelled.Error(), nil)
+		m.finish(j, StateCancelled, ErrJobCancelled.Error(), nil, ps)
 	case errors.Is(err, ErrShutdown):
-		m.finish(j, StateCancelled, ErrShutdown.Error(), nil)
+		m.finish(j, StateCancelled, ErrShutdown.Error(), nil, ps)
 	default:
-		m.finish(j, StateFailed, err.Error(), nil)
+		m.finish(j, StateFailed, err.Error(), nil, ps)
 	}
 }
 
@@ -675,32 +556,30 @@ func (m *Manager) runJob(j *job) {
 // parallelism axis is concurrent jobs (Options.MaxConcurrent), not
 // chains within a job; that is also why SpecJSON carries no Workers
 // field.
-func (m *Manager) drive(ctx context.Context, j *job) (*session.Result, error) {
+//
+// Whatever the outcome, drive also returns the pipeline's final network
+// counters (nil unless the job is pipelined): a cancelled or failed
+// pipelined crawl still reports what it paid on the wire.
+func (m *Manager) drive(ctx context.Context, j *job) (res *session.Result, ps *access.PipelineStats, err error) {
 	j.mu.Lock()
 	resume := j.resume
 	prior := append([]ChainProgress(nil), j.chains...)
 	j.mu.Unlock()
 	sess, err := session.NewSession(j.spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Whatever the outcome, surface the pipeline's final network
-	// counters on the job status — a cancelled or failed pipelined crawl
-	// still reports what it paid on the wire — then close the session
-	// drive ends with (replay may have swapped it): its speculative
-	// fetches stop, and its unfinished chains count as abandoned.
+	// On every return, set ps, then close the session drive ends with
+	// (replay may have swapped it): its speculative fetches stop, and its
+	// unfinished chains count as abandoned.
 	defer func() {
-		if ps := sess.PipelineStats(); ps != nil {
-			j.mu.Lock()
-			j.pipeline = ps
-			j.mu.Unlock()
-		}
+		ps = sess.PipelineStats()
 		sess.Close()
 	}()
 	if resume != nil {
 		s2, err := m.replay(ctx, j, sess, resume)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sess = s2
 		// A failed verification cleared j.resume (from-scratch rerun);
@@ -748,7 +627,7 @@ func (m *Manager) drive(ctx context.Context, j *job) (*session.Result, error) {
 	for {
 		u, ok, err := sess.NextContext(ctx)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !ok {
 			break
@@ -773,7 +652,7 @@ func (m *Manager) drive(ctx context.Context, j *job) (*session.Result, error) {
 	// Final per-chain snapshots, in chain order, with the completed
 	// estimates attached to the last one. One merge serves both: a merge
 	// error fails the job only after the snapshots, as the job's Result.
-	res, err := sess.Result()
+	res, err = sess.Result()
 	ests := runningEstimates(res, err)
 	for i := range track {
 		track[i].Done = true
@@ -783,7 +662,7 @@ func (m *Manager) drive(ctx context.Context, j *job) (*session.Result, error) {
 		}
 		m.emitProgress(j, track[i], e)
 	}
-	return res, err
+	return res, nil, err
 }
 
 // replay advances a fresh session to the job's recovered checkpoint.
@@ -846,18 +725,12 @@ func runningEstimates(res *session.Result, err error) []RunningEstimate {
 	return out
 }
 
-// emitProgress appends one progress event and refreshes the job's
+// emitProgress appends one progress event, which refreshes the job's
 // status snapshot for that chain.
 func (m *Manager) emitProgress(j *job, cp ChainProgress, ests []RunningEstimate) {
 	j.mu.Lock()
-	for len(j.chains) <= cp.Chain {
-		j.chains = append(j.chains, ChainProgress{Chain: len(j.chains)})
-	}
-	j.chains[cp.Chain] = cp
-	c := cp
-	j.appendLocked(Event{Type: "progress", Chain: &c, Estimates: ests})
+	j.appendLocked(Event{Type: "progress", Chain: &cp, Estimates: ests})
 	j.mu.Unlock()
-	m.noteEvent()
 	if tr := obs.ActiveTracer(); tr != nil {
 		tr.Emit("chain.milestone", obs.F{
 			"job": j.id, "chain": cp.Chain, "steps": cp.Steps,

@@ -286,6 +286,7 @@ func TestCancelRunning(t *testing.T) {
 
 // TestCancelQueued cancels a job that is still waiting for a worker.
 func TestCancelQueued(t *testing.T) {
+	before := scrapeMetrics(t)
 	m := NewManager(Options{MaxConcurrent: 1})
 	defer shutdown(t, m)
 	installHold(m) // never released: the blocker parks until cancelled
@@ -310,9 +311,8 @@ func TestCancelQueued(t *testing.T) {
 	if st := await(t, m, blocker.ID); st.State != StateCancelled {
 		t.Fatalf("blocker ended %s", st.State)
 	}
-	met := m.Metrics()
-	if met.Cancelled != 2 {
-		t.Fatalf("metrics.Cancelled = %d, want 2", met.Cancelled)
+	if d := metricDelta(t, before, scrapeMetrics(t), "histwalk_jobs_cancelled_total"); d != 2 {
+		t.Fatalf("jobs_cancelled_total grew %v, want 2", d)
 	}
 }
 
@@ -335,6 +335,7 @@ func TestFailedJob(t *testing.T) {
 
 // TestSubmitRejectsBadSpecs fails fast at admission.
 func TestSubmitRejectsBadSpecs(t *testing.T) {
+	before := scrapeMetrics(t)
 	m := NewManager(Options{MaxConcurrent: 1})
 	defer shutdown(t, m)
 	bad := wire(1)
@@ -342,7 +343,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	if _, err := m.Submit(bad); err == nil {
 		t.Fatal("bad walker admitted")
 	}
-	if m.Metrics().Submitted != 0 {
+	if metricDelta(t, before, scrapeMetrics(t), "histwalk_jobs_submitted_total") != 0 {
 		t.Fatal("rejected submission counted")
 	}
 }
@@ -352,6 +353,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 // Shutdown time. Running finishes, queued is cancelled, terminal states
 // are untouched, and new submissions are refused.
 func TestDrainWithJobsInEveryState(t *testing.T) {
+	before := scrapeMetrics(t)
 	m := NewManager(Options{MaxConcurrent: 1})
 
 	doneJob, err := m.Submit(wire(10))
@@ -396,7 +398,7 @@ func TestDrainWithJobsInEveryState(t *testing.T) {
 		defer cancel()
 		drainDone <- m.Shutdown(ctx)
 	}()
-	for !m.Metrics().Draining {
+	for !m.isDraining() {
 		time.Sleep(time.Millisecond)
 	}
 	release()
@@ -425,9 +427,11 @@ func TestDrainWithJobsInEveryState(t *testing.T) {
 	if _, err := m.Submit(wire(15)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain submit err = %v, want ErrDraining", err)
 	}
-	met := m.Metrics()
-	if !met.Draining || met.Running != 0 || met.Queued != 0 {
-		t.Fatalf("post-drain metrics: %+v", met)
+	after := scrapeMetrics(t)
+	running := metricDelta(t, before, after, "histwalk_jobs_running")
+	queued := metricDelta(t, before, after, "histwalk_jobs_queued")
+	if !m.isDraining() || running != 0 || queued != 0 {
+		t.Fatalf("post-drain: draining %v, jobs_running moved %v, jobs_queued moved %v", m.isDraining(), running, queued)
 	}
 }
 
@@ -458,6 +462,7 @@ func TestForcedShutdownAbortsRunning(t *testing.T) {
 // TestStoreEviction keeps the store bounded, evicting oldest terminal
 // jobs first, and Get on an evicted ID reports ErrUnknownJob.
 func TestStoreEviction(t *testing.T) {
+	before := scrapeMetrics(t)
 	m := NewManager(Options{MaxConcurrent: 1, StoreLimit: 3})
 	defer shutdown(t, m)
 	var ids []string
@@ -469,9 +474,9 @@ func TestStoreEviction(t *testing.T) {
 		await(t, m, st.ID)
 		ids = append(ids, st.ID)
 	}
-	met := m.Metrics()
-	if met.Stored > 3 || met.Evicted != 3 {
-		t.Fatalf("metrics after eviction: %+v", met)
+	evicted := metricDelta(t, before, scrapeMetrics(t), "histwalk_jobs_evicted_total")
+	if stored := len(m.List()); stored > 3 || evicted != 3 {
+		t.Fatalf("after eviction: %d stored, jobs_evicted_total grew %v", stored, evicted)
 	}
 	if _, err := m.Get(ids[0]); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("evicted job Get err = %v, want ErrUnknownJob", err)

@@ -34,8 +34,6 @@ type (
 	ChainProgress = service.ChainProgress
 	// RunningEstimate is a mid-run view of one aggregate.
 	RunningEstimate = service.RunningEstimate
-	// ServiceMetrics is the service counter snapshot.
-	ServiceMetrics = service.Metrics
 	// Health is the /healthz payload: liveness plus build identity
 	// (Go version, VCS revision when stamped).
 	Health = service.Health
@@ -113,5 +111,6 @@ func OpenFileJobStore(dir string, opts FileStoreOptions) (JobStore, error) {
 
 // NewServiceHandler returns the HTTP JSON API over m (the API
 // cmd/histwalkd serves): POST/GET/DELETE /v1/jobs, SSE progress
-// streams under /v1/jobs/{id}/events, and /v1/metrics.
+// streams under /v1/jobs/{id}/events, the Prometheus exposition of
+// the process metrics registry at /metrics, and /healthz.
 func NewServiceHandler(m *Manager) http.Handler { return service.NewHandler(m) }
