@@ -6,15 +6,16 @@
 //
 // Usage:
 //
-//	repro [-quick] [-seed N] [-csv DIR] [-workers N]
-//	      [-only table1,fig6,fig7,fig7d,fig8,fig9,fig10,fig10u,fig11,thm2,thm3,ablations]
+//	repro [-quick] [-seed N] [-csv DIR] [-workers N] [-only IDS]
 //
 // With -quick the bench-scale configuration is used (seconds per
 // figure); the default is the full configuration recorded in
 // EXPERIMENTS.md (minutes in total). With -csv every figure and table
 // is additionally written as a CSV file into DIR. -workers selects the
 // trial-execution engine's pool size (0 = one worker per core); for a
-// fixed seed the output is bit-identical for every worker count.
+// fixed seed the output is bit-identical for every worker count. -only
+// takes a comma-separated subset of the experiment ids that -help
+// lists; an unknown id exits with status 1 before anything runs.
 package main
 
 import (
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -38,16 +40,130 @@ var csvDir string
 // cancelled experiment from a real failure.
 var interrupted context.Context
 
+// experiments lists every experiment repro reproduces, in run order;
+// -only selects among their ids.
+var experiments = []struct {
+	id  string
+	run func(cfg experiment.PaperConfig, quick bool) error
+}{
+	{"table1", func(cfg experiment.PaperConfig, _ bool) error { return emitTable(experiment.Table1(cfg), nil) }},
+	{"fig6", func(cfg experiment.PaperConfig, _ bool) error { return emitFig(experiment.Figure6(cfg)) }},
+	{"fig7", func(cfg experiment.PaperConfig, _ bool) error { return emitDistance(experiment.Figure7(cfg)) }},
+	{"fig7d", func(cfg experiment.PaperConfig, _ bool) error { return emitFig(experiment.Figure7d(cfg)) }},
+	{"fig8", func(cfg experiment.PaperConfig, _ bool) error {
+		for _, which := range []int{1, 2} {
+			fig, err := experiment.Figure8(cfg, which)
+			if err != nil {
+				return err
+			}
+			// The per-node table is large: print the summary deviations
+			// the figure is read for, CSV the full data.
+			fmt.Printf("## %s — %s\n", fig.ID, fig.Title)
+			for _, s := range fig.Series[1:] {
+				d, err := experiment.StationaryDeviation(fig, s.Name)
+				if err != nil {
+					return err
+				}
+				fmt.Printf("l2 deviation from theoretical %-18s %.5f\n", s.Name, d)
+			}
+			if csvDir != "" {
+				if _, err := fig.SaveCSV(csvDir); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}},
+	{"fig9", func(cfg experiment.PaperConfig, _ bool) error {
+		a, b, err := experiment.Figure9(cfg)
+		if err != nil {
+			return err
+		}
+		if err := emitFig(a, nil); err != nil {
+			return err
+		}
+		return emitFig(b, nil)
+	}},
+	{"fig10", func(cfg experiment.PaperConfig, _ bool) error { return emitDistance(experiment.Figure10(cfg)) }},
+	{"fig10u", func(cfg experiment.PaperConfig, _ bool) error { return emitDistance(experiment.Figure10Unique(cfg)) }},
+	{"fig11", func(cfg experiment.PaperConfig, _ bool) error { return emitDistance(experiment.Figure11(cfg)) }},
+	{"thm2", func(cfg experiment.PaperConfig, quick bool) error {
+		steps := 300000
+		if quick {
+			steps = 120000
+		}
+		return emitTable(experiment.Theorem2Table(experiment.Theorem2Config{
+			Steps: steps, Seed: cfg.Seed, Workers: cfg.Workers, Ctx: cfg.Ctx,
+		}))
+	}},
+	{"thm3", func(cfg experiment.PaperConfig, _ bool) error {
+		res, err := experiment.Theorem3(cfg)
+		if err != nil {
+			return err
+		}
+		return emitTable(experiment.EscapeTable(res), nil)
+	}},
+	{"ablations", func(cfg experiment.PaperConfig, quick bool) error {
+		trials := 80
+		if quick {
+			trials = 30
+		}
+		if err := emitTable(experiment.AblationCirculationTable(experiment.AblationCirculationConfig{
+			CliqueSize: 10, Trials: trials, Seed: cfg.Seed, Workers: cfg.Workers, Ctx: cfg.Ctx,
+		})); err != nil {
+			return err
+		}
+		if err := emitFig(experiment.AblationGroupCountFigure(cfg)); err != nil {
+			return err
+		}
+		return emitFig(experiment.AblationFrontierFigure(cfg))
+	}},
+}
+
+// experimentIDs returns the ids -only accepts, in run order.
+func experimentIDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// parseOnly parses -only's comma-separated ids into the set to run; an
+// empty flag selects every experiment. An id that names no experiment
+// is an error naming it and the valid ids, so a typo cannot silently
+// reproduce nothing.
+func parseOnly(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		return want, nil
+	}
+	ids := experimentIDs()
+	for _, id := range strings.Split(only, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(ids, id) {
+			return nil, fmt.Errorf("unknown experiment id %q in -only (valid: %s)", id, strings.Join(ids, ","))
+		}
+		want[id] = true
+	}
+	return want, nil
+}
+
 func main() {
 	quick := flag.Bool("quick", false, "use the quick (bench-scale) configuration")
 	seed := flag.Int64("seed", 1, "master seed for all experiments")
-	only := flag.String("only", "", "comma-separated experiment ids to run (default: all)")
+	only := flag.String("only", "", "comma-separated experiment ids to run (default: all): "+strings.Join(experimentIDs(), ","))
 	workers := flag.Int("workers", 0, "trial-execution workers per experiment (default: one per core)")
 	flag.StringVar(&csvDir, "csv", "", "also write each figure/table as CSV into this directory")
 	flag.Parse()
 
 	if cliutil.ExplicitFlag("workers") && *workers < 1 {
 		fmt.Fprintf(os.Stderr, "repro: -workers must be >= 1, got %d\n", *workers)
+		os.Exit(1)
+	}
+	want, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(1)
 	}
 
@@ -66,167 +182,13 @@ func main() {
 	cfg.Workers = *workers
 	cfg.Ctx = ctx
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-	}
-	run := func(id string) bool {
-		return (len(want) == 0 || want[id]) && ctx.Err() == nil
-	}
-
 	fmt.Printf("# histwalk reproduction (%s configuration, seed %d)\n\n",
 		mode(*quick), cfg.Seed)
 	start := time.Now()
-
-	if run("table1") {
-		step("table1", func() error { return emitTable(experiment.Table1(cfg)) })
-	}
-	if run("fig6") {
-		step("fig6", func() error {
-			fig, err := experiment.Figure6(cfg)
-			if err != nil {
-				return err
-			}
-			return emitFig(fig)
-		})
-	}
-	if run("fig7") {
-		step("fig7", func() error {
-			res, err := experiment.Figure7(cfg)
-			if err != nil {
-				return err
-			}
-			return emitDistance(res)
-		})
-	}
-	if run("fig7d") {
-		step("fig7d", func() error {
-			fig, err := experiment.Figure7d(cfg)
-			if err != nil {
-				return err
-			}
-			return emitFig(fig)
-		})
-	}
-	if run("fig8") {
-		step("fig8", func() error {
-			for _, which := range []int{1, 2} {
-				fig, err := experiment.Figure8(cfg, which)
-				if err != nil {
-					return err
-				}
-				// The per-node table is large: print the summary
-				// deviations the figure is read for, CSV the full data.
-				fmt.Printf("## %s — %s\n", fig.ID, fig.Title)
-				for _, s := range fig.Series[1:] {
-					d, err := experiment.StationaryDeviation(fig, s.Name)
-					if err != nil {
-						return err
-					}
-					fmt.Printf("l2 deviation from theoretical %-18s %.5f\n", s.Name, d)
-				}
-				if csvDir != "" {
-					if _, err := fig.SaveCSV(csvDir); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	}
-	if run("fig9") {
-		step("fig9", func() error {
-			a, b, err := experiment.Figure9(cfg)
-			if err != nil {
-				return err
-			}
-			if err := emitFig(a); err != nil {
-				return err
-			}
-			return emitFig(b)
-		})
-	}
-	if run("fig10") {
-		step("fig10", func() error {
-			res, err := experiment.Figure10(cfg)
-			if err != nil {
-				return err
-			}
-			return emitDistance(res)
-		})
-	}
-	if run("fig10u") {
-		step("fig10u", func() error {
-			res, err := experiment.Figure10Unique(cfg)
-			if err != nil {
-				return err
-			}
-			return emitDistance(res)
-		})
-	}
-	if run("fig11") {
-		step("fig11", func() error {
-			res, err := experiment.Figure11(cfg)
-			if err != nil {
-				return err
-			}
-			return emitDistance(res)
-		})
-	}
-	if run("thm2") {
-		step("thm2", func() error {
-			steps := 300000
-			if *quick {
-				steps = 120000
-			}
-			tb, err := experiment.Theorem2Table(experiment.Theorem2Config{
-				Steps: steps, Seed: cfg.Seed, Workers: cfg.Workers, Ctx: cfg.Ctx,
-			})
-			if err != nil {
-				return err
-			}
-			return emitTable(tb)
-		})
-	}
-	if run("thm3") {
-		step("thm3", func() error {
-			res, err := experiment.Theorem3(cfg)
-			if err != nil {
-				return err
-			}
-			return emitTable(experiment.EscapeTable(res))
-		})
-	}
-	if run("ablations") {
-		step("ablations", func() error {
-			trials := 80
-			if *quick {
-				trials = 30
-			}
-			tb, err := experiment.AblationCirculationTable(experiment.AblationCirculationConfig{
-				CliqueSize: 10, Trials: trials, Seed: cfg.Seed, Workers: cfg.Workers, Ctx: cfg.Ctx,
-			})
-			if err != nil {
-				return err
-			}
-			if err := emitTable(tb); err != nil {
-				return err
-			}
-			gc, err := experiment.AblationGroupCountFigure(cfg)
-			if err != nil {
-				return err
-			}
-			if err := emitFig(gc); err != nil {
-				return err
-			}
-			fr, err := experiment.AblationFrontierFigure(cfg)
-			if err != nil {
-				return err
-			}
-			return emitFig(fr)
-		})
+	for _, e := range experiments {
+		if (len(want) == 0 || want[e.id]) && ctx.Err() == nil {
+			step(e.id, func() error { return e.run(cfg, *quick) })
+		}
 	}
 
 	if ctx.Err() != nil {
@@ -244,7 +206,12 @@ func mode(quick bool) string {
 	return "full"
 }
 
-func emitFig(fig *experiment.Figure) error {
+// emitFig prints fig, and writes its CSV when -csv is set; err, from
+// the figure's runner, is returned first.
+func emitFig(fig *experiment.Figure, err error) error {
+	if err != nil {
+		return err
+	}
 	if err := fig.Render(os.Stdout); err != nil {
 		return err
 	}
@@ -256,7 +223,11 @@ func emitFig(fig *experiment.Figure) error {
 	return nil
 }
 
-func emitTable(t *experiment.Table) error {
+// emitTable is emitFig for tables.
+func emitTable(t *experiment.Table, err error) error {
+	if err != nil {
+		return err
+	}
 	if err := t.Render(os.Stdout); err != nil {
 		return err
 	}
@@ -268,9 +239,13 @@ func emitTable(t *experiment.Table) error {
 	return nil
 }
 
-func emitDistance(res *experiment.DistanceResult) error {
+// emitDistance emits a distance result's three figures.
+func emitDistance(res *experiment.DistanceResult, err error) error {
+	if err != nil {
+		return err
+	}
 	for _, fig := range []*experiment.Figure{res.KL, res.L2, res.Err} {
-		if err := emitFig(fig); err != nil {
+		if err := emitFig(fig, nil); err != nil {
 			return err
 		}
 	}

@@ -23,9 +23,9 @@
 //     estimators, budget, burn-in, chains, master seed — executes it on
 //     the parallel engine, and returns pooled and per-chain estimates
 //     with confidence intervals and exact query-cost accounting;
-//   - a deterministic worker-pool trial-execution engine (Engine, Job,
-//     RunParallel) that fans independent seeded trials out over all
-//     cores while keeping results bit-identical for any worker count;
+//   - a deterministic worker pool (Engine, with TrialSeed and
+//     StreamID) that fans independent seeded tasks out over all cores
+//     while keeping results bit-identical for any worker count;
 //   - a sampling-job service (Manager, NewServiceHandler, cmd/histwalkd):
 //     serialized specs (SpecJSON) submitted over an HTTP JSON API run
 //     concurrently with bounded parallelism, stream per-chain progress
@@ -33,8 +33,9 @@
 //     walkers and estimators resolve through the shared name registry
 //     (WalkerByName, EstimatorByName);
 //   - the full experiment harness that regenerates every table and
-//     figure of the paper's evaluation, with every trial loop running
-//     on the engine (cmd/repro -workers selects the pool size).
+//     figure of the paper's evaluation; the estimation and bias figures
+//     run each trial as a session chain, the loop Run serves, on the
+//     engine (cmd/repro -workers selects the pool size).
 //
 // Quick start — describe the run, then execute it:
 //
@@ -389,19 +390,10 @@ type (
 	// EngineOptions configures an Engine (worker count, progress
 	// callback).
 	EngineOptions = engine.Options
-	// Job specifies a batch of independent seeded walk trials.
-	Job = engine.Job
-	// TrialResult is one trial's budget-checkpoint snapshots.
-	TrialResult = engine.TrialResult
 )
 
 // NewEngine returns an Engine with the given options.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
-
-// RunParallel runs a Job's trials on a fresh pool of the given size
-// (0 = GOMAXPROCS). For any fixed Job the results are bit-identical
-// regardless of worker count.
-var RunParallel = engine.RunParallel
 
 // TrialSeed derives trial t's RNG seed from a master seed and a stream
 // identifier via a splitmix64 mixer (scheduling-independent).

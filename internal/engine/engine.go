@@ -1,18 +1,20 @@
-// Package engine is the trial-execution substrate of the experiment
-// harness: a deterministic worker pool that fans independent seeded
-// walk trials out over goroutines and returns their results in trial
-// order, bit-identical regardless of worker count or completion order.
+// Package engine is the trial-execution substrate shared by the
+// session layer and the experiment harness: a deterministic worker pool
+// (Each) that fans independent seeded tasks out over goroutines, the
+// seed mixer that makes each task's RNG a pure function of (master
+// seed, stream, index) — see TrialSeed — and the per-trial vocabulary
+// (CostModel, DesignFor, Measure, RandomStart).
 //
-// Determinism comes from two rules. First, every trial's RNG seed is a
-// pure function of (master seed, stream, trial index) — see TrialSeed —
-// never of scheduling. Second, each trial runs against its own private
-// access.Simulator (walkers never share mutable state), so no locking
-// is needed on the hot path and results land in a pre-sized slice slot
-// owned exclusively by their trial index.
+// Determinism comes from two rules. First, every task's seed depends on
+// its index, never on scheduling. Second, each task writes only state
+// owned by its index (a session chain owns its private
+// access.Simulator), so no locking is needed on the hot path and
+// results are bit-identical regardless of worker count or completion
+// order.
 //
-// The experiment package submits all its trial loops here and the
-// session layer fans its chains out on the same pool; cmd/repro and
-// cmd/sampler expose the pool size as -workers.
+// A session fans its chains out on the pool, and the experiment
+// figures run each trial as one session chain (session.RunChain) on
+// it; cmd/repro and cmd/sampler expose the pool size as -workers.
 package engine
 
 import (
@@ -157,33 +159,4 @@ func (e *Engine) Each(ctx context.Context, n int, fn func(ctx context.Context, i
 		return context.Cause(ctx)
 	}
 	return nil
-}
-
-// Run executes job.Trials independent seeded trials on the pool and
-// returns their results indexed by trial. Trial t's seed is
-// TrialSeed(job.Seed, job.Stream, t), so the returned slice is
-// identical for any worker count.
-func (e *Engine) Run(ctx context.Context, job Job) ([]*TrialResult, error) {
-	if err := job.validate(); err != nil {
-		return nil, err
-	}
-	out := make([]*TrialResult, job.Trials)
-	err := e.Each(ctx, job.Trials, func(_ context.Context, t int) error {
-		res, err := RunTrial(job, TrialSeed(job.Seed, job.Stream, t))
-		if err != nil {
-			return err
-		}
-		out[t] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunParallel is the convenience entry point: it runs job on a fresh
-// pool of the given size (0 = GOMAXPROCS) with no progress callback.
-func RunParallel(ctx context.Context, workers int, job Job) ([]*TrialResult, error) {
-	return New(Options{Workers: workers}).Run(ctx, job)
 }

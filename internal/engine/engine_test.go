@@ -4,75 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"histwalk/internal/core"
-	"histwalk/internal/graph"
 )
-
-func testGraph() *graph.Graph {
-	rng := rand.New(rand.NewSource(17))
-	g := graph.PlantedPartition([]int{25, 25, 25}, 0.4, 0.03, rng).LargestComponent()
-	g.SetName("sbm75")
-	return g
-}
-
-func testJob(g *graph.Graph) Job {
-	return Job{
-		Graph:   g,
-		Factory: core.CNRWFactory(),
-		Attr:    "degree",
-		Budgets: []int{10, 20, 30},
-		Trials:  40,
-		Seed:    7,
-		Stream:  StreamID("engine-test"),
-	}
-}
-
-// TestRunDeterministicAcrossWorkerCounts is the engine's core contract:
-// for a fixed master seed, the result slice is bit-identical whether
-// trials run serially or on a saturated pool.
-func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	g := testGraph()
-	job := testJob(g)
-	serial, err := New(Options{Workers: 1}).Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		parallel, err := New(Options{Workers: workers}).Run(context.Background(), job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("Workers=%d results differ from serial execution", workers)
-		}
-	}
-}
-
-// TestRunRecordsPathDeterministically exercises the RecordPath variant
-// under contention too: full visit sequences must also be identical.
-func TestRunRecordsPathDeterministically(t *testing.T) {
-	g := testGraph()
-	job := testJob(g)
-	job.RecordPath = true
-	job.Trials = 12
-	a, err := New(Options{Workers: 1}).Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Options{Workers: 6}).Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("recorded paths differ across worker counts")
-	}
-}
 
 func TestTrialSeedStreamsDisjoint(t *testing.T) {
 	// Two experiments sharing a master seed but labeled differently must
@@ -100,7 +35,7 @@ func TestTrialSeedStreamsDisjoint(t *testing.T) {
 }
 
 func TestTrialSeedSharedWithinStream(t *testing.T) {
-	// Algorithms compared within one figure submit Jobs with equal
+	// Algorithms compared within one figure run their trials under one
 	// Stream, and must see identical per-trial seeds (paired starts).
 	s := StreamID("estimation", "fig6")
 	for trial := 0; trial < 100; trial++ {
@@ -190,69 +125,12 @@ func TestEachProgressCoversAllTrials(t *testing.T) {
 	}
 }
 
-func TestRunValidation(t *testing.T) {
-	g := testGraph()
-	cases := []Job{
-		{Factory: core.SRWFactory(), Budgets: []int{5}, Trials: 1},              // nil graph
-		{Graph: g, Budgets: []int{5}, Trials: 1},                                // nil factory
-		{Graph: g, Factory: core.SRWFactory(), Budgets: []int{5}},               // zero trials
-		{Graph: g, Factory: core.SRWFactory(), Trials: 1},                       // no budgets
-		{Graph: g, Factory: core.SRWFactory(), Budgets: []int{9, 3}, Trials: 1}, // descending
-	}
-	for i, job := range cases {
-		if _, err := New(Options{}).Run(context.Background(), job); err == nil {
-			t.Fatalf("case %d: invalid job accepted", i)
-		}
-	}
-}
-
 func TestWorkersDefault(t *testing.T) {
 	if w := New(Options{}).Workers(); w < 1 {
 		t.Fatalf("default workers = %d", w)
 	}
 	if w := New(Options{Workers: 3}).Workers(); w != 3 {
 		t.Fatalf("workers = %d, want 3", w)
-	}
-}
-
-func TestRunParallelConvenience(t *testing.T) {
-	g := testGraph()
-	job := testJob(g)
-	job.Trials = 8
-	a, err := RunParallel(context.Background(), 0, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunParallel(context.Background(), 3, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("RunParallel results depend on worker count")
-	}
-}
-
-// TestTrialSimulatorIsPrivate asserts the no-shared-state invariant the
-// engine's lock-free hot path rests on: concurrent trials of one Job
-// must each see a fresh cache (QueryCost starting at zero), which can
-// only hold if every trial owns its Simulator.
-func TestTrialSimulatorIsPrivate(t *testing.T) {
-	g := testGraph()
-	job := testJob(g)
-	job.Budgets = []int{15}
-	job.Trials = 64
-	results, err := New(Options{Workers: 8}).Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		// A shared simulator would accumulate cost across trials far
-		// beyond one trial's budget regime (or saturate and freeze at
-		// unrelated values); a private one lands at the budget, give or
-		// take the final step's new neighbors.
-		if res.QueryCost < job.Budgets[0] || res.QueryCost > g.NumNodes() {
-			t.Fatalf("trial %d: query cost %d outside private-simulator range", i, res.QueryCost)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,23 +11,40 @@ import (
 	"histwalk/internal/engine"
 	"histwalk/internal/estimate"
 	"histwalk/internal/graph"
+	"histwalk/internal/session"
 )
 
 func testFactories() []core.Factory {
 	return []core.Factory{core.SRWFactory(), core.CNRWFactory()}
 }
 
-// runTrial performs one seeded walk of factory f over g; a test shim
-// over engine.RunTrial, which production code calls directly.
-func runTrial(g *graph.Graph, f core.Factory, attr string, budgets []int, seed int64, recordPath bool, cost CostModel) (*TrialResult, error) {
-	return engine.RunTrial(engine.Job{
-		Graph:      g,
-		Factory:    f,
-		Attr:       attr,
-		Budgets:    budgets,
-		RecordPath: recordPath,
-		Cost:       cost,
-	}, seed)
+// oneTrial runs trial 0 of a series of f over g (stream "test",
+// seed 1) and returns its snapshots.
+func oneTrial(g *graph.Graph, f core.Factory, attr string, budgets []int, cost CostModel) ([]snapshot, error) {
+	snaps, err := runTrials(context.Background(), 1, g, f, attr, budgets, 1, 1, engine.StreamID("test"), cost)
+	if err != nil {
+		return nil, err
+	}
+	return snaps[0], nil
+}
+
+// chainUpdates runs trial 0 of the same series as oneTrial as a bare
+// session chain and returns its transitions and accounting.
+func chainUpdates(t *testing.T, g *graph.Graph, f core.Factory, budgets []int, cost CostModel) ([]session.Update, session.ChainResult) {
+	t.Helper()
+	spec, err := trialSpec(g, f, budgets, 1, 1, engine.StreamID("test"), cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var us []session.Update
+	res, err := session.RunChain(context.Background(), spec, 0, func(u session.Update) error {
+		us = append(us, u)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return us, res
 }
 
 func testGraph() *graph.Graph {
@@ -56,76 +74,125 @@ func TestCostModelString(t *testing.T) {
 	}
 }
 
-func TestRunTrialCheckpoints(t *testing.T) {
+// TestTrialCheckpoints pins the snapshot rule: a trial records, at
+// each budget, the estimate over every step so far and the node the
+// walk occupied when its spend first reached that budget.
+func TestTrialCheckpoints(t *testing.T) {
 	g := testGraph()
 	budgets := []int{5, 10, 20}
-	res, err := runTrial(g, core.SRWFactory(), "degree", budgets, 1, true, CostUnique)
+	snaps, err := oneTrial(g, core.SRWFactory(), "degree", budgets, CostUnique)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Estimates) != 3 || len(res.FinalNodes) != 3 {
-		t.Fatalf("checkpoint counts wrong: %+v", res)
+	if len(snaps) != len(budgets) {
+		t.Fatalf("%d snapshots for %d budgets", len(snaps), len(budgets))
 	}
-	for i, e := range res.Estimates {
-		if e <= 0 {
-			t.Fatalf("estimate[%d] = %v", i, e)
+	us, res := chainUpdates(t, g, core.SRWFactory(), budgets, CostUnique)
+	if res.Queries < budgets[len(budgets)-1] || res.Steps != len(us) {
+		t.Fatalf("chain spent %d in %d steps over %d updates", res.Queries, res.Steps, len(us))
+	}
+	est := estimate.NewMean(estimate.DegreeProportional)
+	next := 0
+	for _, u := range us {
+		d := g.Degree(u.Node)
+		if err := est.Add(float64(d), d); err != nil {
+			t.Fatal(err)
+		}
+		for ; next < len(budgets) && u.Spent >= budgets[next]; next++ {
+			want, err := est.Estimate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snaps[next] != (snapshot{want, u.Node}) {
+				t.Fatalf("budget %d: snapshot %+v, want %v at node %d", budgets[next], snaps[next], want, u.Node)
+			}
+			if want <= 0 {
+				t.Fatalf("budget %d: estimate %v", budgets[next], want)
+			}
 		}
 	}
-	if res.QueryCost < budgets[len(budgets)-1] {
-		t.Fatalf("query cost %d below final budget", res.QueryCost)
-	}
-	if res.Steps <= 0 || len(res.Path) != res.Steps {
-		t.Fatalf("steps %d, path %d", res.Steps, len(res.Path))
-	}
-	// crossing steps are monotone and within the path
-	prev := 0
-	for _, c := range res.CrossSteps {
-		if c < prev || c > len(res.Path) {
-			t.Fatalf("cross steps %v invalid", res.CrossSteps)
-		}
-		prev = c
+	if next != len(budgets) {
+		t.Fatalf("chain reached %d of %d budgets", next, len(budgets))
 	}
 }
 
-func TestRunTrialStepsCost(t *testing.T) {
+// TestTrialStepsCost pins CostSteps metering: a trial takes exactly the
+// last budget's number of steps, and snapshots at the budget-th step.
+func TestTrialStepsCost(t *testing.T) {
 	g := testGraph()
-	res, err := runTrial(g, core.SRWFactory(), "degree", []int{7, 15}, 2, false, CostSteps)
+	budgets := []int{7, 15}
+	us, res := chainUpdates(t, g, core.SRWFactory(), budgets, CostSteps)
+	if res.Steps != 15 || len(us) != 15 {
+		t.Fatalf("steps = %d (%d updates), want exactly 15 under CostSteps", res.Steps, len(us))
+	}
+	snaps, err := oneTrial(g, core.SRWFactory(), "degree", budgets, CostSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Steps != 15 {
-		t.Fatalf("steps = %d, want exactly 15 under CostSteps", res.Steps)
+	if snaps[0].node != us[6].Node || snaps[1].node != us[14].Node {
+		t.Fatalf("snapshot nodes %d, %d; want steps 7 and 15 at %d, %d",
+			snaps[0].node, snaps[1].node, us[6].Node, us[14].Node)
 	}
 }
 
-func TestRunTrialBudgetsValidation(t *testing.T) {
+func TestTrialBudgetsValidation(t *testing.T) {
 	g := testGraph()
-	if _, err := runTrial(g, core.SRWFactory(), "degree", nil, 1, false, CostUnique); err == nil {
+	if _, err := oneTrial(g, core.SRWFactory(), "degree", nil, CostUnique); err == nil {
 		t.Fatal("empty budgets accepted")
 	}
-	if _, err := runTrial(g, core.SRWFactory(), "degree", []int{10, 5}, 1, false, CostUnique); err == nil {
+	if _, err := oneTrial(g, core.SRWFactory(), "degree", []int{10, 5}, CostUnique); err == nil {
 		t.Fatal("non-ascending budgets accepted")
 	}
-	if _, err := runTrial(g, core.SRWFactory(), "no_such_attr", []int{5}, 1, false, CostUnique); err == nil {
+	if _, err := oneTrial(g, core.SRWFactory(), "no_such_attr", []int{5}, CostUnique); err == nil {
 		t.Fatal("unknown attribute accepted")
 	}
 }
 
-func TestRunTrialSaturationFreeze(t *testing.T) {
+func TestTrialSaturationFreeze(t *testing.T) {
 	// Budget above the node count can never be reached with unique
 	// queries; the trial must terminate and freeze the checkpoints.
 	g := graph.Complete(6)
-	res, err := runTrial(g, core.SRWFactory(), "degree", []int{3, 1000}, 3, false, CostUnique)
+	snaps, err := oneTrial(g, core.SRWFactory(), "degree", []int{3, 1000}, CostUnique)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Estimates[1] <= 0 {
-		t.Fatal("saturated checkpoint not frozen with a valid estimate")
+	us, _ := chainUpdates(t, g, core.SRWFactory(), []int{3, 1000}, CostUnique)
+	if last := us[len(us)-1]; last.Spent != 6 || snaps[1].node != last.Node {
+		t.Fatalf("froze at node %d, but the walk ended at node %d after spending %d", snaps[1].node, last.Node, last.Spent)
 	}
 	// K6 degree estimate should be exact (up to floating-point
 	// accumulation): every node has degree 5.
-	if d := res.Estimates[1] - 5; d > 1e-9 || d < -1e-9 {
-		t.Fatalf("estimate = %v, want 5", res.Estimates[1])
+	if d := snaps[1].estimate - 5; d > 1e-9 || d < -1e-9 {
+		t.Fatalf("estimate = %v, want 5", snaps[1].estimate)
+	}
+}
+
+// TestTrialSimulatorIsPrivate asserts the no-shared-state invariant the
+// lock-free fan-out rests on: concurrent trials of one series must each
+// see a fresh cache (spend starting at zero), which can only hold if
+// every trial owns its Simulator.
+func TestTrialSimulatorIsPrivate(t *testing.T) {
+	g := testGraph()
+	spec, err := trialSpec(g, core.CNRWFactory(), []int{15}, 64, 7, engine.StreamID("private"), CostUnique)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]int, spec.Chains)
+	err = engine.New(engine.Options{Workers: 8}).Each(context.Background(), spec.Chains, func(ctx context.Context, c int) error {
+		res, err := session.RunChain(ctx, spec, c, nil)
+		queries[c] = res.Queries
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, q := range queries {
+		// A shared simulator would accumulate cost across trials far
+		// beyond one trial's budget regime; a private one lands at the
+		// budget, give or take the final step's new neighbors.
+		if q < 15 || q > g.NumNodes() {
+			t.Fatalf("trial %d: query cost %d outside private-simulator range", c, q)
+		}
 	}
 }
 
@@ -163,20 +230,13 @@ func TestEstimationFigureShape(t *testing.T) {
 }
 
 func TestEstimationFigureSharedStarts(t *testing.T) {
-	// The same trial seed must give every algorithm the same start node;
-	// with one trial and one budget, both algorithms' first visited node
-	// derives from the same RNG draw.
+	// The same trial seed must give every algorithm the same start node:
+	// an estimation figure's series share its stream.
 	g := testGraph()
-	resA, err := runTrial(g, core.SRWFactory(), "degree", []int{3}, 77, true, CostUnique)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := runTrial(g, core.CNRWFactory(), "degree", []int{3}, 77, true, CostUnique)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resA.Path[0] != resB.Path[0] {
-		t.Fatalf("first transition differs: %d vs %d (start nodes not shared)", resA.Path[0], resB.Path[0])
+	_, a := chainUpdates(t, g, core.SRWFactory(), []int{3}, CostUnique)
+	_, b := chainUpdates(t, g, core.CNRWFactory(), []int{3}, CostUnique)
+	if a.Start != b.Start || a.Seed != b.Seed {
+		t.Fatalf("trial 0 starts at %d (seed %d) for SRW and %d (seed %d) for CNRW", a.Start, a.Seed, b.Start, b.Seed)
 	}
 }
 

@@ -70,30 +70,21 @@ func EstimationFigure(cfg EstimationConfig) (*Figure, error) {
 		XLabel: "query_cost",
 		YLabel: "relative_error",
 	}
-	eng := engine.New(engine.Options{Workers: cfg.Workers})
 	label := cfg.Stream
 	if label == "" {
 		label = cfg.ID
 	}
 	stream := engine.StreamID("estimation", label)
 	for _, f := range cfg.Factories {
-		results, err := eng.Run(ctxOf(cfg.Ctx), engine.Job{
-			Graph:   cfg.Graph,
-			Factory: f,
-			Attr:    cfg.Attr,
-			Budgets: cfg.Budgets,
-			Trials:  cfg.Trials,
-			Seed:    cfg.Seed,
-			Stream:  stream,
-			Cost:    cfg.Cost,
-		})
+		trials, err := runTrials(ctxOf(cfg.Ctx), cfg.Workers, cfg.Graph, f, cfg.Attr,
+			cfg.Budgets, cfg.Trials, cfg.Seed, stream, cfg.Cost)
 		if err != nil {
 			return nil, err
 		}
 		acc := make([]stats.Welford, len(cfg.Budgets))
-		for _, res := range results {
-			for i, e := range res.Estimates {
-				acc[i].Add(estimate.RelativeError(e, truth))
+		for _, snaps := range trials {
+			for i, s := range snaps {
+				acc[i].Add(estimate.RelativeError(s.estimate, truth))
 			}
 		}
 		s := Series{Name: f.Name}
@@ -174,19 +165,10 @@ func DistanceFigures(cfg DistanceConfig) (*DistanceResult, error) {
 		L2:  &Figure{ID: cfg.IDPrefix + "-l2", Title: cfg.Title + " — l2 distance", XLabel: "query_cost", YLabel: "l2_distance"},
 		Err: &Figure{ID: cfg.IDPrefix + "-err", Title: cfg.Title + " — estimation error", XLabel: "query_cost", YLabel: "relative_error"},
 	}
-	eng := engine.New(engine.Options{Workers: cfg.Workers})
 	stream := engine.StreamID("distance", cfg.IDPrefix)
 	for _, f := range cfg.Factories {
-		results, err := eng.Run(ctxOf(cfg.Ctx), engine.Job{
-			Graph:   cfg.Graph,
-			Factory: f,
-			Attr:    cfg.Attr,
-			Budgets: cfg.Budgets,
-			Trials:  cfg.Trials,
-			Seed:    cfg.Seed,
-			Stream:  stream,
-			Cost:    cfg.Cost,
-		})
+		trials, err := runTrials(ctxOf(cfg.Ctx), cfg.Workers, cfg.Graph, f, cfg.Attr,
+			cfg.Budgets, cfg.Trials, cfg.Seed, stream, cfg.Cost)
 		if err != nil {
 			return nil, err
 		}
@@ -195,14 +177,12 @@ func DistanceFigures(cfg DistanceConfig) (*DistanceResult, error) {
 			counters[i] = stats.NewVisitCounter(n)
 		}
 		errAcc := make([]stats.Welford, len(cfg.Budgets))
-		for _, tr := range results {
-			for i, e := range tr.Estimates {
-				errAcc[i].Add(estimate.RelativeError(e, truth))
-			}
-			// The sample a budget-c crawler would return: the node the
-			// walk occupied when the c-th unique query was spent.
-			for i, v := range tr.FinalNodes {
-				counters[i].Visit(v)
+		for _, snaps := range trials {
+			for i, s := range snaps {
+				errAcc[i].Add(estimate.RelativeError(s.estimate, truth))
+				// The sample a budget-c crawler would return: the node
+				// the walk occupied when the c-th unique query was spent.
+				counters[i].Visit(s.node)
 			}
 		}
 		kl := Series{Name: f.Name}

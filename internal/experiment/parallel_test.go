@@ -6,10 +6,13 @@ package experiment
 // streams (the additive seed+trial scheme this replaced could collide).
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"histwalk/internal/engine"
+	"histwalk/internal/graph"
+	"histwalk/internal/session"
 )
 
 func TestEstimationFigureDeterministicAcrossWorkers(t *testing.T) {
@@ -150,22 +153,23 @@ func TestStreamOverrideSharesWalks(t *testing.T) {
 func TestSharedStartsAcrossAlgorithms(t *testing.T) {
 	g := testGraph()
 	stream := engine.StreamID("estimation", "shared")
-	var firstNodes [][]int
+	var starts [][]graph.Node
 	for _, f := range testFactories() {
-		var nodes []int
-		for trial := 0; trial < 5; trial++ {
-			res, err := engine.RunTrial(engine.Job{
-				Graph: g, Factory: f, Attr: "degree",
-				Budgets: []int{3}, RecordPath: true,
-			}, engine.TrialSeed(21, stream, trial))
+		spec, err := trialSpec(g, f, []int{3}, 5, 21, stream, CostUnique)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nodes []graph.Node
+		for trial := 0; trial < spec.Chains; trial++ {
+			res, err := session.RunChain(context.Background(), spec, trial, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nodes = append(nodes, int(res.Path[0]))
+			nodes = append(nodes, res.Start)
 		}
-		firstNodes = append(firstNodes, nodes)
+		starts = append(starts, nodes)
 	}
-	if !reflect.DeepEqual(firstNodes[0], firstNodes[1]) {
-		t.Fatalf("start sequences differ across algorithms: %v vs %v", firstNodes[0], firstNodes[1])
+	if !reflect.DeepEqual(starts[0], starts[1]) {
+		t.Fatalf("start sequences differ across algorithms: %v vs %v", starts[0], starts[1])
 	}
 }

@@ -1,18 +1,22 @@
 package experiment
 
-// Trial execution lives in internal/engine (the deterministic
-// worker-pool runner); this file keeps the experiment-level names
-// stable and hosts the figure-side helpers that are about ground truth
-// rather than walk execution.
+// The estimation and bias figures run their trials as session chains:
+// trial t of a series is chain t of one session.Spec, stepped by
+// session.RunChain — the same loop histwalkd serves — on the engine's
+// worker pool. This file also hosts the figure-side helpers that are
+// about ground truth rather than walk execution.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 
+	"histwalk/internal/core"
 	"histwalk/internal/engine"
 	"histwalk/internal/estimate"
 	"histwalk/internal/graph"
+	"histwalk/internal/session"
 )
 
 // ctxOf returns ctx, or context.Background for configs that did not set
@@ -37,15 +41,107 @@ const (
 	CostSteps = engine.CostSteps
 )
 
-// TrialResult captures one walk trial with snapshots taken each time the
-// query cost crossed the next budget checkpoint. See engine.TrialResult.
-type TrialResult = engine.TrialResult
-
 // DesignFor returns the estimator design matching a walker: MHRW targets
 // the uniform distribution, every other algorithm in this repository is
 // degree-proportional.
 func DesignFor(factoryName string) estimate.Design {
 	return engine.DesignFor(factoryName)
+}
+
+// snapshot is one trial's state when its spend first reached a budget:
+// the aggregate estimate, and the node the walk occupied — the sample a
+// budget-c crawler would return.
+type snapshot struct {
+	estimate float64
+	node     graph.Node
+}
+
+// trialSpec returns the session spec whose chain t is trial t of a
+// series: trials walks of f over g under (seed, stream), each chain
+// budgeted to the last of budgets (ascending). Algorithms that share
+// the stream share every trial's start node.
+func trialSpec(g *graph.Graph, f core.Factory, budgets []int, trials int, seed int64, stream uint64, cost CostModel) (session.Spec, error) {
+	if len(budgets) == 0 {
+		return session.Spec{}, errors.New("experiment: no budgets")
+	}
+	for i := 1; i < len(budgets); i++ {
+		if budgets[i] <= budgets[i-1] {
+			return session.Spec{}, fmt.Errorf("experiment: budgets must be ascending, got %v", budgets)
+		}
+	}
+	last := budgets[len(budgets)-1]
+	// The step cap ends walks whose last budget is unreachable; under
+	// CostSteps the budget is the cap.
+	maxSteps := last
+	if cost == CostUnique {
+		maxSteps = max(200*last, 100000)
+	}
+	return session.Spec{
+		Graph:    g,
+		Walker:   f,
+		Budget:   last,
+		Cost:     cost,
+		MaxSteps: maxSteps,
+		Chains:   trials,
+		Seed:     seed,
+		Stream:   stream,
+	}, nil
+}
+
+// runTrials runs the trials of trialSpec, measuring attr, and returns
+// out[t][i], trial t's snapshot at budgets[i]. The snapshots are
+// identical for any worker count. A walk that stops paying before the
+// last budget (its unique queries covered the graph, or it reached the
+// step cap) freezes the remaining budgets at its final state, as a
+// real crawler would.
+func runTrials(ctx context.Context, workers int, g *graph.Graph, f core.Factory, attr string,
+	budgets []int, trials int, seed int64, stream uint64, cost CostModel) ([][]snapshot, error) {
+	spec, err := trialSpec(g, f, budgets, trials, seed, stream, cost)
+	if err != nil {
+		return nil, err
+	}
+	design := DesignFor(f.Name)
+	out := make([][]snapshot, trials)
+	err = engine.New(engine.Options{Workers: workers}).Each(ctx, trials, func(ctx context.Context, t int) error {
+		snaps := make([]snapshot, 0, len(budgets))
+		est := estimate.NewMean(design)
+		var node graph.Node
+		record := func() error {
+			e, err := est.Estimate()
+			snaps = append(snaps, snapshot{e, node})
+			return err
+		}
+		_, err := session.RunChain(ctx, spec, t, func(u session.Update) error {
+			val, deg, err := engine.Measure(g, attr, u.Node)
+			if err != nil {
+				return err
+			}
+			if err := est.Add(val, deg); err != nil {
+				return err
+			}
+			node = u.Node
+			for len(snaps) < len(budgets) && u.Spent >= budgets[len(snaps)] {
+				if err := record(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for len(snaps) < len(budgets) {
+			if err := record(); err != nil {
+				return err
+			}
+		}
+		out[t] = snaps
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // randomStart draws a uniform non-isolated start node.

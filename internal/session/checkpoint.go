@@ -188,6 +188,10 @@ func (s *Session) ResumeFrom(ctx context.Context, cp *Checkpoint) error {
 			return errors.New("session: ResumeFrom requires an unstepped session")
 		}
 	}
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
 	for i, c := range cp.Chains {
 		if c.Chain != i {
 			return fmt.Errorf("%w: entry %d records chain index %d",
@@ -199,17 +203,19 @@ func (s *Session) ResumeFrom(ctx context.Context, cp *Checkpoint) error {
 				ErrCheckpointMismatch, i, c.Steps)
 		}
 		for cr.steps < c.Steps && !cr.done {
-			if ctx != nil && ctx.Err() != nil {
+			select {
+			case <-done:
 				return context.Cause(ctx)
+			default:
 			}
-			if _, _, err := cr.advance(s.sp); err != nil {
+			if _, err := cr.advance(s.sp); err != nil {
 				return fmt.Errorf("session: replaying chain %d to step %d: %w", i, c.Steps, err)
 			}
 		}
 		if c.Done && !cr.done {
 			// The checkpointed chain stopped exactly at Steps; the stop
 			// must re-fire on the next gate without another transition.
-			_, stepped, err := cr.advance(s.sp)
+			stepped, err := cr.advance(s.sp)
 			if err != nil {
 				return fmt.Errorf("session: replaying chain %d stop condition: %w", i, err)
 			}

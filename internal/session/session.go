@@ -715,7 +715,7 @@ func (s *Session) Next() (u Update, ok bool, err error) {
 			scanned++
 			continue
 		}
-		u, stepped, err := cr.advance(s.sp)
+		stepped, err := cr.advance(s.sp)
 		if err != nil {
 			return Update{}, false, err
 		}
@@ -728,7 +728,7 @@ func (s *Session) Next() (u Update, ok bool, err error) {
 		if s.sp.Progress != nil {
 			s.sp.Progress(s.snapshot())
 		}
-		return u, true, nil
+		return cr.update(s.sp), true, nil
 	}
 	// All chains finished: stream one final snapshot so Progress
 	// consumers observe ChainsDone == Chains, as Run's hook does.
@@ -751,7 +751,7 @@ func (s *Session) nextBatched() (Update, bool, error) {
 		c, v, ok, err := s.batch.StepNext()
 		if ok {
 			cr := s.chains[c]
-			u, stepped, ferr := cr.finish(s.sp, v, err)
+			stepped, ferr := cr.finish(s.sp, v, err)
 			if cr.done {
 				s.batch.Deactivate(c)
 			}
@@ -764,7 +764,7 @@ func (s *Session) nextBatched() (Update, bool, error) {
 			if s.sp.Progress != nil {
 				s.sp.Progress(s.snapshot())
 			}
-			return u, true, nil
+			return cr.update(s.sp), true, nil
 		}
 		// Round drained: re-gate every chain, then open the next round.
 		for c, cr := range s.chains {
@@ -892,6 +892,11 @@ type chainRun struct {
 	steps   int
 	done    bool
 
+	// node and sampled describe the chain's last transition: where it
+	// arrived and whether that sample was retained (see update).
+	node    graph.Node
+	sampled bool
+
 	// warm and cands wire the chain into the pipelined access layer's
 	// speculative prefetch (both nil outside pipelined mode, or when
 	// the walker offers no candidate hint). After each transition the
@@ -902,7 +907,9 @@ type chainRun struct {
 	warm  *access.PipeView
 	cands core.CandidateAdvertiser
 
-	// retained samples
+	// retained samples; none when discard is set (RunChain's chain is
+	// observed, never merged)
+	discard bool
 	degrees []int
 	values  [][]float64 // [estimator][sample] raw measured values
 
@@ -1066,43 +1073,42 @@ func (cr *chainRun) gate(sp *Spec) bool {
 
 // advance performs one transition if the chain is still inside its
 // budget and step cap; otherwise it marks the chain done. stepped
-// reports whether a transition actually happened. A budget-exhausted
-// error from the client (access.Budgeted in Client mode) ends the
-// chain cleanly.
-func (cr *chainRun) advance(sp *Spec) (u Update, stepped bool, err error) {
+// reports whether a transition actually happened; update then
+// describes it. A budget-exhausted error from the client
+// (access.Budgeted in Client mode) ends the chain cleanly.
+func (cr *chainRun) advance(sp *Spec) (stepped bool, err error) {
 	if !cr.gate(sp) {
-		return Update{}, false, nil
+		return false, nil
 	}
 	v, err := cr.walker.Step()
 	return cr.finish(sp, v, err)
+}
+
+// update reports the chain's last transition. Callers build it from
+// the chain's fields instead of receiving it from finish: returning the
+// struct up through advance made every step copy it between stack
+// frames, which profiled as the step's largest bookkeeping cost.
+func (cr *chainRun) update(sp *Spec) Update {
+	return Update{Chain: cr.idx, Node: cr.node, Step: cr.steps, Spent: cr.spend(sp), Sampled: cr.sampled}
 }
 
 // finish applies the post-transition bookkeeping shared by the
 // per-chain and batched paths: error classification, measurement,
 // sample retention and the saturation stops. v and err are the step's
 // outcome (the walker's Step, or the batch stepper's StepNext).
-func (cr *chainRun) finish(sp *Spec, v graph.Node, err error) (Update, bool, error) {
+func (cr *chainRun) finish(sp *Spec, v graph.Node, err error) (bool, error) {
 	if err != nil {
-		if errors.Is(err, access.ErrBudgetExhausted) {
-			cr.markDone(sp)
-			return Update{}, false, nil
-		}
-		cr.markDone(sp)
-		return Update{}, false, fmt.Errorf("session: chain %d (%s) step %d: %w", cr.idx, sp.Walker.Name, cr.steps, err)
+		return cr.fail(sp, fmt.Errorf("session: chain %d (%s) step %d: %w", cr.idx, sp.Walker.Name, cr.steps, err))
 	}
 	deg, vals, err := cr.measure(sp, v)
 	if err != nil {
-		if errors.Is(err, access.ErrBudgetExhausted) {
-			cr.markDone(sp)
-			return Update{}, false, nil
-		}
-		cr.markDone(sp)
-		return Update{}, false, fmt.Errorf("session: chain %d: %w", cr.idx, err)
+		return cr.fail(sp, fmt.Errorf("session: chain %d: %w", cr.idx, err))
 	}
 	s := cr.steps
 	cr.steps++
-	sampled := s >= sp.BurnIn && (s-sp.BurnIn)%sp.Thin == 0
-	if sampled {
+	sampled := s >= sp.BurnIn && (sp.Thin == 1 || (s-sp.BurnIn)%sp.Thin == 0)
+	cr.node, cr.sampled = v, sampled
+	if sampled && !cr.discard {
 		cr.degrees = append(cr.degrees, deg)
 		for e := range vals {
 			cr.values[e] = append(cr.values[e], vals[e])
@@ -1135,7 +1141,18 @@ func (cr *chainRun) finish(sp *Spec, v graph.Node, err error) (Update, bool, err
 			cr.warm.Warm(ns)
 		}
 	}
-	return Update{Chain: cr.idx, Node: v, Step: cr.steps, Spent: cr.spend(sp), Sampled: sampled}, true, nil
+	return true, nil
+}
+
+// fail ends the chain on a step or measurement error. A budget-exhausted
+// client (access.Budgeted in Client mode) ends it cleanly; any other
+// error fails it.
+func (cr *chainRun) fail(sp *Spec, err error) (bool, error) {
+	cr.markDone(sp)
+	if errors.Is(err, access.ErrBudgetExhausted) {
+		return false, nil
+	}
+	return false, err
 }
 
 // measure evaluates every estimator's measure attribute at v, into the
@@ -1145,28 +1162,29 @@ func (cr *chainRun) finish(sp *Spec, v graph.Node, err error) (Update, bool, err
 // lands in the cache on first touch.
 func (cr *chainRun) measure(sp *Spec, v graph.Node) (int, []float64, error) {
 	vals := cr.scratch
+	var deg int
 	if sp.src != nil {
-		deg := sp.src.Degree(v)
-		for e, es := range sp.Estimators {
-			val, _, err := engine.Measure(sp.src, es.attr(), v)
-			if err != nil {
-				return 0, nil, err
-			}
-			vals[e] = val
+		deg = sp.src.Degree(v)
+	} else {
+		d, err := cr.client.Degree(v)
+		if err != nil {
+			return 0, nil, err
 		}
-		return deg, vals, nil
+		deg = d
 	}
-	deg, err := cr.client.Degree(v)
-	if err != nil {
-		return 0, nil, err
-	}
-	for e, es := range sp.Estimators {
-		a := es.attr()
+	for e := range sp.Estimators {
+		a := sp.Estimators[e].attr()
 		if a == "" || a == "degree" {
 			vals[e] = float64(deg)
 			continue
 		}
-		x, err := cr.client.Attribute(v, a)
+		var x float64
+		var err error
+		if sp.src != nil {
+			x, _, err = engine.Measure(sp.src, a, v)
+		} else {
+			x, err = cr.client.Attribute(v, a)
+		}
 		if err != nil {
 			return 0, nil, err
 		}
@@ -1273,6 +1291,24 @@ func (a *estAcc) moments(es EstimatorSpec, vals []float64, n int) (mean, varianc
 	return a.rhat.Mean(), a.rhat.Variance()
 }
 
+// result reports the chain's accounting.
+func (cr *chainRun) result(sp *Spec) ChainResult {
+	c := ChainResult{
+		Chain:   cr.idx,
+		Seed:    cr.seed,
+		Start:   cr.start,
+		Steps:   cr.steps,
+		Queries: cr.spend(sp),
+		Samples: len(cr.degrees),
+	}
+	if cr.ledger != nil {
+		c.Requests = cr.ledger.TotalRequests()
+	} else if tr, ok := cr.client.(requestReporter); ok {
+		c.Requests = tr.TotalRequests() - cr.reqBase
+	}
+	return c
+}
+
 // mergeLedger builds a Result's accounting — per-chain entries, totals
 // and the network ledger — for merge; it leaves Estimates empty. One
 // rule covers every source: isolated chains pay the network the sum of
@@ -1283,19 +1319,7 @@ func mergeLedger(sp *Spec, run, chains []*chainRun) *Result {
 	res := &Result{}
 	shared := sp.Cache == CacheShared
 	for _, cr := range chains {
-		c := ChainResult{
-			Chain:   cr.idx,
-			Seed:    cr.seed,
-			Start:   cr.start,
-			Steps:   cr.steps,
-			Queries: cr.spend(sp),
-			Samples: len(cr.degrees),
-		}
-		if cr.ledger != nil {
-			c.Requests = cr.ledger.TotalRequests()
-		} else if tr, ok := cr.client.(requestReporter); ok {
-			c.Requests = tr.TotalRequests() - cr.reqBase
-		}
+		c := cr.result(sp)
 		res.Chains = append(res.Chains, c)
 		res.TotalSteps += cr.steps
 		res.TotalQueries += c.Queries
