@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -512,11 +513,14 @@ func BenchmarkWalkStep(b *testing.B) {
 // Google Plus stand-in, advanced either sequentially round-robin (the
 // per-chain reference path: each walker's own Step, which copies its
 // neighbor row) or in lockstep rounds on a BatchStepper (sorted CSR
-// gathers, zero-copy rows, same-node fetch sharing, shared GNRW
-// stratum profiles). ns/op is the cost of one aggregate step — one
-// chain advancing one transition — so the seq/batched ratio at equal K
-// is the batch engine's speedup; both variants produce bit-identical
-// per-chain trajectories (pinned by TestBatchedBitIdentity).
+// gathers, zero-copy rows, same-node fetch sharing). The walkers are
+// built outside any Session, so each GNRW chain keeps a private
+// stratum table in both variants (BenchmarkSessionStepping compares
+// the modes with the table shared). ns/op is the cost of one aggregate
+// step — one chain advancing one transition — so the seq/batched ratio
+// at equal K is the batch engine's speedup; both variants produce
+// bit-identical per-chain trajectories (pinned by
+// TestBatchedBitIdentity).
 // cmd/benchgate reports the aggregate steps/sec and the ratio when
 // these results are on its stdin.
 //
@@ -581,6 +585,55 @@ func BenchmarkBatchedChains(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkSessionStepping is BenchmarkBatchedChains one layer up: a
+// K-chain Session (budget 1000 unique queries per chain, Workers 1) on
+// the 20000-node Google Plus stand-in, run to completion with per-chain
+// stepping (percall) or SteppingBatched (batched). Unlike the
+// sequential walkers of BenchmarkBatchedChains, both variants' GNRW
+// chains share the Session's stratum table, so the percall/batched
+// ratio isolates what lockstep rounds themselves buy. ns/op is one Run;
+// ns/step divides it by the chains' total transitions. Both variants
+// must return identical Results.
+func BenchmarkSessionStepping(b *testing.B) {
+	g := histwalk.GooglePlusN(20000, 1)
+	cases := []struct {
+		name    string
+		factory histwalk.Factory
+	}{
+		{"CNRW", histwalk.CNRWFactory()},
+		{"GNRW-md5", histwalk.GNRWFactory(histwalk.HashGrouper{M: 5})},
+		{"GNRW-degree", histwalk.GNRWFactory(histwalk.DegreeGrouper{M: 5})},
+	}
+	for _, tc := range cases {
+		for _, k := range []int{4, 16, 64} {
+			spec := histwalk.Spec{Graph: g, Walker: tc.factory, Budget: 1000, Chains: k, Workers: 1, Seed: 1}
+			var want *histwalk.Result
+			for _, mode := range []struct {
+				name     string
+				stepping histwalk.SteppingMode
+			}{{"percall", histwalk.SteppingPerChain}, {"batched", histwalk.SteppingBatched}} {
+				spec.Stepping = mode.stepping
+				b.Run(tc.name+"/K="+itoa(k)+"/"+mode.name, func(b *testing.B) {
+					steps := 0
+					for i := 0; i < b.N; i++ {
+						res, err := histwalk.Run(context.Background(), spec)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if want == nil {
+							want = res
+						} else if !reflect.DeepEqual(res, want) {
+							b.Fatalf("%s Result differs from the first run's", mode.name)
+						}
+						steps += res.TotalSteps
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+				})
+			}
 		}
 	}
 }

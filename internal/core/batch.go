@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"reflect"
 	"slices"
 
 	"histwalk/internal/access"
@@ -33,9 +32,8 @@ import (
 // the row), so steps of different chains commute.
 //
 // A BatchStepper is single-goroutine: rounds are a serial loop, which
-// is what makes row reuse and shared group caches sound without locks.
-// Concurrency belongs one layer up (e.g. several steppers, one per
-// goroutine).
+// is what makes row reuse sound without locks. Concurrency belongs one
+// layer up (e.g. several steppers, one per goroutine).
 
 // BatchChain pairs one walker with the client it was built over.
 type BatchChain struct {
@@ -85,10 +83,10 @@ type BatchStepper struct {
 // construction, so hand-stepping a walker between rounds is fine as
 // long as it happens through StepNext.
 //
-// GNRW chains whose groupers are equal (same type and parameters)
-// are wired to one shared stratum-assignment cache: assignments are
-// pure functions of the node, so sharing changes no trajectory and no
-// query cost — it only removes duplicate resolutions across chains.
+// The stepper shares rows, not walker state: GNRW chains keep whatever
+// stratum tables they were built with. A Session wires its GNRW chains
+// to one table per grouper (ShareStrata) in both stepping modes; a
+// standalone stepper over fresh walkers shares no strata.
 func NewBatchStepper(chains []BatchChain, opts BatchOptions) (*BatchStepper, error) {
 	if len(chains) == 0 {
 		return nil, fmt.Errorf("core: batch stepper needs >= 1 chain")
@@ -119,42 +117,7 @@ func NewBatchStepper(chains []BatchChain, opts BatchOptions) (*BatchStepper, err
 		}
 		return cmp.Compare(x, y)
 	}
-	b.shareGroupCaches()
 	return b, nil
-}
-
-// shareGroupCaches merges the stratum caches of GNRW chains with equal
-// groupers: the per-node gid cache (shareGroups) and the per-node
-// resolved stratum profiles (shareProfiles), so the first chain to
-// traverse an edge into a node resolves its neighbor strata once and
-// every other chain aliases the result. Grouper values are compared
-// with ==, which captures every parameter (attribute name, bucket
-// count, width); non-comparable grouper types are left private.
-func (b *BatchStepper) shareGroupCaches() {
-	var tables map[Grouper]map[graph.Node]int
-	var profiles map[Grouper]map[graph.Node]*stratumProfile
-	for _, ch := range b.chains {
-		w, ok := ch.Walker.(*GNRW)
-		if !ok || w.grouper == nil || !reflect.TypeOf(w.grouper).Comparable() {
-			continue
-		}
-		if tables == nil {
-			tables = make(map[Grouper]map[graph.Node]int)
-			profiles = make(map[Grouper]map[graph.Node]*stratumProfile)
-		}
-		t := tables[w.grouper]
-		if t == nil {
-			t = make(map[graph.Node]int)
-			tables[w.grouper] = t
-		}
-		w.shareGroups(t)
-		p := profiles[w.grouper]
-		if p == nil {
-			p = make(map[graph.Node]*stratumProfile)
-			profiles[w.grouper] = p
-		}
-		w.shareProfiles(p)
-	}
 }
 
 // NumChains returns K.

@@ -1,123 +1,183 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"histwalk/internal/access"
 	"histwalk/internal/graph"
 )
 
-// circTable is the arena-backed store of a walker's circulation states:
-// the sets b(u,v) of Algorithm 1, one per directed edge the walk has
-// traversed. Each edge owns one contiguous k_v-element segment of the
-// shared arena holding a permutation of N(v): the prefix [0, rest) is
-// the not-yet-chosen part of the current cycle in neighbor-list order,
-// the suffix [rest, k) the members already chosen (|b(u,v)| = k-rest,
-// most recent first). Packing every edge's state into one slab replaces
-// the historical two-heap-slices-per-edge layout: a pick touches the
-// segment header and one contiguous region instead of pointer-chasing
-// through per-edge slice headers, which is where the CNRW hot path
-// spent most of its time.
+// circTable holds a walker's circulation states: the sets b(u,v) of
+// Algorithm 1, one per directed edge the walk has traversed, each kept
+// as a bitmap over the positions of N(v). An edge owns one segment of
+// ⌈k_v/64⌉ words in a shared slab; bit i is set once the i-th neighbor
+// (in list order) has been chosen in the current circulation, and the
+// bitmap clears when |b(u,v)| reaches k_v. The walk therefore stores
+// b(u,v) itself — O(k_v/64) words per traversed edge, the amortized
+// O(K) space of §3.3 — and never a copy of N(v): positions are sound
+// because a client's neighbor list is element-wise stable across
+// queries (see access.Client).
 //
-// pick draws one uniform index into the rest prefix and removes the
-// element with an order-preserving shift. That is deliberately NOT a
-// swap-with-last Fisher–Yates removal: a swap would keep the
-// distribution but permute which concrete element each draw selects,
-// breaking bit-identity with the historical map-based scan (which took
-// the idx-th unused element in neighbor-list order — exactly what the
-// order-preserving prefix yields). Same draws, same elements, zero
-// allocations at steady state; the arena grows only when a new edge is
-// first traversed (the amortized O(K) space of §3.3).
+// A draw takes rng.Intn(k−|b|) and returns the idx-th position not in
+// b(u,v), in list order, found with one popcount per word. That is the
+// element the historical map-based scan selected (the idx-th unused
+// neighbor in list order), so every trajectory is bit-identical to it.
 type circTable struct {
-	segs  []circSeg
-	arena []graph.Node
+	segs []circSeg
+	bits []uint64
 }
 
-// circSeg is one edge's segment header. rest == 0 means the cycle just
-// completed (b(u,v) = ∅); the next pick refills the prefix from ns.
+// circSeg is one edge's segment header.
 type circSeg struct {
-	off  int32
-	k    int32
-	rest int32
+	off  int32 // first word of the segment's bitmap in bits
+	k    int32 // positions in the circulation
+	used int32 // |b(u,v)|
 }
 
-// alloc reserves a fresh segment primed with ns and returns its index.
-func (t *circTable) alloc(ns []graph.Node) int32 {
+// circWords is the bitmap length of a k-position circulation.
+func circWords(k int) int { return (k + 63) >> 6 }
+
+// alloc reserves a segment over k positions with b(u,v) = ∅ and
+// returns its index.
+func (t *circTable) alloc(k int) int32 {
 	si := int32(len(t.segs))
-	t.segs = append(t.segs, circSeg{
-		off:  int32(len(t.arena)),
-		k:    int32(len(ns)),
-		rest: int32(len(ns)),
-	})
-	t.arena = append(t.arena, ns...)
+	t.segs = append(t.segs, circSeg{off: int32(len(t.bits)), k: int32(k)})
+	t.bits = append(t.bits, make([]uint64, circWords(k))...)
 	return si
 }
 
-// needsFill reports whether segment si must be re-primed with the
-// candidate list before the next draw: the cycle just completed, or
-// the candidate count changed (defensive; cannot happen over a stable
-// client). Callers that derive their candidate list per step (NB-CNRW's
-// N(v)\{prev} filter) use it to build the list only when a fill is
-// actually due instead of every step.
-func (t *circTable) needsFill(si int32, k int) bool {
+// reset restarts segment si's circulation over k positions. A segment
+// whose bitmap no longer fits k moves to fresh words at the end of the
+// slab.
+func (t *circTable) reset(si int32, k int) {
 	s := &t.segs[si]
-	return int(s.k) != k || s.rest == 0
-}
-
-// fill primes segment si with a fresh cycle over ns, re-pointing the
-// segment at a new arena region if the size changed (the historical
-// restart-rather-than-spin behavior).
-func (t *circTable) fill(si int32, ns []graph.Node) {
-	s := &t.segs[si]
-	if int(s.k) != len(ns) {
-		s.off = int32(len(t.arena))
-		s.k = int32(len(ns))
-		t.arena = append(t.arena, ns...)
+	if circWords(k) > circWords(int(s.k)) {
+		s.off = int32(len(t.bits))
+		t.bits = append(t.bits, make([]uint64, circWords(k))...)
 	} else {
-		copy(t.arena[s.off:s.off+s.k], ns)
+		clear(t.words(si))
 	}
-	s.rest = s.k
+	s.k, s.used = int32(k), 0
 }
 
-// draw takes one uniform draw from segment si's rest prefix and removes
-// the element with the order-preserving shift. The segment must be
-// primed (rest > 0).
-func (t *circTable) draw(rng *rand.Rand, si int32) graph.Node {
+// words returns segment si's bitmap.
+func (t *circTable) words(si int32) []uint64 {
 	s := &t.segs[si]
-	seg := t.arena[s.off : s.off+s.k]
-	idx := int32(rng.Intn(int(s.rest)))
-	chosen := seg[idx]
-	copy(seg[idx:s.rest-1], seg[idx+1:s.rest])
-	seg[s.rest-1] = chosen
-	s.rest--
-	return chosen
+	return t.bits[s.off : int(s.off)+circWords(int(s.k))]
 }
 
-// pick draws uniformly at random from ns minus the already-chosen set
-// of segment si, records the draw, and resets when the circulation
-// completes. ns must be non-empty and element-wise stable across the
-// calls of one cycle.
+// nthFree returns the idx-th position of segment si not in b(u,v), in
+// list order. idx must lie in [0, k−|b(u,v)|).
+func (t *circTable) nthFree(si int32, idx int) int {
+	for i, w := range t.words(si) {
+		free := ^w
+		if n := bits.OnesCount64(free); idx >= n {
+			idx -= n
+			continue
+		}
+		return i<<6 + select64(free, idx)
+	}
+	panic("core: circulation index out of range")
+}
+
+// mark adds position pos to segment si's b(u,v) and reports whether
+// that completed the circulation, which resets b(u,v) to ∅.
+func (t *circTable) mark(si int32, pos int) (completed bool) {
+	s := &t.segs[si]
+	ws := t.words(si)
+	ws[pos>>6] |= 1 << (pos & 63)
+	if s.used++; s.used < s.k {
+		return false
+	}
+	clear(ws)
+	s.used = 0
+	return true
+}
+
+// draw chooses a uniform position of segment si not in b(u,v), records
+// it and returns it. The segment must have k > 0. It is nthFree and
+// mark in one pass over the bitmap: the CNRW family's hot path.
+func (t *circTable) draw(rng *rand.Rand, si int32) int {
+	s := &t.segs[si]
+	ws := t.bits[s.off : int(s.off)+circWords(int(s.k))]
+	idx := rng.Intn(int(s.k - s.used))
+	for i, w := range ws {
+		free := ^w
+		if n := bits.OnesCount64(free); idx >= n {
+			idx -= n
+			continue
+		}
+		b := select64(free, idx)
+		if s.used++; s.used < s.k {
+			ws[i] = w | 1<<b
+		} else {
+			clear(ws)
+			s.used = 0
+		}
+		return i<<6 + b
+	}
+	panic("core: circulation index out of range")
+}
+
+// pick draws uniformly at random from ns minus segment si's b(u,v),
+// records the draw, and returns the chosen neighbor. ns must be
+// non-empty; a segment whose size no longer matches ns restarts its
+// circulation (defensive: cannot happen over a stable client).
 func (t *circTable) pick(rng *rand.Rand, si int32, ns []graph.Node) graph.Node {
-	if t.needsFill(si, len(ns)) {
-		t.fill(si, ns)
+	if int(t.segs[si].k) != len(ns) {
+		t.reset(si, len(ns))
 	}
-	return t.draw(rng, si)
+	return ns[t.draw(rng, si)]
 }
 
-// state reports the fill level |b(u,v)| of segment si and whether x is
-// currently in b(u,v).
-func (t *circTable) state(si int32, x graph.Node) (fill int, contains bool) {
+// state reports the fill level |b(u,v)| of segment si and whether
+// position pos is currently in b(u,v).
+func (t *circTable) state(si int32, pos int) (fill int, contains bool) {
 	s := t.segs[si]
-	if s.rest == 0 {
-		return 0, false // cycle boundary: b(u,v) was reset to ∅
+	if pos < 0 || pos >= int(s.k) {
+		return int(s.used), false
 	}
-	for _, w := range t.arena[s.off+s.rest : s.off+s.k] {
-		if w == x {
-			return int(s.k - s.rest), true
+	return int(s.used), t.words(si)[pos>>6]&(1<<(pos&63)) != 0
+}
+
+// select64 returns the position of the (j+1)-th set bit of x, which
+// must have more than j set bits: a popcount descent to the byte, then
+// one table lookup.
+func select64(x uint64, j int) int {
+	pos := 0
+	if n := bits.OnesCount32(uint32(x)); j >= n {
+		j -= n
+		x >>= 32
+		pos = 32
+	}
+	if n := bits.OnesCount16(uint16(x)); j >= n {
+		j -= n
+		x >>= 16
+		pos += 16
+	}
+	if n := bits.OnesCount8(uint8(x)); j >= n {
+		j -= n
+		x >>= 8
+		pos += 8
+	}
+	return pos + int(selectInByte[j&7][uint8(x)])
+}
+
+// selectInByte[j][b] is the position of the (j+1)-th set bit of b.
+var selectInByte = func() (t [8][256]uint8) {
+	for b := range 256 {
+		j := 0
+		for p := range 8 {
+			if b&(1<<p) != 0 {
+				t[j][b] = uint8(p)
+				j++
+			}
 		}
 	}
-	return int(s.k - s.rest), false
-}
+	return t
+}()
 
 // CNRW is the Circulated Neighbors Random Walk (Algorithm 1): a
 // history-aware, higher-order Markov chain. Given the previous
@@ -166,15 +226,17 @@ func (w *CNRW) Steps() int { return w.steps }
 func (w *CNRW) HistorySize() int { return len(w.history) }
 
 // CirculationState reports the fill level |b(u,v)| of the directed edge
-// u→v and whether x is currently in b(u,v). It exists so experiments can
-// verify the per-fill-level escape hazards of Theorem 3; samplers do not
-// need it.
-func (w *CNRW) CirculationState(u, v, x graph.Node) (fill int, contains bool) {
+// u→v and whether x is currently in b(u,v). nv is N(v) as the walk's
+// client lists it: b(u,v) holds positions in that list, and taking the
+// list from the caller keeps the call free of queries. It exists so
+// experiments can verify the per-fill-level escape hazards of Theorem
+// 3; samplers do not need it.
+func (w *CNRW) CirculationState(u, v, x graph.Node, nv []graph.Node) (fill int, contains bool) {
 	si, ok := w.history[packEdge(u, v)]
 	if !ok {
 		return 0, false
 	}
-	return w.circ.state(si, x)
+	return w.circ.state(si, slices.Index(nv, x))
 }
 
 // Step implements Walker.
@@ -201,7 +263,7 @@ func (w *CNRW) advanceOn(ns []graph.Node) (graph.Node, error) {
 		k := packEdge(w.prev, w.cur)
 		si, ok := w.history[k]
 		if !ok {
-			si = w.circ.alloc(ns)
+			si = w.circ.alloc(len(ns))
 			w.history[k] = si
 		}
 		next = w.circ.pick(w.rng, si, ns)
@@ -273,7 +335,7 @@ func (w *CNRWNode) advanceOn(ns []graph.Node) (graph.Node, error) {
 	}
 	si, ok := w.history[w.cur]
 	if !ok {
-		si = w.circ.alloc(ns)
+		si = w.circ.alloc(len(ns))
 		w.history[w.cur] = si
 	}
 	w.cur = w.circ.pick(w.rng, si, ns)
@@ -300,10 +362,26 @@ type NBCNRW struct {
 	prev    graph.Node
 	cur     graph.Node
 	steps   int
-	history map[edgeKey]int32
+	history map[edgeKey]nbEdge
 	circ    circTable
 	nbuf    []graph.Node
-	scratch []graph.Node // candidate set N(v)\{prev}, reused
+}
+
+// nbEdge is NB-CNRW's history of the directed edge u→v: its circTable
+// segment, whose positions index N(v)\{u} in list order, and the
+// position of u in N(v) (-1 if absent), which maps a segment position
+// back to N(v).
+type nbEdge struct {
+	si   int32
+	skip int32
+}
+
+// candidates is |N(v)\{u}| for v's neighbor list ns.
+func (e nbEdge) candidates(ns []graph.Node) int {
+	if e.skip < 0 {
+		return len(ns)
+	}
+	return len(ns) - 1
 }
 
 // NewNBCNRW returns a non-backtracking circulated walk starting at
@@ -314,7 +392,7 @@ func NewNBCNRW(c access.Client, start graph.Node, rng *rand.Rand) *NBCNRW {
 		rng:     rng,
 		prev:    -1,
 		cur:     start,
-		history: make(map[edgeKey]int32),
+		history: make(map[edgeKey]nbEdge),
 	}
 }
 
@@ -339,8 +417,7 @@ func (w *NBCNRW) Step() (graph.Node, error) {
 
 // advanceOn performs the non-backtracking circulated transition over
 // the already-fetched neighbor list (batchable; ns is neither retained
-// nor modified — the candidate set is built in the walker's own
-// scratch).
+// nor modified).
 func (w *NBCNRW) advanceOn(ns []graph.Node) (graph.Node, error) {
 	if len(ns) == 0 {
 		return w.cur, errDeadEnd(w.cur)
@@ -352,27 +429,29 @@ func (w *NBCNRW) advanceOn(ns []graph.Node) (graph.Node, error) {
 	case len(ns) == 1:
 		next = ns[0] // forced backtrack at a degree-1 node
 	default:
-		// The candidate set N(v)\{prev} is only materialized when the
-		// segment actually needs (re)priming — first traversal of the
-		// edge or a cycle boundary — not on every step: draws mid-cycle
-		// consume the primed prefix without reading ns at all.
-		k := packEdge(w.prev, w.cur)
-		si, ok := w.history[k]
-		if !ok || w.circ.needsFill(si, len(ns)-1) {
-			w.scratch = w.scratch[:0]
-			for _, u := range ns {
-				if u != w.prev {
-					w.scratch = append(w.scratch, u)
-				}
-			}
-			if !ok {
-				si = w.circ.alloc(w.scratch)
-				w.history[k] = si
+		// The candidate set N(v)\{prev} is never materialized: the
+		// segment draws a position among its k candidates, and positions
+		// at or past prev's shift up by one.
+		key := packEdge(w.prev, w.cur)
+		e, ok := w.history[key]
+		if !ok || int(w.circ.segs[e.si].k) != e.candidates(ns) {
+			// First traversal, or the list changed size (defensive:
+			// cannot happen over a stable client): locate prev and
+			// restart the circulation.
+			e.skip = int32(slices.Index(ns, w.prev))
+			k := e.candidates(ns)
+			if ok {
+				w.circ.reset(e.si, k)
 			} else {
-				w.circ.fill(si, w.scratch)
+				e.si = w.circ.alloc(k)
 			}
+			w.history[key] = e
 		}
-		next = w.circ.draw(w.rng, si)
+		pos := w.circ.draw(w.rng, e.si)
+		if e.skip >= 0 && pos >= int(e.skip) {
+			pos++
+		}
+		next = ns[pos]
 	}
 	w.prev = w.cur
 	w.cur = next

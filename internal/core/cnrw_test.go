@@ -230,42 +230,109 @@ func TestCNRWHistoryBound(t *testing.T) {
 	}
 }
 
-// TestCirculationPickUniformity: the first pick of a circulation is
-// uniform over all neighbors; subsequent picks are uniform over the
-// remainder.
-func TestCirculationPickUniformity(t *testing.T) {
-	rng := rand.New(rand.NewSource(38))
-	ns := []graph.Node{10, 20, 30, 40}
-	counts := make(map[graph.Node]int)
-	trials := 40000
-	for i := 0; i < trials; i++ {
-		var ct circTable
-		counts[ct.pick(rng, ct.alloc(ns), ns)]++
-	}
-	for _, n := range ns {
-		got := float64(counts[n]) / float64(trials)
-		if got < 0.23 || got > 0.27 {
-			t.Fatalf("first pick P(%d) = %.3f, want 0.25", n, got)
+// TestCirculationExactLaw enumerates every index sequence a fresh
+// circulation of k ≤ 6 positions can draw (draw j takes an index in
+// [0, k−j), so there are k! equally likely sequences) and checks the
+// law exactly, with no sampling error: every position lies among the
+// first m picks with probability m/k, for every m, and every completed
+// circulation is a permutation that resets b(u,v). Uniform picks
+// without replacement are exchangeable, which is why CNRW's estimates
+// are unbiased at every walk length.
+func TestCirculationExactLaw(t *testing.T) {
+	for k := 1; k <= 6; k++ {
+		inFirst := make([][]int, k+1) // inFirst[m][p]: sequences with p among the first m picks
+		for m := range inFirst {
+			inFirst[m] = make([]int, k)
+		}
+		idx := make([]int, k)
+		seqs := 0
+		for {
+			var ct circTable
+			si := ct.alloc(k)
+			seen := make([]bool, k)
+			for j := 0; j < k; j++ {
+				pos := ct.nthFree(si, idx[j])
+				if pos < 0 || pos >= k || seen[pos] {
+					t.Fatalf("k=%d seq %v: pick %d returned position %d twice or out of range", k, idx, j, pos)
+				}
+				if fill, has := ct.state(si, pos); fill != j || has {
+					t.Fatalf("k=%d seq %v: before pick %d state = (%d, %v), want (%d, false)", k, idx, j, fill, has, j)
+				}
+				if completed := ct.mark(si, pos); completed != (j == k-1) {
+					t.Fatalf("k=%d seq %v: pick %d reported completed=%v", k, idx, j, completed)
+				}
+				seen[pos] = true
+				for m := j + 1; m <= k; m++ {
+					inFirst[m][pos]++
+				}
+			}
+			for p := 0; p < k; p++ {
+				if fill, has := ct.state(si, p); fill != 0 || has {
+					t.Fatalf("k=%d seq %v: completed circulation left state (%d, %v) at %d", k, idx, fill, has, p)
+				}
+			}
+			seqs++
+			j := k - 1
+			for ; j >= 0; j-- {
+				if idx[j]++; idx[j] < k-j {
+					break
+				}
+				idx[j] = 0
+			}
+			if j < 0 {
+				break
+			}
+		}
+		fact := 1
+		for i := 2; i <= k; i++ {
+			fact *= i
+		}
+		if seqs != fact {
+			t.Fatalf("k=%d: enumerated %d sequences, want %d", k, seqs, fact)
+		}
+		for m := 1; m <= k; m++ {
+			for p := 0; p < k; p++ {
+				if inFirst[m][p]*k != m*seqs {
+					t.Fatalf("k=%d: P(position %d among the first %d picks) = %d/%d, want %d/%d",
+						k, p, m, inFirst[m][p], seqs, m, k)
+				}
+			}
 		}
 	}
-	// After picking one, remaining three are uniform at 1/3.
-	counts = make(map[graph.Node]int)
-	for i := 0; i < trials; i++ {
+}
+
+// TestCirculationMultiWord checks the bitmap across word boundaries:
+// every draw returns the idx-th free position of a naive scan, and
+// each cycle over k positions is a permutation.
+func TestCirculationMultiWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, k := range []int{63, 64, 65, 127, 128, 129, 200} {
 		var ct circTable
-		si := ct.alloc(ns)
-		first := ct.pick(rng, si, ns)
-		second := ct.pick(rng, si, ns)
-		if second == first {
-			t.Fatal("second pick repeated the first")
-		}
-		counts[second]++
-	}
-	// By symmetry each node is the second pick with probability
-	// 3/4 · 1/3 = 1/4.
-	for _, n := range ns {
-		got := float64(counts[n]) / float64(trials)
-		if got < 0.22 || got > 0.28 {
-			t.Fatalf("second pick P(%d) = %.3f, want 0.25", n, got)
+		ct.alloc(3) // a neighbor segment, so si's words start past 0
+		si := ct.alloc(k)
+		for cyc := 0; cyc < 3; cyc++ {
+			used := make([]bool, k)
+			for j := 0; j < k; j++ {
+				idx := rng.Intn(k - j)
+				want := -1
+				for p, n := 0, idx; p < k; p++ {
+					if !used[p] {
+						if n == 0 {
+							want = p
+							break
+						}
+						n--
+					}
+				}
+				if got := ct.nthFree(si, idx); got != want {
+					t.Fatalf("k=%d cycle %d pick %d: nthFree(%d) = %d, want %d", k, cyc, j, idx, got, want)
+				}
+				ct.mark(si, want)
+				used[want] = true
+			}
+			if fill, _ := ct.state(si, 0); fill != 0 {
+				t.Fatalf("k=%d: cycle did not reset (fill %d)", k, fill)
+			}
 		}
 	}
 }
@@ -281,7 +348,7 @@ func TestCirculationCycleProperty(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		var ct circTable
-		si := ct.alloc(ns)
+		si := ct.alloc(len(ns))
 		nCycles := 1 + int(cycles%5)
 		for cyc := 0; cyc < nCycles; cyc++ {
 			seen := make(map[graph.Node]bool, size)
@@ -295,7 +362,7 @@ func TestCirculationCycleProperty(t *testing.T) {
 			if len(seen) != size {
 				return false
 			}
-			if fill, _ := ct.state(si, ns[0]); fill != 0 {
+			if fill, _ := ct.state(si, 0); fill != 0 {
 				return false // must have reset exactly at the boundary
 			}
 		}
@@ -353,7 +420,7 @@ func TestCirculationStateIntrospection(t *testing.T) {
 	sim := access.NewSimulator(g)
 	w := NewCNRW(sim, 0, rng)
 	// Unknown edge: zero state.
-	if fill, has := w.CirculationState(1, 2, 3); fill != 0 || has {
+	if fill, has := w.CirculationState(1, 2, 3, g.Neighbors(2)); fill != 0 || has {
 		t.Fatalf("fresh edge state = %d,%v", fill, has)
 	}
 	var prev graph.Node = -1
@@ -364,7 +431,7 @@ func TestCirculationStateIntrospection(t *testing.T) {
 			t.Fatal(err)
 		}
 		if prev >= 0 {
-			fill, _ := w.CirculationState(prev, cur, next)
+			fill, _ := w.CirculationState(prev, cur, next, g.Neighbors(cur))
 			if fill < 0 || fill >= g.Degree(cur) {
 				t.Fatalf("fill %d out of range [0,%d)", fill, g.Degree(cur))
 			}

@@ -145,7 +145,7 @@ func (f *Frontier) Step() (graph.Node, error) {
 		k := packEdge(f.prev[idx], v)
 		si, ok := f.history[k]
 		if !ok {
-			si = f.circ.alloc(ns)
+			si = f.circ.alloc(len(ns))
 			f.history[k] = si
 		}
 		next = f.circ.pick(f.rng, si, ns)

@@ -1,149 +1,27 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"histwalk/internal/access"
 	"histwalk/internal/graph"
 )
 
-// gnrwEdgeState is the per-directed-edge history of GNRW: b(u,v), the
-// set of successors already chosen since the last full circulation of
-// N(v), and R(u,v), the set of strata already chosen in the current
-// group round (the paper's S(u,v)). All of it is stored positionally —
-// sound because a client's neighbor list is element-wise stable across
-// queries (see access.Client):
-//
-//   - gids caches the stratum of every neighbor, resolved exactly once
-//     when the edge is first traversed. Grouper assignments are
-//     deterministic, so the historical resolve-per-step pass (a map
-//     lookup per neighbor per step — the dominant cost of the old GNRW
-//     hot path) collapses to one contiguous array read.
-//   - unused holds the positions NOT yet in b(u,v), in ascending order —
-//     a packed complement of the historical used-bitmap. The candidate
-//     scan walks only live positions instead of all of N(v) with a skip
-//     branch per already-used slot, and removal is the same
-//     order-preserving shift the circulation arena uses, so ascending
-//     order (which the bit-identity contract depends on) is invariant.
-//   - remaining counts the not-yet-attempted members per stratum and is
-//     maintained incrementally (decrement on pick, restore from base at
-//     each cycle boundary) instead of recounted every step.
-//   - round is a bitmap over stratum ids; inRound counts its set bits so
-//     the all-candidates fast path is one comparison.
-type gnrwEdgeState struct {
-	gids      []int32 // stratum of the i-th neighbor of v (fixed per edge)
-	unused    []int32 // positions not yet in b(u,v), ascending
-	round     []bool  // round[gid]: stratum chosen in the current group round
-	inRound   int     // number of set bits in round
-	remaining []int32 // per-stratum count of not-yet-attempted members
-	base      []int32 // full per-stratum counts (remaining at a cycle start)
-}
-
-// stratumProfile is a node's fully resolved stratum assignment: the
-// stratum of each of its neighbors in list order (gids) and the
-// per-stratum member counts (base). Both are pure functions of
-// (node, grouper) — never of walk history — and are immutable once
-// published, so the batch stepper shares one profile per node across
-// all same-grouper chains (see GNRW.shareProfiles): the first chain to
-// traverse an edge into the node resolves it, and every later init at
-// that node — another chain, or another in-edge of the same chain —
-// aliases the slices and skips the per-neighbor resolution entirely.
-type stratumProfile struct {
-	gids []int32
-	base []int32
-}
-
-// init resolves the edge's stratum assignments through the walker's
-// group cache and builds the positional state. It is called on first
-// traversal and on the defensive neighbor-list-resize restart. When the
-// walker is wired to a shared profile table, the resolved gids/base are
-// published there (and reused from there), so they must be treated as
-// immutable; the chain-private mutable state (unused, round, remaining)
-// is built per init by initDerived.
-func (st *gnrwEdgeState) init(w *GNRW, ns []graph.Node) error {
-	if p := w.profiles[w.cur]; p != nil && len(p.gids) == len(ns) {
-		st.gids = p.gids
-		st.base = p.base
-		st.initDerived()
-		return nil
-	}
-	// shared: resolved slices get published, so they must be freshly
-	// allocated — reusing st's backing arrays would let a later
-	// defensive re-init scribble over a profile other chains alias.
-	shared := w.profiles != nil
-	if shared || cap(st.gids) < len(ns) {
-		st.gids = make([]int32, len(ns))
-	}
-	st.gids = st.gids[:len(ns)]
-	maxGid := -1
-	for i, n := range ns {
-		gid, err := w.groupOf(w.cur, n)
-		if err != nil {
-			return err
-		}
-		st.gids[i] = int32(gid)
-		if gid > maxGid {
-			maxGid = gid
-		}
-	}
-	m := maxGid + 1
-	if shared || cap(st.base) < m {
-		st.base = make([]int32, m)
-	}
-	st.base = st.base[:m]
-	for g := 0; g < m; g++ {
-		st.base[g] = 0
-	}
-	for _, gid := range st.gids {
-		st.base[gid]++
-	}
-	if shared {
-		w.profiles[w.cur] = &stratumProfile{gids: st.gids, base: st.base}
-	}
-	st.initDerived()
-	return nil
-}
-
-// initDerived (re)builds the chain-private mutable state — unused,
-// round, remaining — from the immutable stratum profile (gids, base),
-// which must already be set.
-func (st *gnrwEdgeState) initDerived() {
-	if cap(st.unused) < len(st.gids) {
-		st.unused = make([]int32, len(st.gids))
-	}
-	st.refillUnused()
-	m := len(st.base)
-	if cap(st.round) < m {
-		st.round = make([]bool, m)
-		st.remaining = make([]int32, m)
-	}
-	st.round = st.round[:m]
-	st.remaining = st.remaining[:m]
-	for g := 0; g < m; g++ {
-		st.round[g] = false
-	}
-	st.inRound = 0
-	copy(st.remaining, st.base)
-}
-
-// refillUnused restores unused to every position of N(v) in ascending
-// order (the full candidate complement at a cycle start).
-func (st *gnrwEdgeState) refillUnused() {
-	st.unused = st.unused[:len(st.gids)]
-	for i := range st.unused {
-		st.unused[i] = int32(i)
-	}
-}
-
-// resetCycle starts a fresh circulation of N(v): b(u,v) and R(u,v)
-// both reset, remaining counts restored to the full per-stratum counts.
-func (st *gnrwEdgeState) resetCycle() {
-	st.refillUnused()
-	for g := range st.round {
-		st.round[g] = false
-	}
-	st.inRound = 0
-	copy(st.remaining, st.base)
+// gnrwEdge is GNRW's history of one traversed edge u→v: b(u,v), the
+// positions of N(v) chosen since the last full circulation, as a
+// circTable segment (the same bitmap CNRW keeps), and R(u,v), the
+// strata already chosen in the current group round (the paper's
+// S(u,v)), as one flag per stratum in GNRW.round. GNRW.remaining
+// holds, per stratum, the members not yet in b(u,v); it is maintained
+// incrementally (decrement on pick, restore from the profile at each
+// circulation's end) instead of recounted every step. The strata of
+// N(v) themselves live in the node's shared, immutable profile.
+type gnrwEdge struct {
+	prof    *stratumProfile
+	si      int32 // b(u,v) in GNRW.circ
+	off     int32 // first stratum slot in GNRW.remaining and GNRW.round
+	inRound int32 // number of set flags in R(u,v)
 }
 
 // GNRW is the GroupBy Neighbors Random Walk (Algorithm 2): a CNRW whose
@@ -167,39 +45,34 @@ func (st *gnrwEdgeState) resetCycle() {
 // exactly the paper's description; with m = k_v singleton strata it
 // degenerates to CNRW, matching §4.1's "one extreme".
 type GNRW struct {
-	client  access.Client
-	grouper Grouper
-	rng     *rand.Rand
-	prev    graph.Node
-	cur     graph.Node
-	steps   int
-	history map[edgeKey]*gnrwEdgeState
-	// groupCache memoizes the stratum of each node; Grouper assignments
-	// are deterministic, so this is sound and keeps grouping O(1)
-	// amortized per step. The batch stepper may replace it with a table
-	// shared across same-grouper chains (see shareGroups): assignments
-	// are pure functions of the node, so sharing changes no trajectory
-	// and no query cost, it only saves duplicate resolutions.
-	groupCache map[graph.Node]int
-	// profiles, when non-nil, is a per-node table of resolved stratum
-	// profiles shared across same-grouper chains by the batch stepper
-	// (see shareProfiles). nil on the sequential path: index reads on a
-	// nil map are defined to miss, so init needs no guard.
-	profiles map[graph.Node]*stratumProfile
-	nbuf     []graph.Node // reused neighbor scratch (hot path, no allocs)
+	client    access.Client
+	grouper   Grouper
+	rng       *rand.Rand
+	prev      graph.Node
+	cur       graph.Node
+	steps     int
+	history   map[edgeKey]int32 // directed edge → index into edges
+	edges     []gnrwEdge
+	circ      circTable
+	remaining []int32 // per-stratum counts of every edge, at gnrwEdge.off
+	round     []bool  // per-stratum round flags of every edge, at gnrwEdge.off
+	// strata resolves and memoizes stratum assignments. ShareStrata may
+	// hand one table to several walkers; otherwise the walker creates a
+	// private one on its first stratified pick.
+	strata *strataTable
+	nbuf   []graph.Node // reused neighbor scratch (hot path, no allocs)
 }
 
 // NewGNRW returns a groupby-neighbors walk starting at start, using the
 // given grouping strategy.
 func NewGNRW(c access.Client, grouper Grouper, start graph.Node, rng *rand.Rand) *GNRW {
 	return &GNRW{
-		client:     c,
-		grouper:    grouper,
-		rng:        rng,
-		prev:       -1,
-		cur:        start,
-		history:    make(map[edgeKey]*gnrwEdgeState),
-		groupCache: make(map[graph.Node]int),
+		client:  c,
+		grouper: grouper,
+		rng:     rng,
+		prev:    -1,
+		cur:     start,
+		history: make(map[edgeKey]int32),
 	}
 }
 
@@ -215,42 +88,6 @@ func (w *GNRW) Steps() int { return w.steps }
 // HistorySize returns the number of directed edges with live history
 // state (the O(K) space bound of §4.2).
 func (w *GNRW) HistorySize() int { return len(w.history) }
-
-// groupOf returns the (cached) stratum of neighbor n of owner.
-func (w *GNRW) groupOf(owner, n graph.Node) (int, error) {
-	if gid, ok := w.groupCache[n]; ok {
-		return gid, nil
-	}
-	gid, err := w.grouper.GroupOf(w.client, owner, n)
-	if err != nil {
-		return 0, err
-	}
-	w.groupCache[n] = gid
-	return gid, nil
-}
-
-// shareGroups replaces the walker's group cache with a table shared
-// across chains. Only the batch stepper calls it, and only for walkers
-// whose groupers agree in name and stratum count; the caller must
-// serialize all access (batched rounds are single-goroutine).
-func (w *GNRW) shareGroups(table map[graph.Node]int) {
-	for n, gid := range w.groupCache {
-		table[n] = gid
-	}
-	w.groupCache = table
-}
-
-// shareProfiles wires the walker to a per-node stratum-profile table
-// shared across chains. Only the batch stepper calls it, alongside
-// shareGroups under the same grouper-equality keying; the caller must
-// serialize all access (batched rounds are single-goroutine). Profiles
-// are pure functions of (node, grouper) and immutable once published,
-// so sharing changes no trajectory and no query cost — it removes the
-// per-neighbor resolution work that every chain (and every further
-// in-edge of the same node) would otherwise repeat identically.
-func (w *GNRW) shareProfiles(table map[graph.Node]*stratumProfile) {
-	w.profiles = table
-}
 
 // Step implements Walker.
 func (w *GNRW) Step() (graph.Node, error) {
@@ -286,102 +123,119 @@ func (w *GNRW) advanceOn(ns []graph.Node) (graph.Node, error) {
 }
 
 // stratifiedPick performs the GNRW transition from the directed edge
-// prev→cur over the neighbor list ns of cur. The scan order, skip
+// prev→cur over the neighbor list ns of cur. The candidate order, skip
 // predicates and single rng.Intn draw replicate the historical
 // map-based implementation exactly, so trajectories are bit-identical;
-// only the bookkeeping changed (stratum ids cached per edge, remaining
-// counts maintained incrementally instead of recounted per step).
+// only the bookkeeping changed (strata read from the node's profile,
+// b(u,v) a position bitmap, remaining counts maintained incrementally
+// instead of recounted per step).
 func (w *GNRW) stratifiedPick(ns []graph.Node) (graph.Node, error) {
 	key := packEdge(w.prev, w.cur)
-	st := w.history[key]
-	if st == nil {
-		st = &gnrwEdgeState{}
-		if err := st.init(w, ns); err != nil {
+	ei, ok := w.history[key]
+	if !ok || len(w.edges[ei].prof.gids) != len(ns) {
+		// First traversal, or the list changed size under us (defensive:
+		// cannot happen over a static network): (re)start the edge.
+		if w.strata == nil {
+			w.strata = newStrataTable(w.grouper)
+		}
+		p, err := w.strata.profile(w.client, w.cur, ns)
+		if err != nil {
 			return -1, err
 		}
-		w.history[key] = st
-	} else if len(st.gids) != len(ns) {
-		// Defensive: the neighbor list changed size under us (cannot
-		// happen over a static graph); restart this edge's history.
-		if err := st.init(w, ns); err != nil {
-			return -1, err
+		if !ok {
+			ei = int32(len(w.edges))
+			w.edges = append(w.edges, gnrwEdge{si: w.circ.alloc(len(ns)), off: int32(len(w.remaining))})
+			w.remaining = append(w.remaining, p.base...)
+			w.round = append(w.round, make([]bool, len(p.base))...)
+			w.history[key] = ei
+		} else {
+			e := &w.edges[ei]
+			if len(p.base) > len(e.prof.base) {
+				e.off = int32(len(w.remaining))
+				w.remaining = append(w.remaining, p.base...)
+				w.round = append(w.round, make([]bool, len(p.base))...)
+			}
+			w.circ.reset(e.si, len(ns))
 		}
+		e := &w.edges[ei]
+		e.prof = p
+		w.resetRound(e)
 	}
+	e := &w.edges[ei]
+	m := int32(len(e.prof.base))
+	remaining := w.remaining[e.off : e.off+m]
+	round := w.round[e.off : e.off+m]
 
 	// Candidate strata: active (non-exhausted) strata not yet chosen in
-	// the current round; reset the round when none remain.
+	// the current round; reset the round when none remain. b(u,v) resets
+	// the moment a circulation completes, so some member always remains.
 	totalCand := int32(0)
-	for g, cnt := range st.remaining {
-		if !st.round[g] {
+	for g, cnt := range remaining {
+		if !round[g] {
 			totalCand += cnt
 		}
 	}
 	if totalCand == 0 {
-		for g := range st.round {
-			st.round[g] = false
-		}
-		st.inRound = 0
-		for _, cnt := range st.remaining {
+		clear(round)
+		e.inRound = 0
+		for _, cnt := range remaining {
 			totalCand += cnt
 		}
-	}
-	if totalCand == 0 {
-		// Every neighbor is marked used without the circulation having
-		// reset (cannot happen via stratifiedPick, which resets at the
-		// exact boundary): restart the circulation instead of panicking
-		// in rng.Intn(0).
-		st.resetCycle()
-		totalCand = int32(len(ns))
 	}
 
 	// Choose a stratum with probability proportional to its remaining
 	// member count, then a uniform remaining member within it. Drawing a
 	// single index in [0,totalCand) and scanning candidate positions in
 	// neighbor-list order implements both choices at once: the stratum's
-	// slot mass equals its remaining count. The scan walks the packed
-	// unused list — the same positions the historical full scan visited
-	// after its used-bitmap skips, in the same ascending order — so the
+	// slot mass equals its remaining count. The scan visits the clear
+	// bits of b(u,v) in ascending position order — the positions the
+	// historical full scan visited after its used-set skips — so the
 	// draw→position mapping is unchanged. With an empty round every
-	// unused position is a candidate and the drawn index indexes the
-	// list directly: O(1), and the common case right after every round
+	// clear position is a candidate, and the drawn index selects one
+	// with a popcount per word: the common case right after every round
 	// reset.
-	idx := int32(w.rng.Intn(int(totalCand)))
-	chosenJ := -1
-	if st.inRound == 0 {
-		chosenJ = int(idx)
+	idx := w.rng.Intn(int(totalCand))
+	pos := -1
+	if e.inRound == 0 {
+		pos = w.circ.nthFree(e.si, idx)
 	} else {
-		for j, pos := range st.unused {
-			if st.round[st.gids[pos]] {
-				continue // stratum already chosen this round
+		gids := e.prof.gids
+	scan:
+		for i, word := range w.circ.words(e.si) {
+			for free := ^word; free != 0; free &= free - 1 {
+				p := i<<6 | bits.TrailingZeros64(free)
+				if round[gids[p]] {
+					continue // stratum already chosen this round
+				}
+				if idx == 0 {
+					pos = p
+					break scan
+				}
+				idx--
 			}
-			if idx == 0 {
-				chosenJ = j
-				break
-			}
-			idx--
 		}
 	}
-	if chosenJ < 0 {
-		// All active strata were in the round set (handled above by the
-		// reset), so this cannot happen; guard for safety.
-		return -1, errDeadEnd(w.cur)
-	}
 
-	chosenPos := st.unused[chosenJ]
-	chosen := ns[chosenPos]
-	gid := st.gids[chosenPos]
-	copy(st.unused[chosenJ:], st.unused[chosenJ+1:])
-	st.unused = st.unused[:len(st.unused)-1]
-	st.remaining[gid]--
-	if !st.round[gid] {
-		st.round[gid] = true
-		st.inRound++
+	gid := e.prof.gids[pos]
+	remaining[gid]--
+	if !round[gid] {
+		round[gid] = true
+		e.inRound++
 	}
-	if len(st.unused) == 0 {
-		// Full circulation of N(v): reset b(u,v) and the round.
-		st.resetCycle()
+	if w.circ.mark(e.si, pos) {
+		// Full circulation of N(v): b(u,v) reset, so reset the round.
+		w.resetRound(e)
 	}
-	return chosen, nil
+	return ns[pos], nil
+}
+
+// resetRound starts edge e's strata afresh: every member of N(v)
+// remains and R(u,v) is empty.
+func (w *GNRW) resetRound(e *gnrwEdge) {
+	m := int32(len(e.prof.base))
+	copy(w.remaining[e.off:e.off+m], e.prof.base)
+	clear(w.round[e.off : e.off+m])
+	e.inRound = 0
 }
 
 // GNRWFactory returns a Factory for GNRW with the given grouping

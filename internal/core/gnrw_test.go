@@ -193,10 +193,11 @@ func TestGNRWGroupCacheConsistency(t *testing.T) {
 			continue
 		}
 		for _, n := range g.Neighbors(graph.Node(v)) {
-			cached, ok := w.groupCache[n]
-			if !ok {
+			memo := w.strata.memo(n).Load()
+			if memo == 0 {
 				continue
 			}
+			cached := int(memo - 1)
 			fresh, err := grouper.GroupOf(sim, graph.Node(v), n)
 			if err != nil {
 				t.Fatal(err)

@@ -163,10 +163,10 @@ func FuzzTrajectoryParity(f *testing.F) {
 }
 
 // TestStepAllocationBudget is the allocation gate: at steady state
-// (per-edge history warmed), SRW and CNRW Step must average ≤ 1
-// allocation on the Google Plus stand-in — in practice 0 for SRW and
-// ~0 for CNRW, where the only allocations left are first-traversal
-// history entries.
+// (per-edge history warmed), SRW, CNRW, NB-CNRW and GNRW-degree Step
+// must average ≤ 1 allocation on the Google Plus stand-in — in practice
+// 0 for SRW and ~0 for the history-aware walks, where the only
+// allocations left are first-traversal history entries.
 func TestStepAllocationBudget(t *testing.T) {
 	g := dataset.GooglePlusN(1000, 1)
 	cases := []struct {
@@ -176,6 +176,10 @@ func TestStepAllocationBudget(t *testing.T) {
 	}{
 		{"SRW", func(c access.Client, s graph.Node, r *rand.Rand) Walker { return NewSRW(c, s, r) }, 1000},
 		{"CNRW", func(c access.Client, s graph.Node, r *rand.Rand) Walker { return NewCNRW(c, s, r) }, 1_500_000},
+		{"NB-CNRW", func(c access.Client, s graph.Node, r *rand.Rand) Walker { return NewNBCNRW(c, s, r) }, 1_500_000},
+		{"GNRW-degree", func(c access.Client, s graph.Node, r *rand.Rand) Walker {
+			return NewGNRW(c, DegreeGrouper{M: 5}, s, r)
+		}, 1_500_000},
 	}
 	for _, tc := range cases {
 		sim := access.NewSimulator(g)

@@ -17,14 +17,18 @@
 //
 // # Hot path and allocation discipline
 //
-// Step is the system's innermost loop — the engine's trial runners, the
-// session's chains and histwalkd's concurrent jobs all spend their time
-// here — so every walker keeps its transient state in reused per-walker
-// scratch buffers and fetches neighborhoods through the client's
-// allocation-free NeighborsAppend. Steady-state Step performs zero
-// allocations; the only amortized allocations left are the per-directed-
-// edge history entries of the history-aware walks, paid once per new
-// edge (the O(K) space of §3.3/§4.2), never per step.
+// Step is the system's innermost loop — the figure harness's trials,
+// the session's chains and histwalkd's concurrent jobs all spend their
+// time here — so every walker keeps its transient state in reused
+// per-walker scratch buffers and fetches neighborhoods through the
+// client's allocation-free NeighborsAppend. Steady-state Step performs
+// zero allocations; the only amortized allocations left are the
+// per-directed-edge history entries of the history-aware walks, paid
+// once per new edge, never per step. That history is b(u,v) itself, a
+// bitmap over the positions of N(v) (plus GNRW's per-stratum counts),
+// which keeps it within the amortized O(K) space of §3.3/§4.2. GNRW
+// reads the strata of N(v) from a per-node profile in a stratum table
+// that a session's chains share (ShareStrata).
 //
 // The rewrite is replay-compatible with the historical map-based
 // implementation: for the same seed, every walker consumes the shared

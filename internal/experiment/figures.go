@@ -553,7 +553,7 @@ func BarbellEscape(cfg EscapeConfig) (*EscapeResult, error) {
 		atOpportunity := false
 		fill := 0
 		if p1 == bridgeU && p2 >= 0 && p2 != bridgeW {
-			f, hasW := cnrw.CirculationState(p2, p1, bridgeW)
+			f, hasW := cnrw.CirculationState(p2, p1, bridgeW, g.Neighbors(p1))
 			if !hasW && f < k {
 				atOpportunity = true
 				fill = f

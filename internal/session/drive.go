@@ -112,6 +112,7 @@ func RunChain(ctx context.Context, spec Spec, c int, observe func(Update) error)
 	if err != nil {
 		return ChainResult{}, err
 	}
+	shareStrata(sp, []*chainRun{cr})
 	cr.discard = true
 	err = cr.run(ctx, sp, observe)
 	if !cr.done {

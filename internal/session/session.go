@@ -678,6 +678,7 @@ func newSession(sp *Spec) (*Session, error) {
 		}
 		s.chains = append(s.chains, cr)
 	}
+	shareStrata(sp, s.chains)
 	if sp.Stepping == SteppingBatched {
 		bc := make([]core.BatchChain, len(s.chains))
 		for c, cr := range s.chains {
@@ -696,6 +697,23 @@ func newSession(sp *Spec) (*Session, error) {
 		s.batch = b
 	}
 	return s, nil
+}
+
+// shareStrata hands the session's GNRW chains one stratum table per
+// grouper (core.ShareStrata). Only a Graph or Store source qualifies,
+// the rule ShareRows follows too: every chain then reads one static
+// network. Transport and Client chains keep private tables, so a
+// changing upstream cannot leak one chain's answer into another
+// chain's walk.
+func shareStrata(sp *Spec, chains []*chainRun) {
+	if sp.src == nil {
+		return
+	}
+	ws := make([]core.Walker, len(chains))
+	for c, cr := range chains {
+		ws[c] = cr.walker
+	}
+	core.ShareStrata(ws)
 }
 
 // Next performs one transition on the next active chain. ok is false

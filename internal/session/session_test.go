@@ -11,9 +11,11 @@ import (
 
 	"histwalk/internal/access"
 	"histwalk/internal/core"
+	"histwalk/internal/dataset"
 	"histwalk/internal/engine"
 	"histwalk/internal/estimate"
 	"histwalk/internal/graph"
+	"histwalk/internal/registry"
 )
 
 func testGraph(t testing.TB) *graph.Graph {
@@ -81,7 +83,8 @@ func TestValidate(t *testing.T) {
 // TestRunDeterministicAcrossWorkerCounts mirrors the engine's
 // Workers=1-vs-N test at the session layer: the full Result — every
 // estimate, interval, chain accounting — must be bit-identical for any
-// pool size.
+// pool size. The GNRW cases run concurrent chains over one shared
+// stratum table (under -race, that is the table's concurrency check).
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	g := testGraph(t)
 	spec := baseSpec(g)
@@ -91,18 +94,32 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		{Kind: AggMean, Attr: "score"},
 		{Kind: AggProportion, Attr: "score", Predicate: func(v float64) bool { return v >= 5 }},
 	}
-	var results []*Result
-	for _, workers := range []int{1, 3, 8} {
-		spec.Workers = workers
-		res, err := Run(context.Background(), spec)
+	specs := map[string]Spec{"cnrw": spec}
+	mg := mergeGraph(t)
+	for _, name := range []string{"gnrw-degree", "gnrw-md5", "gnrw-reviews"} {
+		factory, err := registry.WalkerByName(name, registry.WalkerOptions{})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		results = append(results, res)
+		specs[name] = Spec{
+			Graph: mg, Walker: factory, Budget: 120, Chains: 8, Seed: 7,
+			Estimators: []EstimatorSpec{{Kind: AggAvgDegree}, {Kind: AggMean, Attr: dataset.AttrReviews}},
+		}
 	}
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Fatalf("results differ between worker counts:\n%+v\nvs\n%+v", results[0], results[i])
+	for name, spec := range specs {
+		var results []*Result
+		for _, workers := range []int{1, 3, 8} {
+			spec.Workers = workers
+			res, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			results = append(results, res)
+		}
+		for i := 1; i < len(results); i++ {
+			if !reflect.DeepEqual(results[0], results[i]) {
+				t.Fatalf("%s: results differ between worker counts:\n%+v\nvs\n%+v", name, results[0], results[i])
+			}
 		}
 	}
 }
