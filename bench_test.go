@@ -508,96 +508,12 @@ func BenchmarkWalkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedChains measures aggregate multi-chain stepping
-// throughput: K walkers of one algorithm crawling the 16000-node
-// Google Plus stand-in, advanced either sequentially round-robin (the
-// per-chain reference path: each walker's own Step, which copies its
-// neighbor row) or in lockstep rounds on a BatchStepper (sorted CSR
-// gathers, zero-copy rows, same-node fetch sharing). The walkers are
-// built outside any Session, so each GNRW chain keeps a private
-// stratum table in both variants (BenchmarkSessionStepping compares
-// the modes with the table shared). ns/op is the cost of one aggregate
-// step — one chain advancing one transition — so the seq/batched ratio
-// at equal K is the batch engine's speedup; both variants produce
-// bit-identical per-chain trajectories (pinned by
-// TestBatchedBitIdentity).
-// cmd/benchgate reports the aggregate steps/sec and the ratio when
-// these results are on its stdin.
-//
-// The graph is sized so the run stays in the crawl regime — most steps
-// traverse an edge for the first time — which is the deployment shape
-// the paper targets (query budgets far below graph size), and its
-// average degree (~73) is the closest of the stand-in sizes to the
-// real Google Plus dataset's (~82, Table 1). A steady-state-dominated
-// configuration (small graph, huge b.N) mostly measures per-walker
-// history bookkeeping, which batching by design does not change.
-func BenchmarkBatchedChains(b *testing.B) {
-	g := histwalk.GooglePlusN(16000, 1)
-	cases := []struct {
-		name    string
-		factory histwalk.Factory
-	}{
-		{"CNRW", histwalk.CNRWFactory()},
-		{"GNRW-md5", histwalk.GNRWFactory(histwalk.HashGrouper{M: 5})},
-		{"GNRW-degree", histwalk.GNRWFactory(histwalk.DegreeGrouper{M: 5})},
-	}
-	for _, tc := range cases {
-		for _, k := range []int{4, 16, 64} {
-			mkChains := func() []histwalk.BatchChain {
-				chains := make([]histwalk.BatchChain, k)
-				for i := range chains {
-					rng := rand.New(rand.NewSource(int64(1 + i)))
-					sim := histwalk.NewSimulator(g)
-					start := histwalk.Node((i * 31) % g.NumNodes())
-					chains[i] = histwalk.BatchChain{Walker: tc.factory.New(sim, start, rng), Client: sim}
-				}
-				return chains
-			}
-			b.Run(tc.name+"/K="+itoa(k)+"/seq", func(b *testing.B) {
-				chains := mkChains()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := chains[i%k].Walker.Step(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(tc.name+"/K="+itoa(k)+"/batched", func(b *testing.B) {
-				bs, err := histwalk.NewBatchStepper(mkChains(), histwalk.BatchOptions{ShareRows: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				steps := 0
-				for steps < b.N {
-					bs.BeginRound()
-					for steps < b.N {
-						_, _, ok, err := bs.StepNext()
-						if err != nil {
-							b.Fatal(err)
-						}
-						if !ok {
-							break
-						}
-						steps++
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkSessionStepping is BenchmarkBatchedChains one layer up: a
-// K-chain Session (budget 1000 unique queries per chain, Workers 1) on
-// the 20000-node Google Plus stand-in, run to completion with per-chain
-// stepping (percall) or SteppingBatched (batched). Unlike the
-// sequential walkers of BenchmarkBatchedChains, both variants' GNRW
-// chains share the Session's stratum table, so the percall/batched
-// ratio isolates what lockstep rounds themselves buy. ns/op is one Run;
-// ns/step divides it by the chains' total transitions. Both variants
-// must return identical Results.
+// BenchmarkSessionStepping measures multi-chain stepping one layer
+// above BenchmarkWalkStep: one Run of a K-chain Session (budget 1000
+// unique queries per chain, Workers 1) on the 20000-node Google Plus
+// stand-in, so the GNRW chains share the Session's stratum table.
+// ns/op is one Run; ns/step divides it by the chains' total
+// transitions. Every run must return the first run's Result.
 func BenchmarkSessionStepping(b *testing.B) {
 	g := histwalk.GooglePlusN(20000, 1)
 	cases := []struct {
@@ -612,28 +528,22 @@ func BenchmarkSessionStepping(b *testing.B) {
 		for _, k := range []int{4, 16, 64} {
 			spec := histwalk.Spec{Graph: g, Walker: tc.factory, Budget: 1000, Chains: k, Workers: 1, Seed: 1}
 			var want *histwalk.Result
-			for _, mode := range []struct {
-				name     string
-				stepping histwalk.SteppingMode
-			}{{"percall", histwalk.SteppingPerChain}, {"batched", histwalk.SteppingBatched}} {
-				spec.Stepping = mode.stepping
-				b.Run(tc.name+"/K="+itoa(k)+"/"+mode.name, func(b *testing.B) {
-					steps := 0
-					for i := 0; i < b.N; i++ {
-						res, err := histwalk.Run(context.Background(), spec)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if want == nil {
-							want = res
-						} else if !reflect.DeepEqual(res, want) {
-							b.Fatalf("%s Result differs from the first run's", mode.name)
-						}
-						steps += res.TotalSteps
+			b.Run(tc.name+"/K="+itoa(k), func(b *testing.B) {
+				steps := 0
+				for i := 0; i < b.N; i++ {
+					res, err := histwalk.Run(context.Background(), spec)
+					if err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
-				})
-			}
+					if want == nil {
+						want = res
+					} else if !reflect.DeepEqual(res, want) {
+						b.Fatal("Result differs from the first run's")
+					}
+					steps += res.TotalSteps
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+			})
 		}
 	}
 }

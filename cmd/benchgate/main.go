@@ -14,13 +14,11 @@
 // a ratio whose two sides stall on the same simulated latency. A gate
 // whose benchmarks are missing from the input fails, because a contract
 // that did not run has not passed. ns/op is host-dependent and is
-// printed for information only, as is each batched-vs-sequential
-// speedup of BenchmarkBatchedChains.
+// printed for information only.
 //
 // Usage (CI concatenates the output of these bench commands):
 //
 //	go test -run xxx -bench WalkStep -benchmem -benchtime 1000000x . > bench.out
-//	go test -run xxx -bench BatchedChains -benchmem -benchtime 100000x . >> bench.out
 //	go test -run xxx -bench ObsRecord -benchmem -benchtime 2000000x ./internal/obs/ >> bench.out
 //	go test -run xxx -bench ColdStartLoad -benchmem -benchtime 3x ./internal/graphstore/ >> bench.out
 //	go test -run xxx -bench PipelinedCrawl -benchtime 1x . >> bench.out
@@ -140,7 +138,7 @@ func run(in io.Reader, out io.Writer, baselinePath string) (failures int, err er
 	for _, r := range results {
 		nsPerOp[r.name] = r.nsPerOp // repeated runs (-count): last wins
 	}
-	report(out, base, results, nsPerOp)
+	report(out, base, results)
 	for _, g := range base.Gates {
 		msg, ok := check(g, results, nsPerOp)
 		if ok {
@@ -186,18 +184,12 @@ func check(g gate, results []result, nsPerOp map[string]float64) (msg string, ok
 }
 
 // report prints every result's ns/op with the delta to its recorded
-// baseline, plus each BenchmarkBatchedChains .../batched result's
-// aggregate speedup over its .../seq sibling. Nothing here is gated.
-func report(out io.Writer, base *baseline, results []result, nsPerOp map[string]float64) {
+// baseline. Nothing here is gated.
+func report(out io.Writer, base *baseline, results []result) {
 	for _, r := range results {
 		line := fmt.Sprintf("%-46s %14.1f ns/op", r.name, r.nsPerOp)
 		if b := base.Benchmarks[r.name]["ns_per_op"]; b > 0 {
 			line += fmt.Sprintf("   baseline %14.1f ns/op (%+6.1f%%)", b, 100*(r.nsPerOp-b)/b)
-		}
-		if name, ok := strings.CutSuffix(r.name, "/batched"); ok && r.nsPerOp > 0 {
-			if seq, ok := nsPerOp[name+"/seq"]; ok {
-				line += fmt.Sprintf("   %.2fx over seq", seq/r.nsPerOp)
-			}
 		}
 		fmt.Fprintln(out, line)
 	}

@@ -17,8 +17,6 @@ const cleanRun = `
 goos: linux
 BenchmarkWalkStep/SRW-8                       	 1000000	        26.29 ns/op	       0 B/op	       0 allocs/op
 BenchmarkWalkStep/CNRW                        	 1000000	       287.9 ns/op	      18 B/op	       0 allocs/op
-BenchmarkBatchedChains/CNRW/K=16/seq-8        	 1000000	      2400.0 ns/op	      40 B/op	       0 allocs/op
-BenchmarkBatchedChains/CNRW/K=16/batched-8    	 1000000	       960.0 ns/op	      40 B/op	       0 allocs/op
 BenchmarkObsRecord/counter-8                  	 2000000	         6.1 ns/op	       0 B/op	       0 allocs/op
 BenchmarkColdStartLoad/mmap-8                 	       3	    100000 ns/op	     728 B/op	      10 allocs/op
 BenchmarkColdStartLoad/text-8                 	       3	 118750076 ns/op	38707944 B/op	  509175 allocs/op
@@ -96,8 +94,9 @@ func TestCheckedInGates(t *testing.T) {
 }
 
 func TestGatePassesCleanRun(t *testing.T) {
-	// The text cold start and the batched chains allocate far past
-	// every ceiling; no gate's prefix matches them.
+	// The text cold start allocates far past every ceiling; no gate's
+	// prefix matches it. ns/op is reported against the recorded
+	// baseline, ungated.
 	failures, out := gateRun(t, cleanRun)
 	if failures != 0 || strings.Contains(out, "GATE FAILED") {
 		t.Fatalf("failures = %d, want 0\n%s", failures, out)
@@ -107,6 +106,7 @@ func TestGatePassesCleanRun(t *testing.T) {
 		"BenchmarkWalkStep/* b_per_op: worst 18 of 2, max 64",
 		"BenchmarkColdStartLoad/mmap* allocs_per_op: worst 10 of 1, max 32",
 		"= 6.40x, min 5.00x",
+		"baseline           24.3 ns/op (  +8.1%)", // BenchmarkWalkStep/SRW
 	} {
 		if !strings.Contains(out, w) {
 			t.Fatalf("report missing %q:\n%s", w, out)
@@ -170,15 +170,6 @@ func TestSpeedupGateFailsBelowMinimum(t *testing.T) {
 func TestSpeedupGateFailsWhenPairMissing(t *testing.T) {
 	wantFailures(t, withLine(t, "BenchmarkPipelinedCrawl/w=32/chains=1", ""),
 		1, "results missing from this run")
-}
-
-// ns/op is reported against the recorded baseline, and each batched
-// result against its sequential sibling; neither is gated.
-func TestBatchedAggregateReport(t *testing.T) {
-	wantFailures(t, cleanRun, 0,
-		"2.50x over seq",
-		"baseline           24.3 ns/op (  +8.1%)", // BenchmarkWalkStep/SRW
-	)
 }
 
 func TestLoadBaselineRejectsMalformedGates(t *testing.T) {

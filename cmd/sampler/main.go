@@ -10,7 +10,6 @@
 //	sampler -store graph.hwg -algo cnrw -budget 500
 //	sampler -dataset gplus -algo cnrw -budget 500 -chains 8 -workers 4
 //	sampler -dataset gplus -algo cnrw -budget 500 -chains 16 -shared-cache
-//	sampler -dataset gplus -algo gnrw-degree -budget 500 -chains 16 -batched
 //	sampler -dataset gplus -algo cnrw -budget 500 -latency 10ms -window 32
 //	sampler -endpoint http://api.example.com -start 7 -algo cnrw -budget 200 -window 32
 //
@@ -24,10 +23,7 @@
 // estimates and per-chain budgets are bit-identical to the default
 // isolated mode, but nodes a sibling chain already fetched are free,
 // so the report shows the global network cost and the cross-chain hit
-// rate alongside the chain-local accounting. -batched steps all chains
-// in lockstep rounds on the SoA batch stepper: every trajectory, budget
-// and estimate is bit-identical to the default per-chain mode — only
-// the aggregate throughput profile differs.
+// rate alongside the chain-local accounting.
 //
 // -store samples a packed .hwg binary graph store through the mmap
 // backend: the walk starts without a text parse and the adjacency
@@ -83,7 +79,6 @@ func main() {
 	chains := flag.Int("chains", 1, "independent parallel walkers (each with its own budget)")
 	workers := flag.Int("workers", 0, "worker pool size for -chains > 1 (default: one per chain)")
 	sharedCache := flag.Bool("shared-cache", false, "share one crawl cache across chains (identical estimates, lower global network cost)")
-	batched := flag.Bool("batched", false, "step all chains in lockstep rounds on the batch stepper (identical results, higher aggregate throughput)")
 	window := flag.Int("window", 0, "speculative prefetch window: max in-flight speculative fetches (0 = synchronous access)")
 	latency := flag.Duration("latency", 0, "simulated transport round trip per unique fetch (e.g. 10ms; pipelines the local dataset)")
 	endpoint := flag.String("endpoint", "", "live crawl: base URL of a JSON neighbor-list endpoint (overrides -dataset/-edges/-store)")
@@ -169,10 +164,6 @@ func main() {
 	if *sharedCache {
 		cache = histwalk.CacheShared
 	}
-	stepping := histwalk.SteppingPerChain
-	if *batched {
-		stepping = histwalk.SteppingBatched
-	}
 	spec := histwalk.Spec{
 		Walker:     factory,
 		Estimators: []histwalk.EstimatorSpec{{Kind: histwalk.AggMean, Attr: *attr}},
@@ -181,7 +172,6 @@ func main() {
 		BurnIn:     *burnIn,
 		Chains:     *chains,
 		Cache:      cache,
-		Stepping:   stepping,
 		Workers:    *workers,
 		Seed:       *seed,
 		Confidence: 0.95,
@@ -226,11 +216,8 @@ func main() {
 	est := res.Estimates[0]
 	fmt.Printf("algorithm        %s (estimator design: %s)\n", factory.Name, est.Design)
 	budgetLabel := ""
-	if *batched {
-		budgetLabel = ", batched stepping"
-	}
 	if interrupted {
-		budgetLabel += ", interrupted"
+		budgetLabel = ", interrupted"
 	}
 	fmt.Printf("chains           %d × budget %d (workers %s%s)\n", *chains, *budget, workersLabel(*workers), budgetLabel)
 	fmt.Printf("total steps      %d\n", res.TotalSteps)

@@ -307,29 +307,6 @@ var (
 	GNRWFactory = core.GNRWFactory
 )
 
-// Batched multi-chain stepping (the engine behind SteppingBatched).
-type (
-	// BatchStepper advances K walkers in lockstep rounds over one
-	// underlying graph, sorting each round by current node so CSR row
-	// reads gather in ascending offset order and same-node chains share
-	// one fetch. Per-chain trajectories and query costs are
-	// bit-identical to stepping each walker alone — only the
-	// cross-chain interleaving changes.
-	BatchStepper = core.BatchStepper
-	// BatchChain pairs one walker with the client it was built over.
-	BatchChain = core.BatchChain
-	// BatchOptions configures a BatchStepper; set ShareRows when all
-	// chains' clients wrap one underlying graph.
-	BatchOptions = core.BatchOptions
-)
-
-// NewBatchStepper builds a lockstep stepper over the given chains. It
-// fails for walkers that do not support batched stepping (the frontier
-// samplers); all registry walkers do.
-func NewBatchStepper(chains []BatchChain, opts BatchOptions) (*BatchStepper, error) {
-	return core.NewBatchStepper(chains, opts)
-}
-
 // Design identifies a sampler's stationary distribution for estimation.
 type Design = estimate.Design
 

@@ -191,20 +191,6 @@ func (s *Simulator) touch(u graph.Node) error {
 	return nil
 }
 
-// Touch implements Toucher: it registers a neighborhood query against u
-// with accounting identical to Neighbors — one request, unique only on
-// first touch, rate-limited the same way — without returning the
-// response body. The batch stepper uses it to charge a chain for a
-// fetch whose bytes it already holds from a sibling chain parked on the
-// same node, so per-chain QueryCost and TotalRequests stay
-// bit-identical to sequential stepping.
-func (s *Simulator) Touch(u graph.Node) error { return s.touch(u) }
-
-// StableRows implements the StableRows marker: the slices Neighbors
-// returns alias the graph's CSR storage and stay valid and unchanged
-// for the simulator's lifetime.
-func (s *Simulator) StableRows() {}
-
 // Neighbors implements Client.
 func (s *Simulator) Neighbors(u graph.Node) ([]graph.Node, error) {
 	if err := s.touch(u); err != nil {
@@ -301,27 +287,6 @@ func (s *Simulator) Reset() {
 // already in the local cache (so re-querying it is free).
 type CacheAware interface {
 	IsCached(u graph.Node) bool
-}
-
-// Toucher is implemented by clients that can charge a neighborhood
-// query for u without materializing the response. Touch must perform
-// exactly the accounting a Neighbors call for u would — request and
-// unique-query counters, cache membership, rate limiting — so a caller
-// that already holds u's row bytes can substitute Touch for the fetch
-// with no observable accounting difference. Clients that impose
-// per-call admission rules beyond accounting (e.g. Budgeted's budget
-// guard) deliberately do not implement it.
-type Toucher interface {
-	Touch(u graph.Node) error
-}
-
-// StableRower marks clients whose Neighbors slices alias storage that
-// remains valid and element-wise unchanged for the client's lifetime,
-// so callers may hold a returned row across unrelated queries instead
-// of copying it. Wrappers must not forward the marker unless they
-// preserve the property.
-type StableRower interface {
-	StableRows()
 }
 
 // Budgeted wraps a Client and fails queries for *new* nodes once the

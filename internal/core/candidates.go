@@ -12,12 +12,10 @@ import "histwalk/internal/graph"
 //
 // The returned slice aliases walker-owned scratch: callers must treat
 // it as read-only and must not retain it across the next Step call.
-// It is empty before the first Step, and — like the scratch it aliases
-// — it is NOT maintained by the batch stepper's advanceOn path, only
-// by Step; the pipelined session mode steps per chain, so the two
-// never mix. Candidates never consumes RNG and has no effect on the
-// walk: implementations only expose state Step already computed, which
-// is what keeps speculative prefetch outside the determinism boundary.
+// It is empty before the first Step. Candidates never consumes RNG and
+// has no effect on the walk: implementations only expose state Step
+// already computed, which is what keeps speculative prefetch outside
+// the determinism boundary.
 type CandidateAdvertiser interface {
 	Candidates() []graph.Node
 }

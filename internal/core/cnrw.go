@@ -246,13 +246,6 @@ func (w *CNRW) Step() (graph.Node, error) {
 		return w.cur, err
 	}
 	w.nbuf = ns
-	return w.advanceOn(ns)
-}
-
-// advanceOn performs the CNRW transition over the already-fetched
-// neighbor list of the current node. It implements batchable: ns is
-// neither retained nor modified.
-func (w *CNRW) advanceOn(ns []graph.Node) (graph.Node, error) {
 	if len(ns) == 0 {
 		return w.cur, errDeadEnd(w.cur)
 	}
@@ -323,13 +316,6 @@ func (w *CNRWNode) Step() (graph.Node, error) {
 		return w.cur, err
 	}
 	w.nbuf = ns
-	return w.advanceOn(ns)
-}
-
-// advanceOn performs the node-keyed circulated transition over the
-// already-fetched neighbor list (batchable; ns is neither retained nor
-// modified).
-func (w *CNRWNode) advanceOn(ns []graph.Node) (graph.Node, error) {
 	if len(ns) == 0 {
 		return w.cur, errDeadEnd(w.cur)
 	}
@@ -412,13 +398,6 @@ func (w *NBCNRW) Step() (graph.Node, error) {
 		return w.cur, err
 	}
 	w.nbuf = ns
-	return w.advanceOn(ns)
-}
-
-// advanceOn performs the non-backtracking circulated transition over
-// the already-fetched neighbor list (batchable; ns is neither retained
-// nor modified).
-func (w *NBCNRW) advanceOn(ns []graph.Node) (graph.Node, error) {
 	if len(ns) == 0 {
 		return w.cur, errDeadEnd(w.cur)
 	}

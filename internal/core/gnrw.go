@@ -96,18 +96,10 @@ func (w *GNRW) Step() (graph.Node, error) {
 		return w.cur, err
 	}
 	w.nbuf = ns
-	return w.advanceOn(ns)
-}
-
-// advanceOn performs the GNRW transition over the already-fetched
-// neighbor list of the current node (batchable; ns is neither retained
-// nor modified).
-func (w *GNRW) advanceOn(ns []graph.Node) (graph.Node, error) {
 	if len(ns) == 0 {
 		return w.cur, errDeadEnd(w.cur)
 	}
 	var next graph.Node
-	var err error
 	if w.prev < 0 {
 		next = uniformPick(w.rng, ns)
 	} else {

@@ -65,21 +65,6 @@ type Walker interface {
 	Steps() int
 }
 
-// batchable is implemented by walkers whose transition can run over a
-// neighbor list fetched by someone else — the contract the batch
-// stepper (batch.go) builds on. advanceOn performs exactly what Step
-// performs after its own NeighborsAppend: the dead-end check, the
-// selection logic, every RNG draw in the historical order, and the
-// prev/cur/steps bookkeeping. Implementations must neither retain nor
-// modify ns beyond the call (any state to keep is copied into walker-
-// owned scratch), so the caller may pass a zero-copy CSR row or a
-// buffer it reuses across chains. Every production walker implements
-// it; the frontier samplers (whose transition is not a single-node
-// neighbor draw) and Degraded wrappers do not.
-type batchable interface {
-	advanceOn(ns []graph.Node) (graph.Node, error)
-}
-
 // Factory constructs a fresh walker for one experiment trial. Every
 // algorithm in this package provides one, which is what the experiment
 // harness fans out over.
@@ -90,8 +75,9 @@ type Factory struct {
 	// nil; constructors that can fail (e.g. the frontier samplers,
 	// whose bootstrap issues queries) substitute a fallback wrapped in
 	// *Degraded instead. Run sites that label results by Name must
-	// check for *Degraded and refuse or re-label the walk — the engine
-	// trial runner and the session runner refuse.
+	// check for *Degraded and refuse or re-label the walk — the session
+	// runner (and with it RunChain, the figure harness's trial loop)
+	// refuses.
 	New func(c access.Client, start graph.Node, rng *rand.Rand) Walker
 }
 
@@ -157,12 +143,6 @@ func (w *SRW) Step() (graph.Node, error) {
 		return w.cur, err
 	}
 	w.nbuf = ns
-	return w.advanceOn(ns)
-}
-
-// advanceOn performs the SRW transition over the already-fetched
-// neighbor list (batchable; ns is neither retained nor modified).
-func (w *SRW) advanceOn(ns []graph.Node) (graph.Node, error) {
 	if len(ns) == 0 {
 		return w.cur, errDeadEnd(w.cur)
 	}
@@ -216,14 +196,6 @@ func (w *MHRW) Step() (graph.Node, error) {
 		return w.cur, err
 	}
 	w.nbuf = ns
-	return w.advanceOn(ns)
-}
-
-// advanceOn performs the MHRW propose/accept transition over the
-// already-fetched neighbor list (batchable; ns is neither retained nor
-// modified). The proposal's degree still comes from the walker's own
-// client's free summary data.
-func (w *MHRW) advanceOn(ns []graph.Node) (graph.Node, error) {
 	if len(ns) == 0 {
 		return w.cur, errDeadEnd(w.cur)
 	}
@@ -284,13 +256,6 @@ func (w *NBSRW) Step() (graph.Node, error) {
 		return w.cur, err
 	}
 	w.nbuf = ns
-	return w.advanceOn(ns)
-}
-
-// advanceOn performs the non-backtracking transition over the
-// already-fetched neighbor list (batchable; ns is neither retained nor
-// modified).
-func (w *NBSRW) advanceOn(ns []graph.Node) (graph.Node, error) {
 	if len(ns) == 0 {
 		return w.cur, errDeadEnd(w.cur)
 	}

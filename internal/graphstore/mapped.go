@@ -224,8 +224,8 @@ func (m *Mapped) Degree(v graph.Node) int {
 }
 
 // Neighbors returns v's sorted neighbor row, aliasing the mapping.
-// The slice is stable for the store's lifetime (StableRower) and must
-// not be modified.
+// The slice is stable for the store's lifetime and must not be
+// modified.
 func (m *Mapped) Neighbors(v graph.Node) []graph.Node {
 	return m.targets[m.offsets[v]:m.offsets[v+1]]
 }

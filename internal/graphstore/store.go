@@ -23,8 +23,7 @@ import (
 //
 // Neighbors must return the node's sorted neighbor list aliasing
 // storage that stays valid and element-wise unchanged for the Store's
-// lifetime (the access layer's StableRower property), and must not be
-// modified by callers. Stores must be safe for concurrent readers;
+// lifetime, and must not be modified by callers. Stores must be safe for concurrent readers;
 // neither backend mutates after construction.
 type Store interface {
 	// Name returns the human-readable dataset name ("" if unset).

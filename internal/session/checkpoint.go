@@ -34,8 +34,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-
-	"histwalk/internal/core"
 )
 
 // ErrCheckpointMismatch reports that replaying a checkpoint produced a
@@ -226,27 +224,6 @@ func (s *Session) ResumeFrom(ctx context.Context, cp *Checkpoint) error {
 		}
 		if err := cr.verify(s.sp, c); err != nil {
 			return err
-		}
-	}
-	// Batched sessions: the stepper mirrored each walker's start node at
-	// construction, so after replay its SoA state is stale. Rebuild it
-	// over the replayed walkers (NewBatchStepper re-mirrors Current())
-	// and drop replayed-done chains, exactly as the round-boundary
-	// re-gate would have.
-	if s.batch != nil {
-		bc := make([]core.BatchChain, len(s.chains))
-		for c, cr := range s.chains {
-			bc[c] = core.BatchChain{Walker: cr.walker, Client: cr.client}
-		}
-		b, err := core.NewBatchStepper(bc, core.BatchOptions{ShareRows: s.sp.src != nil})
-		if err != nil {
-			return fmt.Errorf("session: rebuilding batch stepper after replay: %w", err)
-		}
-		s.batch = b
-		for i, cr := range s.chains {
-			if cr.done {
-				s.batch.Deactivate(i)
-			}
 		}
 	}
 	return nil

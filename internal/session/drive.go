@@ -57,9 +57,6 @@ func (s *Session) NextContext(ctx context.Context) (u Update, ok bool, err error
 // not run concurrently with Next or with another Drive on the same
 // Session.
 func (s *Session) Drive(ctx context.Context, onUpdate func(Update)) (*Result, error) {
-	if s.batch != nil {
-		return s.driveBatched(ctx, onUpdate)
-	}
 	sp := s.sp
 	var observe func(Update) error
 	if onUpdate != nil {
@@ -97,8 +94,8 @@ func (s *Session) Drive(ctx context.Context, onUpdate func(Update)) (*Result, er
 // Session chain does (in Client mode that is part of the budget
 // spend), but retains no sample: RunChain merges nothing, so its
 // memory stays flat in the walk's length. The returned ChainResult
-// equals Run(spec).Chains[c] except that Samples is 0. Spec.Stepping,
-// Workers and Progress do not apply to a single chain.
+// equals Run(spec).Chains[c] except that Samples is 0. Spec.Workers
+// and Progress do not apply to a single chain.
 func RunChain(ctx context.Context, spec Spec, c int, observe func(Update) error) (ChainResult, error) {
 	sp, err := normalize(spec)
 	if err != nil {
@@ -150,27 +147,4 @@ func (cr *chainRun) run(ctx context.Context, sp *Spec, observe func(Update) erro
 		}
 	}
 	return nil
-}
-
-// driveBatched is Drive for SteppingBatched sessions: one goroutine
-// walks the lockstep rounds to completion, so onUpdate needs no lock
-// and the update interleaving is the deterministic round order
-// (ascending current node within each round) instead of scheduler-
-// dependent. Cancellation semantics match Drive's: the Session keeps
-// all state accumulated so far — including the position inside a
-// partially-completed round — and a later Drive with a live ctx
-// resumes exactly where it stopped.
-func (s *Session) driveBatched(ctx context.Context, onUpdate func(Update)) (*Result, error) {
-	for {
-		u, ok, err := s.NextContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return s.Result()
-		}
-		if onUpdate != nil {
-			onUpdate(u)
-		}
-	}
 }

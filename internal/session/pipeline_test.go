@@ -226,7 +226,6 @@ func TestPipelinedValidation(t *testing.T) {
 		{"client with window", Spec{Client: sim, Walker: core.SRWFactory(), Budget: 10, Window: 4}},
 		{"client with latency", Spec{Client: sim, Walker: core.SRWFactory(), Budget: 10, Latency: time.Millisecond}},
 		{"transport with latency", Spec{Transport: tr, Walker: core.SRWFactory(), Budget: 10, Latency: time.Millisecond}},
-		{"pipelined batched", Spec{Graph: g, Walker: core.SRWFactory(), Budget: 10, Window: 4, Stepping: SteppingBatched}},
 	}
 	for _, tc := range cases {
 		if err := tc.spec.Validate(); err == nil {
@@ -236,6 +235,30 @@ func TestPipelinedValidation(t *testing.T) {
 	ok := Spec{Transport: tr, Start: 3, Walker: core.SRWFactory(), Budget: 10, Chains: 4, Window: 8}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid transport spec rejected: %v", err)
+	}
+
+	// SteppingBatched is an alias of per-chain stepping, so it composes
+	// with pipelining: the spec validates, and its Result equals the
+	// per-chain pipelined Result in every field but Pipeline.
+	perChain := Spec{Graph: g, Walker: core.CNRWFactory(), Budget: 20, Chains: 3, Seed: 5, Window: 4}
+	batched := perChain
+	batched.Stepping = SteppingBatched
+	if err := batched.Validate(); err != nil {
+		t.Fatalf("pipelined batched spec rejected: %v", err)
+	}
+	want, err := Run(context.Background(), perChain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), batched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Pipeline == nil {
+		t.Fatal("pipelined batched run reported no pipeline stats")
+	}
+	if !reflect.DeepEqual(chainLocal(want), chainLocal(got)) {
+		t.Fatalf("pipelined batched Result differs from per-chain:\n%+v\nvs\n%+v", chainLocal(got), chainLocal(want))
 	}
 }
 

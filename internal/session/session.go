@@ -80,30 +80,24 @@ const (
 	// A cache hit never changes what a chain reads, so each chain runs
 	// on its own client exactly as under CacheIsolated — budgets,
 	// trajectories and estimates are bit-identical for any Workers
-	// value, stepping or pipelining — and the Result derives the
-	// fleet's network ledger from the union of the chains' ledgers
+	// value or pipelining — and the Result derives the fleet's
+	// network ledger from the union of the chains' ledgers
 	// (access.UniqueAcross): the strictly smaller global network cost
 	// and the cross-chain hit rate.
 	CacheShared
 )
 
-// SteppingMode selects how a run advances its chains.
+// SteppingMode names a chain-advancement mode. There is one: each
+// chain advances independently — Run and Drive fan whole chains out
+// over the worker pool, and a Session's Next rotates round-robin.
 type SteppingMode int
 
 const (
-	// SteppingPerChain (the default) advances each chain independently:
-	// Run fans whole chains out over the worker pool, a Session rotates
-	// round-robin. It is the replay-compatible reference path.
+	// SteppingPerChain is the default and only stepping mode.
 	SteppingPerChain SteppingMode = iota
-	// SteppingBatched advances all chains in lockstep rounds through
-	// one core.BatchStepper: each round steps every live chain once, in
-	// ascending current-node order, gathering CSR reads and reusing
-	// same-node fetches across chains. Per-chain trajectories, budget
-	// spend and query accounting are bit-identical to SteppingPerChain
-	// — only the interleaving across chains (and therefore the order of
-	// Update callbacks) changes. Batched runs are single-goroutine;
-	// Workers is ignored. Requires a walker that supports batched
-	// stepping (all registry walkers; not the frontier samplers).
+	// SteppingBatched is a deprecated alias of SteppingPerChain, kept
+	// so specs and wire jobs that name it ("stepping": "batched") still
+	// validate, return the per-chain Result and keep their job IDs.
 	SteppingBatched
 )
 
@@ -255,20 +249,19 @@ type Spec struct {
 	// pipeline over the live transport (0 disables speculation; the
 	// shared row cache and single-flight dedup remain). Pipelining
 	// composes with either cache policy and changes no Result field
-	// except Pipeline; it requires per-chain stepping.
+	// except Pipeline.
 	Window int
 	// Latency is the simulated per-fetch transport latency for the
 	// Graph/Store pipelined mode (0 = none). It models a remote API's
 	// round-trip time so latency hiding can be measured; it cannot be
 	// combined with a live Transport, whose latency is real.
 	Latency time.Duration
-	// Stepping selects per-chain (default) or lockstep-batched chain
-	// advancement; see SteppingMode. The Result is bit-identical either
-	// way.
+	// Stepping is ignored: every chain steps on its own (see
+	// SteppingMode). Validate still rejects an unknown value.
 	Stepping SteppingMode
-	// Workers caps how many chains run concurrently in Run (0 = one
-	// worker per chain; ignored under SteppingBatched). The Result is
-	// bit-identical for every value.
+	// Workers caps how many chains run concurrently in Run and Drive
+	// (0 = one worker per chain), whatever the Stepping value. The
+	// Result is bit-identical for every value.
 	Workers int
 	// Seed is the master seed; chain c runs with
 	// TrialSeed(Seed, Stream, c).
@@ -343,9 +336,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Transport != nil && s.Latency != 0 {
 		return errors.New("session: Latency simulates a transport's round trip; a live Transport's latency is its own")
-	}
-	if s.pipelined() && s.Stepping == SteppingBatched {
-		return errors.New("session: pipelined access requires per-chain stepping (the batch stepper has its own fetch sharing)")
 	}
 	if s.Walker.New == nil {
 		return errors.New("session: Walker factory without constructor")
@@ -650,9 +640,6 @@ type Session struct {
 	cursor   int
 	reported bool // final Progress callback already delivered
 	closed   bool // Close counted the unfinished chains
-	// batch drives the chains in lockstep rounds when the spec selects
-	// SteppingBatched; nil on the per-chain path.
-	batch *core.BatchStepper
 }
 
 // NewSession validates the spec and prepares its chains without
@@ -679,32 +666,14 @@ func newSession(sp *Spec) (*Session, error) {
 		s.chains = append(s.chains, cr)
 	}
 	shareStrata(sp, s.chains)
-	if sp.Stepping == SteppingBatched {
-		bc := make([]core.BatchChain, len(s.chains))
-		for c, cr := range s.chains {
-			bc[c] = core.BatchChain{Walker: cr.walker, Client: cr.client}
-		}
-		// Graph mode: every chain's client is a private Simulator over
-		// the one spec graph, so rows are element-wise identical across
-		// chains and same-node fetches may be shared. A live Client's row
-		// stability across chains is not ours to assert (and Client mode
-		// is single-chain anyway).
-		b, err := core.NewBatchStepper(bc, core.BatchOptions{ShareRows: sp.src != nil})
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("session: %w", err)
-		}
-		s.batch = b
-	}
 	return s, nil
 }
 
 // shareStrata hands the session's GNRW chains one stratum table per
-// grouper (core.ShareStrata). Only a Graph or Store source qualifies,
-// the rule ShareRows follows too: every chain then reads one static
-// network. Transport and Client chains keep private tables, so a
-// changing upstream cannot leak one chain's answer into another
-// chain's walk.
+// grouper (core.ShareStrata). Only a Graph or Store source qualifies:
+// every chain then reads one static network. Transport and Client
+// chains keep private tables, so a changing upstream cannot leak one
+// chain's answer into another chain's walk.
 func shareStrata(sp *Spec, chains []*chainRun) {
 	if sp.src == nil {
 		return
@@ -718,13 +687,7 @@ func shareStrata(sp *Spec, chains []*chainRun) {
 
 // Next performs one transition on the next active chain. ok is false
 // once every chain has finished its budget (the Update is then zero).
-// Under SteppingBatched the "next" chain is the next slot of the
-// current lockstep round instead of the round-robin cursor; each
-// chain's own sequence of Updates is identical either way.
 func (s *Session) Next() (u Update, ok bool, err error) {
-	if s.batch != nil {
-		return s.nextBatched()
-	}
 	n := len(s.chains)
 	for scanned := 0; scanned < n; {
 		cr := s.chains[s.cursor]
@@ -755,49 +718,6 @@ func (s *Session) Next() (u Update, ok bool, err error) {
 		s.sp.Progress(s.snapshot())
 	}
 	return Update{}, false, nil
-}
-
-// nextBatched performs one transition through the batch stepper,
-// opening a fresh lockstep round (gating every chain first) whenever
-// the current one is drained. Because a chain's gate depends only on
-// its own state — which sibling steps never touch — gating at round
-// boundaries is equivalent to the per-chain path's gate-before-step,
-// and each chain's trajectory, budget spend and Updates are
-// bit-identical to per-chain stepping.
-func (s *Session) nextBatched() (Update, bool, error) {
-	for {
-		c, v, ok, err := s.batch.StepNext()
-		if ok {
-			cr := s.chains[c]
-			stepped, ferr := cr.finish(s.sp, v, err)
-			if cr.done {
-				s.batch.Deactivate(c)
-			}
-			if ferr != nil {
-				return Update{}, false, ferr
-			}
-			if !stepped { // clean end (e.g. budget-exhausted client)
-				continue
-			}
-			if s.sp.Progress != nil {
-				s.sp.Progress(s.snapshot())
-			}
-			return cr.update(s.sp), true, nil
-		}
-		// Round drained: re-gate every chain, then open the next round.
-		for c, cr := range s.chains {
-			if !cr.gate(s.sp) {
-				s.batch.Deactivate(c)
-			}
-		}
-		if s.batch.BeginRound() == 0 {
-			if s.sp.Progress != nil && !s.reported {
-				s.reported = true
-				s.sp.Progress(s.snapshot())
-			}
-			return Update{}, false, nil
-		}
-	}
 }
 
 // PipelineStats snapshots the shared access pipeline's network-side
@@ -1073,48 +993,22 @@ func (cr *chainRun) spend(sp *Spec) int {
 	return cr.client.QueryCost() - cr.base
 }
 
-// gate checks the chain's stop conditions before a transition,
-// marking it done when the budget or step cap is spent; it reports
-// whether the chain may step. A gate decision depends only on the
-// chain's own state, so gating all chains at a batched round boundary
-// is equivalent to gating each immediately before its step.
-func (cr *chainRun) gate(sp *Spec) bool {
-	if cr.done {
-		return false
-	}
-	if cr.spend(sp) >= sp.Budget || cr.steps >= sp.MaxSteps {
-		cr.markDone(sp)
-		return false
-	}
-	return true
-}
-
 // advance performs one transition if the chain is still inside its
 // budget and step cap; otherwise it marks the chain done. stepped
 // reports whether a transition actually happened; update then
-// describes it. A budget-exhausted error from the client
-// (access.Budgeted in Client mode) ends the chain cleanly.
+// describes it. After the walker's Step come the error classification,
+// measurement, sample retention and the saturation stops. A
+// budget-exhausted error from the client (access.Budgeted in Client
+// mode) ends the chain cleanly.
 func (cr *chainRun) advance(sp *Spec) (stepped bool, err error) {
-	if !cr.gate(sp) {
+	if cr.done {
+		return false, nil
+	}
+	if cr.spend(sp) >= sp.Budget || cr.steps >= sp.MaxSteps {
+		cr.markDone(sp)
 		return false, nil
 	}
 	v, err := cr.walker.Step()
-	return cr.finish(sp, v, err)
-}
-
-// update reports the chain's last transition. Callers build it from
-// the chain's fields instead of receiving it from finish: returning the
-// struct up through advance made every step copy it between stack
-// frames, which profiled as the step's largest bookkeeping cost.
-func (cr *chainRun) update(sp *Spec) Update {
-	return Update{Chain: cr.idx, Node: cr.node, Step: cr.steps, Spent: cr.spend(sp), Sampled: cr.sampled}
-}
-
-// finish applies the post-transition bookkeeping shared by the
-// per-chain and batched paths: error classification, measurement,
-// sample retention and the saturation stops. v and err are the step's
-// outcome (the walker's Step, or the batch stepper's StepNext).
-func (cr *chainRun) finish(sp *Spec, v graph.Node, err error) (bool, error) {
 	if err != nil {
 		return cr.fail(sp, fmt.Errorf("session: chain %d (%s) step %d: %w", cr.idx, sp.Walker.Name, cr.steps, err))
 	}
@@ -1160,6 +1054,14 @@ func (cr *chainRun) finish(sp *Spec, v graph.Node, err error) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// update reports the chain's last transition. Callers build it from
+// the chain's fields instead of receiving it from advance: returning
+// the struct up through advance made every step copy it between stack
+// frames, which profiled as the step's largest bookkeeping cost.
+func (cr *chainRun) update(sp *Spec) Update {
+	return Update{Chain: cr.idx, Node: cr.node, Step: cr.steps, Spent: cr.spend(sp), Sampled: cr.sampled}
 }
 
 // fail ends the chain on a step or measurement error. A budget-exhausted

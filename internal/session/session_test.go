@@ -80,6 +80,17 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestBatchedValidate: the Stepping field still only takes its named
+// modes (the SteppingBatched alias included); an unknown one is rejected.
+func TestBatchedValidate(t *testing.T) {
+	g := testGraph(t)
+	spec := baseSpec(g)
+	spec.Stepping = SteppingMode(9)
+	if err := spec.Validate(); err == nil {
+		t.Fatal("Validate accepted an unknown stepping mode")
+	}
+}
+
 // TestRunDeterministicAcrossWorkerCounts mirrors the engine's
 // Workers=1-vs-N test at the session layer: the full Result — every
 // estimate, interval, chain accounting — must be bit-identical for any

@@ -67,9 +67,9 @@ type SpecJSON struct {
 	// execution itself (its scaling axis is concurrent jobs, and it
 	// drives chains interleaved so running estimates stay consistent).
 	Cache string `json:"cache,omitempty"`
-	// Stepping selects chain advancement: "per-chain" (default) or
-	// "batched" (lockstep rounds over one batch stepper; bit-identical
-	// results, different throughput profile).
+	// Stepping names the chain-advancement mode: "per-chain" (the
+	// default and only mode) or "batched", a deprecated alias of it
+	// kept so stored specs and their job IDs stay valid.
 	Stepping string `json:"stepping,omitempty"`
 	// Seed is the master seed (also seeds the dataset construction).
 	Seed int64 `json:"seed"`
@@ -234,7 +234,8 @@ func cachePolicyByName(name string) (CachePolicy, error) {
 	}
 }
 
-// steppingByName resolves the wire stepping-mode name.
+// steppingByName resolves the wire stepping-mode name. "batched"
+// resolves to the SteppingBatched alias, which steps per chain.
 func steppingByName(name string) (SteppingMode, error) {
 	switch strings.ToLower(name) {
 	case "", "per-chain", "perchain":

@@ -183,3 +183,55 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip changed the result:\n%+v\nvs\n%+v", *res, back)
 	}
 }
+
+// TestWireStepping: the wire form round-trips the stepping mode and
+// rejects unknown names.
+func TestWireStepping(t *testing.T) {
+	base := SpecJSON{Dataset: "gplus", Walker: "cnrw", Budget: 40, Seed: 3}
+	for name, want := range map[string]SteppingMode{
+		"": SteppingPerChain, "per-chain": SteppingPerChain, "batched": SteppingBatched,
+	} {
+		w := base
+		w.Stepping = name
+		sp, err := w.Spec()
+		if err != nil {
+			t.Fatalf("stepping %q: %v", name, err)
+		}
+		if sp.Stepping != want {
+			t.Fatalf("stepping %q resolved to %d, want %d", name, sp.Stepping, want)
+		}
+	}
+	w := base
+	w.Stepping = "vectorized"
+	if _, err := w.Spec(); err == nil {
+		t.Fatal("wire spec accepted an unknown stepping mode")
+	}
+}
+
+// TestWireBatchedRunIdentity: the same SpecJSON resolved with and
+// without "batched" produces bit-identical Results — the wire-level
+// statement of the interleaving-only contract the service relies on.
+func TestWireBatchedRunIdentity(t *testing.T) {
+	base := SpecJSON{Dataset: "gplus", Walker: "gnrw-degree", Budget: 80, Chains: 4, Seed: 11, Cache: "shared"}
+	seq, err := base.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := base
+	bw.Stepping = "batched"
+	bat, err := bw.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(context.Background(), seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), bat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("wire-resolved batched Result differs from per-chain")
+	}
+}

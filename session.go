@@ -29,8 +29,8 @@ type (
 	// CachePolicy selects how a Spec's chains' query caches relate:
 	// isolated per-chain caches or one shared cross-chain crawl cache.
 	CachePolicy = session.CachePolicy
-	// SteppingMode selects per-chain or lockstep-batched chain
-	// advancement for a Spec; Results are bit-identical either way.
+	// SteppingMode names a Spec's chain-advancement mode; per-chain
+	// stepping is the only one.
 	SteppingMode = session.SteppingMode
 	// Result is the outcome of a sampling run: pooled and per-chain
 	// estimates with confidence intervals, plus exact query-cost
@@ -76,13 +76,11 @@ const (
 
 // Stepping modes for Spec.Stepping.
 const (
-	// SteppingPerChain advances each chain independently (the default,
-	// replay-compatible reference path).
+	// SteppingPerChain advances each chain independently (the default
+	// and only mode).
 	SteppingPerChain = session.SteppingPerChain
-	// SteppingBatched advances all chains in lockstep rounds through a
-	// structure-of-arrays batch stepper: same trajectories and costs.
-	// Per-chain stepping measures faster for CNRW and GNRW
-	// (BenchmarkSessionStepping).
+	// SteppingBatched is a deprecated alias of SteppingPerChain: specs
+	// that name it validate and return the per-chain Result.
 	SteppingBatched = session.SteppingBatched
 )
 
