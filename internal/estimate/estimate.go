@@ -88,20 +88,31 @@ func NewMean(design Design) *Mean {
 // k(X_t) of the sampled node. Degree must be >= 1 (walks cannot stand on
 // isolated nodes); non-positive degrees are rejected.
 func (m *Mean) Add(value float64, degree int) error {
+	w, err := m.weight(degree)
+	if err != nil {
+		return err
+	}
+	m.add(w, value)
+	return nil
+}
+
+// weight returns a sample's design weight: 1/k under
+// DegreeProportional, 1 otherwise.
+func (m *Mean) weight(degree int) (float64, error) {
 	if degree < 1 {
-		return fmt.Errorf("estimate: sample with non-positive degree %d", degree)
+		return 0, fmt.Errorf("estimate: sample with non-positive degree %d", degree)
 	}
-	var w float64
-	switch m.design {
-	case DegreeProportional:
-		w = 1 / float64(degree)
-	default:
-		w = 1
+	if m.design == DegreeProportional {
+		return 1 / float64(degree), nil
 	}
+	return 1, nil
+}
+
+// add records one sample of weight w.
+func (m *Mean) add(w, value float64) {
 	m.sumW += w
 	m.sumWF += w * value
 	m.n++
-	return nil
 }
 
 // N returns the number of samples added.

@@ -45,8 +45,7 @@ func zFor(confidence float64) (float64, error) {
 // approximately independent replicates (the batch-means construction);
 // pick the batch size at least a few mixing times.
 type MeanCI struct {
-	design Design
-	batch  int
+	batch int
 
 	// running batch accumulators
 	curW, curWF float64
@@ -65,21 +64,16 @@ func NewMeanCI(design Design, batch int) (*MeanCI, error) {
 	if batch < 1 {
 		return nil, errors.New("estimate: batch size must be >= 1")
 	}
-	return &MeanCI{design: design, batch: batch, inner: NewMean(design)}, nil
+	return &MeanCI{batch: batch, inner: NewMean(design)}, nil
 }
 
 // Add records one sample (value, degree), as Mean.Add.
 func (m *MeanCI) Add(value float64, degree int) error {
-	if err := m.inner.Add(value, degree); err != nil {
+	w, err := m.inner.weight(degree)
+	if err != nil {
 		return err
 	}
-	var w float64
-	switch m.design {
-	case DegreeProportional:
-		w = 1 / float64(degree)
-	default:
-		w = 1
-	}
+	m.inner.add(w, value)
 	m.curW += w
 	m.curWF += w * value
 	m.curN++
@@ -93,6 +87,11 @@ func (m *MeanCI) Add(value float64, degree int) error {
 
 // N returns the number of samples added.
 func (m *MeanCI) N() int { return m.inner.N() }
+
+// Sums returns the running sums Σw and Σw·f over every sample added.
+// Independent chains of the same design pool their ratio estimate from
+// them: Σ_c Σw·f / Σ_c Σw.
+func (m *MeanCI) Sums() (sumW, sumWF float64) { return m.inner.sumW, m.inner.sumWF }
 
 // Batches returns the number of completed batches.
 func (m *MeanCI) Batches() int { return len(m.batchW) }

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,6 +192,154 @@ func TestCrashResumeParity(t *testing.T) {
 	}
 	if running != 2 {
 		t.Fatalf("want 2 running events (original + resume marker), got %d", running)
+	}
+	// Beyond monotone: every event the resumed job logged, running
+	// estimates included, is the never-killed run's.
+	sameEvents(t, evs, allEvents(t, m1, st.ID))
+}
+
+// allEvents returns every event a job has logged so far.
+func allEvents(t *testing.T, m *Manager, id string) []Event {
+	t.Helper()
+	evs, _, err := m.WaitEvents(context.Background(), id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+// sameEvents requires a restarted job's events to be the never-killed
+// run's (want) plus the "running" event that marks the restart: the
+// same types, states, chain progress, running estimates and Result, in
+// the same order.
+func sameEvents(t *testing.T, got, want []Event) {
+	t.Helper()
+	render := func(evs []Event) []string {
+		out := make([]string, len(evs))
+		for i, ev := range evs {
+			ev.Seq = 0
+			b, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = string(b)
+		}
+		return out
+	}
+	g, w := render(got), render(want)
+	restart := -1
+	for i, ev := range got {
+		if ev.Type == "state" && ev.State == StateRunning && i > 1 {
+			restart = i
+			break
+		}
+	}
+	if restart < 0 {
+		t.Fatal("the restarted job logged no second running event")
+	}
+	g = append(g[:restart:restart], g[restart+1:]...)
+	if len(g) != len(w) {
+		t.Fatalf("restarted job logged %d events besides the restart marker, the uninterrupted run %d", len(g), len(w))
+	}
+	for i := range w {
+		if g[i] != w[i] {
+			t.Fatalf("event %d (restart marker at %d) differs from the uninterrupted run's:\n%s\nvs\n%s", i, restart, g[i], w[i])
+		}
+	}
+}
+
+// TestStoreRecoveredProgressMatchesUninterrupted restarts a running job
+// from a crash image on the two recovery paths that rerun it from
+// scratch: no checkpoint was written yet, or its checkpoint fails
+// verification (a tampered digest). Either way the restarted job must
+// log exactly the never-killed run's events after the restart marker:
+// no milestone the log already holds is emitted again, and every
+// running estimate agrees.
+func TestStoreRecoveredProgressMatchesUninterrupted(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		every  int // CheckpointEvery
+		tamper bool
+	}{
+		{"no checkpoint", 1 << 20, false},
+		{"tampered checkpoint", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{MaxConcurrent: 1, CheckpointEvery: tc.every}
+			m1, _ := openFileManager(t, dir, opts)
+			st, err := m1.Submit(longWire(811))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+				cur, err := m1.Get(st.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cur.Events >= 12 {
+					break
+				}
+				if cur.State.Terminal() || time.Now().After(deadline) {
+					t.Fatalf("job reached %d events in state %s, want a running job with 12", cur.Events, cur.State)
+				}
+			}
+			img := copyDir(t, dir) // the kill -9 moment
+			await(t, m1, st.ID)
+			want := allEvents(t, m1, st.ID)
+			shutdown(t, m1)
+			if tc.tamper {
+				tamperCheckpoint(t, img, st.ID)
+			}
+
+			before := scrapeMetrics(t)
+			m2, rec := openFileManager(t, img, opts)
+			defer shutdown(t, m2)
+			if rec.Resumed+rec.Restarted != 1 {
+				t.Fatalf("recovery = %+v, want one running job", rec)
+			}
+			if fin := await(t, m2, st.ID); fin.State != StateDone {
+				t.Fatalf("restarted job: %s (%s)", fin.State, fin.Error)
+			}
+			if tc.tamper {
+				if n := metricDelta(t, before, scrapeMetrics(t), "histwalk_resume_fallbacks_total"); n != 1 {
+					t.Fatalf("resume fallbacks grew by %v, want 1", n)
+				}
+			}
+			sameEvents(t, allEvents(t, m2, st.ID), want)
+		})
+	}
+}
+
+// tamperCheckpoint appends a checkpoint for job id to the store in dir
+// whose chain 0 digest no longer matches its samples, so resuming from
+// it fails verification.
+func tamperCheckpoint(t *testing.T, dir, id string) {
+	t.Helper()
+	fs, err := OpenFileStore(dir, FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := fs.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp *session.Checkpoint
+	for _, r := range recs {
+		if r.ID == id {
+			cp = r.Checkpoint
+		}
+	}
+	if cp == nil {
+		t.Fatalf("the crash image holds no checkpoint of %s", id)
+	}
+	bad := session.Checkpoint{Chains: append([]session.ChainCheckpoint(nil), cp.Chains...)}
+	bad.Chains[0].Digest = strings.Repeat("0", 16)
+	if err := fs.RecordCheckpoint(id, &bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -577,17 +577,9 @@ func (m *Manager) drive(ctx context.Context, j *job) (res *session.Result, ps *a
 		sess.Close()
 	}()
 	if resume != nil {
-		s2, err := m.replay(ctx, j, sess, resume)
-		if err != nil {
+		if sess, resume, err = m.replay(ctx, j, sess, resume); err != nil {
 			return nil, nil, err
 		}
-		sess = s2
-		// A failed verification cleared j.resume (from-scratch rerun);
-		// re-read so the emission schedule below matches what actually
-		// happened.
-		j.mu.Lock()
-		resume = j.resume
-		j.mu.Unlock()
 	}
 	chains := j.spec.Chains
 	if chains == 0 {
@@ -597,30 +589,27 @@ func (m *Manager) drive(ctx context.Context, j *job) (res *session.Result, ps *a
 	if stride < 1 {
 		stride = 1
 	}
+	// One schedule whatever the recovery path: a chain's next emission
+	// is the first stride above the spend its last logged event reports
+	// (0 for a new job), so a rerun never repeats a milestone the
+	// durable log holds. A checkpoint is taken only after the emissions
+	// it covers are logged, so it can never be ahead of the log; it only
+	// seeds the per-chain counts the events report.
 	next := make([]int, chains)
 	track := make([]ChainProgress, chains)
 	for i := range track {
-		next[i] = stride
 		track[i].Chain = i
+		logged := 0
+		if i < len(prior) {
+			logged = prior[i].Spent
+		}
+		next[i] = stride * (logged/stride + 1)
 	}
 	if resume != nil {
-		// Rebuild the emission schedule as an uninterrupted run would
-		// have it at this point. next[i] is always the smallest stride
-		// multiple strictly above the chain's spend — but events already
-		// emitted before the crash (the store replayed them into
-		// j.chains) may be ahead of the checkpoint; starting from the
-		// larger of the two keeps the durable event stream duplicate-free
-		// and per-chain monotonic across the restart.
 		for i, c := range resume.Chains {
-			if i >= chains {
-				break
+			if i < chains {
+				track[i] = ChainProgress{Chain: i, Steps: c.Steps, Spent: c.Spent, Samples: c.Samples}
 			}
-			track[i] = ChainProgress{Chain: i, Steps: c.Steps, Spent: c.Spent, Samples: c.Samples}
-			spent := c.Spent
-			if i < len(prior) && prior[i].Spent > spent {
-				spent = prior[i].Spent
-			}
-			next[i] = stride * (spent/stride + 1)
 		}
 	}
 	sinceCheckpoint := 0
@@ -665,12 +654,13 @@ func (m *Manager) drive(ctx context.Context, j *job) (res *session.Result, ps *a
 	return res, nil, err
 }
 
-// replay advances a fresh session to the job's recovered checkpoint.
+// replay advances a fresh session to the job's recovered checkpoint
+// and returns the session to drive with the checkpoint it resumed from.
 // A checkpoint that fails verification (corrupt record, incompatible
-// build) downgrades to a from-scratch rerun on a new session — slower,
-// but the Result is bit-identical either way, which is the contract
-// that matters.
-func (m *Manager) replay(ctx context.Context, j *job, sess *session.Session, cp *session.Checkpoint) (*session.Session, error) {
+// build) downgrades to a from-scratch rerun on a new session, returned
+// with a nil checkpoint — slower, but the Result is bit-identical either
+// way, which is the contract that matters.
+func (m *Manager) replay(ctx context.Context, j *job, sess *session.Session, cp *session.Checkpoint) (*session.Session, *session.Checkpoint, error) {
 	t0 := time.Now()
 	err := sess.ResumeFrom(ctx, cp)
 	obsResumeReplays.Inc()
@@ -678,24 +668,19 @@ func (m *Manager) replay(ctx context.Context, j *job, sess *session.Session, cp 
 	if err == nil {
 		obsJobsResumed.Inc()
 		traceJob("job.resumed", j.id, obs.F{"chains": len(cp.Chains)})
-		return sess, nil
+		return sess, cp, nil
 	}
 	if ctx != nil && ctx.Err() != nil {
-		return nil, err
+		return sess, nil, err
 	}
 	obsResumeFallbacks.Inc()
 	traceJob("job.resume_fallback", j.id, obs.F{"err": err.Error()})
 	sess.Close()
 	fresh, ferr := session.NewSession(j.spec)
 	if ferr != nil {
-		return nil, ferr
+		return sess, nil, ferr
 	}
-	// The stale checkpoint must not shape the emission schedule: the
-	// rerun emits from the start, like any first run.
-	j.mu.Lock()
-	j.resume = nil
-	j.mu.Unlock()
-	return fresh, nil
+	return fresh, nil, nil
 }
 
 // checkpoint persists the session's current chain progress; called

@@ -494,7 +494,11 @@ func TestStoreEviction(t *testing.T) {
 func TestQueueFull(t *testing.T) {
 	m := NewManager(Options{MaxConcurrent: 1, QueueDepth: 1})
 	defer shutdown(t, m)
-	installHold(m) // never released: the blocker parks until cancelled
+	// The blocker parks until cancelled. The release runs before the
+	// shutdown: the worker may pick up the queued job before Shutdown
+	// starts draining, and that job must not park until the drain's
+	// deadline.
+	defer installHold(m)()
 	blocker, err := m.Submit(wire(30))
 	if err != nil {
 		t.Fatal(err)

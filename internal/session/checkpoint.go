@@ -3,11 +3,12 @@ package session
 // Chain checkpoints and crash-resume. A Checkpoint is a compact,
 // JSON-serializable snapshot of a Session's per-chain progress: steps
 // taken, budget spent, retained-sample count, RNG stream position,
-// current node and a digest of the retained samples. ResumeFrom
-// rebuilds that state on a fresh Session by deterministic replay —
-// each chain is re-advanced through the exact normal stepping path
-// until it reaches its checkpointed step count — and then verifies
-// every recorded field against the replayed state.
+// current node and the chain's running digest of its retained samples,
+// so taking one costs O(chains). ResumeFrom rebuilds that state on a
+// fresh Session by deterministic replay — each chain is re-advanced
+// through the exact normal stepping path until it reaches its
+// checkpointed step count — and then verifies every recorded field
+// against the replayed state.
 //
 // Replay is the only resume mechanism that can honor the house
 // invariant without exception: a resumed run IS a never-interrupted
@@ -16,9 +17,9 @@ package session
 // the same code that produced it the first time. The checkpoint's
 // role is therefore (a) to mark how far to replay and (b) to detect
 // corruption or drift: if the replayed chain disagrees with the
-// checkpoint on any field — including the fnv64a digest over every
-// retained sample — ResumeFrom fails with ErrCheckpointMismatch
-// rather than silently continuing a different walk.
+// checkpoint on any field — including the digest of every retained
+// sample — ResumeFrom fails with ErrCheckpointMismatch rather than
+// silently continuing a different walk.
 //
 // Replay costs the same CPU as the original prefix (microseconds per
 // step in Graph/Store mode), but no wall-clock latency in pipelined
@@ -29,11 +30,8 @@ package session
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 )
 
 // ErrCheckpointMismatch reports that replaying a checkpoint produced a
@@ -67,10 +65,13 @@ type ChainCheckpoint struct {
 	Draws uint64 `json:"rng_draws"`
 	// Node is the walker's current node.
 	Node int64 `json:"node"`
-	// Digest is the fnv64a hash over the chain's retained samples
-	// (degrees and every estimator's raw values, in order), rendered
-	// as 16 hex digits — a string so consumers without exact 64-bit
-	// integers round-trip it losslessly.
+	// Digest hashes the chain's retained samples: starting from the
+	// FNV-64 offset basis, each sample's degree and then each
+	// estimator's raw value, in retention order, is folded in as one
+	// 64-bit word by an xor and a multiply by the FNV-64 prime (see
+	// digestWord). The chain keeps it running, so a checkpoint reads it
+	// in O(1). It is rendered as 16 hex digits — a string so consumers
+	// without exact 64-bit integers round-trip it losslessly.
 	Digest string `json:"digest"`
 	// Done marks a chain that had already reached its stop condition.
 	Done bool `json:"done,omitempty"`
@@ -85,24 +86,16 @@ func (cr *chainRun) draws() uint64 {
 	return *cr.rngDraws
 }
 
-// sampleDigest hashes the chain's retained samples: each degree and
-// each estimator's raw values, in retention order, as little-endian
-// 64-bit words through fnv64a.
-func (cr *chainRun) sampleDigest() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, d := range cr.degrees {
-		binary.LittleEndian.PutUint64(b[:], uint64(d))
-		h.Write(b[:])
-	}
-	for _, series := range cr.values {
-		for _, v := range series {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
-		}
-	}
-	return h.Sum64()
-}
+// digestBasis and digestPrime are the FNV-64 offset basis and prime.
+const (
+	digestBasis uint64 = 14695981039346656037
+	digestPrime uint64 = 1099511628211
+)
+
+// digestWord folds one 64-bit word into a running sample digest. Both
+// the xor and the multiply by the odd prime are bijections, so a
+// change to any single word always changes the digest.
+func digestWord(h, w uint64) uint64 { return (h ^ w) * digestPrime }
 
 // checkpoint snapshots the chain.
 func (cr *chainRun) checkpoint(sp *Spec) ChainCheckpoint {
@@ -110,10 +103,10 @@ func (cr *chainRun) checkpoint(sp *Spec) ChainCheckpoint {
 		Chain:   cr.idx,
 		Steps:   cr.steps,
 		Spent:   cr.spend(sp),
-		Samples: len(cr.degrees),
+		Samples: cr.samples,
 		Draws:   cr.draws(),
 		Node:    int64(cr.walker.Current()),
-		Digest:  fmt.Sprintf("%016x", cr.sampleDigest()),
+		Digest:  fmt.Sprintf("%016x", cr.digest),
 		Done:    cr.done,
 	}
 }
@@ -130,7 +123,7 @@ func (cr *chainRun) verify(sp *Spec, c ChainCheckpoint) error {
 	if got := cr.spend(sp); got != c.Spent {
 		return mismatch("spent", got, c.Spent)
 	}
-	if got := len(cr.degrees); got != c.Samples {
+	if got := cr.samples; got != c.Samples {
 		return mismatch("samples", got, c.Samples)
 	}
 	if got := cr.draws(); got != c.Draws {
@@ -139,7 +132,7 @@ func (cr *chainRun) verify(sp *Spec, c ChainCheckpoint) error {
 	if got := int64(cr.walker.Current()); got != c.Node {
 		return mismatch("node", got, c.Node)
 	}
-	if got := fmt.Sprintf("%016x", cr.sampleDigest()); got != c.Digest {
+	if got := fmt.Sprintf("%016x", cr.digest); got != c.Digest {
 		return mismatch("digest", got, c.Digest)
 	}
 	if cr.done != c.Done {
@@ -167,7 +160,9 @@ func (s *Session) Checkpoint() *Checkpoint {
 // field-by-field against the checkpoint — any disagreement fails with
 // ErrCheckpointMismatch. On success, stepping the session onward
 // produces exactly the transitions an uninterrupted run would have
-// produced, and the final Result is bit-identical to that run's.
+// produced — Next picks up that run's round-robin rotation, so every
+// later Update and mid-run merge matches too — and the final Result is
+// bit-identical to that run's.
 //
 // The session must not have been stepped yet; a ctx cancellation
 // aborts the replay with the ctx cause. On any error the session is
@@ -226,5 +221,27 @@ func (s *Session) ResumeFrom(ctx context.Context, cp *Checkpoint) error {
 			return err
 		}
 	}
+	s.cursor = rotation(s.chains)
 	return nil
+}
+
+// rotation derives Next's round-robin cursor from the chains' steps and
+// done flags. Next moves each active chain once per rotation, in index
+// order, so mid-rotation the active chains it already moved are one
+// step ahead of the others and form a prefix of the active chains. The
+// cursor is the first active chain that is not ahead, or 0 when none
+// is (a rotation boundary).
+func rotation(chains []*chainRun) int {
+	lead := -1
+	for _, cr := range chains {
+		if !cr.done {
+			lead = max(lead, cr.steps)
+		}
+	}
+	for c, cr := range chains {
+		if !cr.done && cr.steps < lead {
+			return c
+		}
+	}
+	return 0
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"histwalk/internal/core"
+	"histwalk/internal/dataset"
 	"histwalk/internal/registry"
 )
 
@@ -299,4 +300,44 @@ func FuzzCheckpointResume(f *testing.F) {
 				seed, spec.Budget, spec.Chains, kill, spec.Walker.Name)
 		}
 	})
+}
+
+// TestResumeFromKeepsRotation checkpoints a session mid-rotation (9, 10
+// and 11 Next calls into a 4-chain run, and 8, a rotation boundary) and
+// resumes it on a fresh session. From then on both sessions must yield
+// the same Updates in the same order, and every mid-run merge must
+// agree, as a service's running estimates require.
+func TestResumeFromKeepsRotation(t *testing.T) {
+	spec := Spec{Graph: dataset.ClusteredGraph(), Walker: core.CNRWFactory(), Budget: 60, Chains: 4, Seed: 3}
+	for _, n := range []int{8, 9, 10, 11} {
+		orig, err := NewSession(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stepN(t, orig, n); got != n {
+			t.Fatalf("n=%d: run ended after %d steps", n, got)
+		}
+		resumed := checkpointAndResume(t, orig, spec)
+		for i := 0; ; i++ {
+			want, wok, werr := orig.Next()
+			got, gok, gerr := resumed.Next()
+			if werr != nil || gerr != nil {
+				t.Fatalf("n=%d, update %d: Next errors %v, %v", n, i, werr, gerr)
+			}
+			if want != got || wok != gok {
+				t.Fatalf("n=%d, update %d after the checkpoint: resumed %+v, uninterrupted %+v", n, i, got, want)
+			}
+			if !wok {
+				break
+			}
+			wres, werr := orig.Result()
+			gres, gerr := resumed.Result()
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("n=%d, update %d: merge errors %v, %v", n, i, gerr, werr)
+			}
+			if werr == nil && resultJSON(t, gres) != resultJSON(t, wres) {
+				t.Fatalf("n=%d, update %d: mid-run Result differs from the uninterrupted session's", n, i)
+			}
+		}
+	}
 }

@@ -8,8 +8,8 @@ package session
 // streaming serialized Updates (Drive), and a run of one chain of a
 // spec on the calling goroutine (RunChain). Drive and RunChain step
 // their chains through one loop, chainRun.run. NextContext and Drive
-// leave the Session's accumulated samples intact on cancellation, so
-// Result can still merge a partial outcome — the mechanism behind
+// leave the Session's chain state intact on cancellation, so Result can
+// still merge a partial outcome — the mechanism behind
 // "Ctrl-C prints the partial estimate" in cmd/sampler and job
 // cancellation in the service.
 //
@@ -52,10 +52,10 @@ func (s *Session) NextContext(ctx context.Context) (u Update, ok bool, err error
 //
 // On cancellation Drive returns the ctx cause after all chains have
 // stopped (no goroutine keeps stepping), and the Session still holds
-// every sample retained up to that point: call Result for the partial
-// outcome, or Drive again with a live ctx to finish the run. Drive must
-// not run concurrently with Next or with another Drive on the same
-// Session.
+// the fold of every sample retained up to that point: call Result for
+// the partial outcome, or Drive again with a live ctx to finish the
+// run. Drive must not run concurrently with Next or with another Drive
+// on the same Session.
 func (s *Session) Drive(ctx context.Context, onUpdate func(Update)) (*Result, error) {
 	sp := s.sp
 	var observe func(Update) error
@@ -90,12 +90,11 @@ func (s *Session) Drive(ctx context.Context, onUpdate func(Update)) (*Result, er
 // steps every chain with. observe, when non-nil, sees each transition
 // in order; an error from it stops the chain and is returned.
 //
-// The chain measures the spec's estimators on every step, as a
-// Session chain does (in Client mode that is part of the budget
-// spend), but retains no sample: RunChain merges nothing, so its
-// memory stays flat in the walk's length. The returned ChainResult
-// equals Run(spec).Chains[c] except that Samples is 0. Spec.Workers
-// and Progress do not apply to a single chain.
+// The chain is exactly a Session chain: it measures the spec's
+// estimators on every step (in Client mode that is part of the budget
+// spend) and folds each retained sample into its running state, and
+// the returned ChainResult equals Run(spec).Chains[c]. Spec.Workers and
+// Progress do not apply to a single chain.
 func RunChain(ctx context.Context, spec Spec, c int, observe func(Update) error) (ChainResult, error) {
 	sp, err := normalize(spec)
 	if err != nil {
@@ -110,7 +109,6 @@ func RunChain(ctx context.Context, spec Spec, c int, observe func(Update) error)
 		return ChainResult{}, err
 	}
 	shareStrata(sp, []*chainRun{cr})
-	cr.discard = true
 	err = cr.run(ctx, sp, observe)
 	if !cr.done {
 		cr.abandon(sp)

@@ -1,11 +1,12 @@
 package session
 
-// Merge identity: the incremental merge — per-chain accumulators that
-// fold only the samples retained since the previous merge — must equal
-// referenceMerge, the from-scratch fold, at every point of a run:
-// before every chain has sampled, mid-run and final, through Result and
-// PartialResult in any interleaving, and after a merge that needed a
-// longer R̂ prefix than the current one (the Welford refold).
+// Merge identity: merges taken incrementally through a run — each one
+// reading only the running state every retained sample was folded into
+// once — must equal referenceMerge, the from-scratch fold of the
+// samples the test logged from the run's Updates, at every point of a
+// run: before every chain has sampled, mid-run and final, through
+// Result and PartialResult in any interleaving, and while R̂ reads a
+// batch-rounded prefix shorter than the shortest chain.
 
 import (
 	"bytes"
@@ -70,7 +71,7 @@ func mergeSpec(t testing.TB, g *graph.Graph, walker string, chains int, cache Ca
 // mergeOp is one step of a merge schedule: advance the session by n
 // updates — through Next, or through a Drive cancelled after n
 // updates, which finishes chain 0 before chain 1 starts — then merge
-// with Result or PartialResult.
+// with Result or PartialResult. Every update is logged.
 type mergeOp struct {
 	n              int
 	drive, partial bool
@@ -81,19 +82,31 @@ type mergeCoverage struct {
 	merges  int // merges compared, successful or not
 	early   int // Result refused while some chain had a sample
 	skipped int // PartialResult that left an unsampled chain out
-	refolds int // merge that needed a shorter R̂ prefix than the last
+	rounded int // R̂ over a prefix shorter than the shortest chain
 }
 
-// advanceBy steps s by up to n updates and reports whether it finished.
-func advanceBy(t testing.TB, s *Session, n int, drive bool) bool {
+// advanceBy steps s by up to n updates, logging each, and reports
+// whether it finished.
+func advanceBy(t testing.TB, s *Session, log *sampleLog, n int, drive bool) bool {
 	t.Helper()
 	if !drive {
-		return stepN(t, s, n) < n || s.Done()
+		for range n {
+			u, ok, err := s.Next()
+			if err != nil {
+				t.Fatalf("Next: %v", err)
+			}
+			if !ok {
+				return true
+			}
+			log.observe(t, u)
+		}
+		return s.Done()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	_, err := s.Drive(ctx, func(Update) {
+	_, err := s.Drive(ctx, func(u Update) {
+		log.observe(t, u)
 		if seen++; seen >= n {
 			cancel()
 		}
@@ -107,39 +120,36 @@ func advanceBy(t testing.TB, s *Session, n int, drive bool) bool {
 }
 
 // checkMerge merges s through Result (or PartialResult) and requires
-// the outcome to equal referenceMerge over the same chains: the same
-// error text, or a DeepEqual Result with identical JSON bytes.
-func checkMerge(t testing.TB, s *Session, partial bool, cov *mergeCoverage) {
+// the outcome to equal referenceMerge over the same chains and the
+// logged samples: the same error text, or a DeepEqual Result with
+// identical JSON bytes.
+func checkMerge(t testing.TB, s *Session, log *sampleLog, partial bool, cov *mergeCoverage) {
 	t.Helper()
-	chains := s.chains
-	if partial {
-		chains = nil
-		for _, cr := range s.chains {
-			if len(cr.degrees) > 0 {
-				chains = append(chains, cr)
+	var sampled []*chainRun
+	shortest := -1
+	for _, cr := range s.chains {
+		if n := len(log.degrees[cr.idx]); n > 0 {
+			sampled = append(sampled, cr)
+			if shortest < 0 || n < shortest {
+				shortest = n
 			}
 		}
 	}
-	cov.merges++
-	sampled := 0
-	for _, cr := range s.chains {
-		if len(cr.degrees) > 0 {
-			sampled++
-		}
+	chains := s.chains
+	if partial {
+		chains = sampled
 	}
-	if sampled > 0 && sampled < len(s.chains) {
+	cov.merges++
+	if len(sampled) > 0 && len(sampled) < len(s.chains) {
 		if partial {
 			cov.skipped++
 		} else {
 			cov.early++
 		}
 	}
-	if minLen := minSamples(chains); len(chains) >= 2 && minLen >= 4 {
-		for _, cr := range chains {
-			if int(cr.accs[0].rhat.N()) > minLen {
-				cov.refolds++
-				break
-			}
+	if len(chains) >= 2 && len(chains) == len(sampled) {
+		if prefix := shortest / s.sp.CIBatch * s.sp.CIBatch; prefix >= max(s.sp.CIBatch, 4) && prefix < shortest {
+			cov.rounded++
 		}
 	}
 
@@ -156,7 +166,7 @@ func checkMerge(t testing.TB, s *Session, partial bool, cov *mergeCoverage) {
 		}
 		return
 	}
-	want, werr := referenceMerge(s.sp, s.chains, chains)
+	want, werr := referenceMerge(s.sp, s.chains, chains, log)
 	if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
 		t.Fatalf("merge error %v, reference error %v", err, werr)
 	}
@@ -164,7 +174,7 @@ func checkMerge(t testing.TB, s *Session, partial bool, cov *mergeCoverage) {
 		return
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("incremental merge differs from reference:\n%+v\nvs\n%+v", got, want)
+		t.Fatalf("merge differs from reference:\n%+v\nvs\n%+v", got, want)
 	}
 	gb, err := json.Marshal(got)
 	if err != nil {
@@ -175,19 +185,8 @@ func checkMerge(t testing.TB, s *Session, partial bool, cov *mergeCoverage) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gb, wb) {
-		t.Fatalf("incremental merge JSON differs from reference:\n%s\nvs\n%s", gb, wb)
+		t.Fatalf("merge JSON differs from reference:\n%s\nvs\n%s", gb, wb)
 	}
-}
-
-// minSamples is the shortest retained series among chains (0 if none).
-func minSamples(chains []*chainRun) int {
-	m := -1
-	for _, cr := range chains {
-		if m < 0 || len(cr.degrees) < m {
-			m = len(cr.degrees)
-		}
-	}
-	return max(m, 0)
 }
 
 // runMergeSchedule merges before the first step, after every op and
@@ -199,23 +198,24 @@ func runMergeSchedule(t testing.TB, spec Spec, ops []mergeOp, cov *mergeCoverage
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkMerge(t, s, false, cov)
-	checkMerge(t, s, true, cov)
+	log := newSampleLog(spec.Graph, s.sp)
+	checkMerge(t, s, log, false, cov)
+	checkMerge(t, s, log, true, cov)
 	for _, op := range ops {
-		if advanceBy(t, s, op.n, op.drive) {
+		if advanceBy(t, s, log, op.n, op.drive) {
 			break
 		}
-		checkMerge(t, s, op.partial, cov)
+		checkMerge(t, s, log, op.partial, cov)
 	}
-	advanceBy(t, s, 1<<30, true)
-	checkMerge(t, s, false, cov)
-	checkMerge(t, s, true, cov)
+	advanceBy(t, s, log, 1<<30, true)
+	checkMerge(t, s, log, false, cov)
+	checkMerge(t, s, log, true, cov)
 }
 
 // TestIncrementalMergeMatchesReference compares every merge of seeded
 // schedules over each registry walker, both cache policies and both
-// stepping modes with the from-scratch reference, and requires the
-// schedules to reach every situation the accumulators handle.
+// stepping values with the from-scratch reference, and requires the
+// schedules to reach every situation the merge handles.
 func TestIncrementalMergeMatchesReference(t *testing.T) {
 	g := mergeGraph(t)
 	var cov mergeCoverage
@@ -234,9 +234,9 @@ func TestIncrementalMergeMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d merges compared: %d early Results, %d partial skips, %d R̂ refolds",
-		cov.merges, cov.early, cov.skipped, cov.refolds)
-	if cov.early == 0 || cov.skipped == 0 || cov.refolds == 0 {
+	t.Logf("%d merges compared: %d early Results, %d partial skips, %d rounded R̂ prefixes",
+		cov.merges, cov.early, cov.skipped, cov.rounded)
+	if cov.early == 0 || cov.skipped == 0 || cov.rounded == 0 {
 		t.Fatalf("schedules missed a merge situation: %+v", cov)
 	}
 }

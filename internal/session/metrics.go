@@ -35,7 +35,7 @@ func (cr *chainRun) markDone(sp *Spec) {
 	if tr := obs.ActiveTracer(); tr != nil {
 		tr.Emit("chain.finish", obs.F{
 			"chain": cr.idx, "steps": cr.steps,
-			"spent": cr.spend(sp), "samples": len(cr.degrees),
+			"spent": cr.spend(sp), "samples": cr.samples,
 		})
 	}
 }

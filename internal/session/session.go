@@ -21,8 +21,11 @@
 // Chains run on the zero-allocation walk hot path (see internal/core):
 // each chain's walker holds its own scratch buffers and reads
 // neighborhoods through access.Client.NeighborsAppend, and the chain's
-// per-step measurement reuses the chainRun scratch, so a steady-state
-// transition allocates only when a retained sample is appended. A Spec
+// per-step measurement reuses the chainRun scratch. A chain is a
+// stream: each retained sample is folded once into the chain's running
+// estimator state and then dropped, so a chain's memory grows only
+// with its completed CIBatch batches, and a steady-state transition
+// allocates only when a batch completes. A Spec
 // with a custom Client must satisfy the NeighborsAppend contract
 // (stable neighbor order, caller-owned buffers) for chains to behave
 // deterministically.
@@ -274,7 +277,10 @@ type Spec struct {
 	// or 0.99 (0 = 0.95).
 	Confidence float64
 	// CIBatch is the batch size of the batch-means interval
-	// construction (0 = 50). Pick at least a few mixing times.
+	// construction (0 = 50). Pick at least a few mixing times. R̂ reads
+	// the chains' prefixes of equal length rounded down to a multiple
+	// of CIBatch, and is absent while that length is below
+	// max(CIBatch, 4).
 	CIBatch int
 
 	// Progress, when non-nil, streams run progress: Run reports chain
@@ -501,8 +507,10 @@ type Estimate struct {
 	HasInterval bool `json:"has_interval"`
 	// PerChain holds each chain's own estimate.
 	PerChain []float64 `json:"per_chain"`
-	// GelmanRubin is R̂ across the chains' retained sample series
-	// (0 when not computable, e.g. a single chain).
+	// GelmanRubin is R̂ across the chains' retained sample series, over
+	// their first L samples each: the shortest chain's count rounded
+	// down to a multiple of Spec.CIBatch (0 when not computable, e.g. a
+	// single chain, or L below max(CIBatch, 4)).
 	GelmanRubin float64 `json:"gelman_rubin,omitempty"`
 	// Samples is the number of retained samples pooled into Point.
 	Samples int `json:"samples"`
@@ -764,7 +772,7 @@ func (s *Session) snapshot() Progress {
 		}
 		p.Steps += cr.steps
 		p.Spent += cr.spend(s.sp)
-		p.Samples += len(cr.degrees)
+		p.Samples += cr.samples
 	}
 	return p
 }
@@ -775,13 +783,11 @@ func (s *Session) snapshot() Progress {
 // Next has returned ok == false, equals Run's Result for the same
 // Spec.
 //
-// Merges are incremental: each chain keeps its per-estimator
-// accumulators across calls, so a mid-run merge costs O(samples
-// retained since the last merge) plus one add pass over all retained
-// samples for the pooled point, and equals a from-scratch merge bit
-// for bit. Because a merge advances those accumulators, Next's rule
-// applies to it: never run Result or PartialResult at the same time
-// as Next, Drive or another merge on the same Session.
+// A merge reads only the chains' running state, which every retained
+// sample was folded into once (see merge), so it costs O(chains ×
+// estimators + completed batches) whatever the run's length. Next's
+// rule applies to it: never run Result or PartialResult at the same
+// time as Next, Drive or another merge on the same Session.
 func (s *Session) Result() (*Result, error) {
 	return merge(s.sp, s.chains, s.chains)
 }
@@ -794,13 +800,12 @@ func (s *Session) Result() (*Result, error) {
 // index), while under CacheShared the global network counters remain
 // the whole run's ledger. It errors only when no chain has a sample;
 // once every chain has sampled it is identical to Result. It merges
-// incrementally like Result, at the same cost, bit-identical to a
-// from-scratch merge of the sampled chains, and under the same rule:
-// never at the same time as Next, Drive or another merge.
+// like Result, at the same cost and under the same rule: never at the
+// same time as Next, Drive or another merge.
 func (s *Session) PartialResult() (*Result, error) {
 	var sampled []*chainRun
 	for _, cr := range s.chains {
-		if len(cr.degrees) > 0 {
+		if cr.samples > 0 {
 			sampled = append(sampled, cr)
 		}
 	}
@@ -845,13 +850,14 @@ type chainRun struct {
 	warm  *access.PipeView
 	cands core.CandidateAdvertiser
 
-	// retained samples; none when discard is set (RunChain's chain is
-	// observed, never merged)
-	discard bool
-	degrees []int
-	values  [][]float64 // [estimator][sample] raw measured values
-
 	scratch []float64 // per-step measure buffer, reused across steps
+
+	// The retained samples, each folded once by retain and never kept:
+	// samples counts them, digest hashes their degrees and raw values
+	// for checkpoints, and accs holds each estimator's running state.
+	samples int
+	digest  uint64
+	accs    []estAcc
 
 	// rngDraws counts every draw the chain's RNG has served (the start
 	// draw included), via the counting source wrapped around it in
@@ -859,10 +865,6 @@ type chainRun struct {
 	// resumed chain must land on the same count, which pins that replay
 	// reproduced the exact draw sequence.
 	rngDraws *uint64
-
-	// accs holds each estimator's merge accumulators over the retained
-	// samples; only merges touch them, never a transition.
-	accs []estAcc
 }
 
 // countingSource wraps a chain's rand.Source64, counting draws so a
@@ -909,9 +911,9 @@ func newChain(sp *Spec, c int) (*chainRun, error) {
 	cr := &chainRun{
 		idx:      c,
 		seed:     seed,
-		values:   make([][]float64, len(sp.Estimators)),
 		accs:     make([]estAcc, len(sp.Estimators)),
 		scratch:  make([]float64, len(sp.Estimators)),
+		digest:   digestBasis,
 		rngDraws: draws,
 	}
 	for e := range cr.accs {
@@ -997,7 +999,7 @@ func (cr *chainRun) spend(sp *Spec) int {
 // budget and step cap; otherwise it marks the chain done. stepped
 // reports whether a transition actually happened; update then
 // describes it. After the walker's Step come the error classification,
-// measurement, sample retention and the saturation stops. A
+// measurement, the retained sample's fold and the saturation stops. A
 // budget-exhausted error from the client (access.Budgeted in Client
 // mode) ends the chain cleanly.
 func (cr *chainRun) advance(sp *Spec) (stepped bool, err error) {
@@ -1020,10 +1022,9 @@ func (cr *chainRun) advance(sp *Spec) (stepped bool, err error) {
 	cr.steps++
 	sampled := s >= sp.BurnIn && (sp.Thin == 1 || (s-sp.BurnIn)%sp.Thin == 0)
 	cr.node, cr.sampled = v, sampled
-	if sampled && !cr.discard {
-		cr.degrees = append(cr.degrees, deg)
-		for e := range vals {
-			cr.values[e] = append(cr.values[e], vals[e])
+	if sampled {
+		if err := cr.retain(sp, deg, vals); err != nil {
+			return cr.fail(sp, fmt.Errorf("session: chain %d: %w", cr.idx, err))
 		}
 	}
 	// Unique queries can never exceed the node count: once the whole
@@ -1113,102 +1114,97 @@ func (cr *chainRun) measure(sp *Spec, v graph.Node) (int, []float64, error) {
 	return deg, vals, nil
 }
 
-// merge pools the retained samples of chains — every chain of the run,
-// or the sampled subset PartialResult reports — into the Result; run
-// holds every chain of the run, which a shared-cache ledger always
-// spans. The merge is sequential and ordered by chain index, so it is
-// deterministic regardless of how the chains were scheduled.
-//
-// Each chain's per-estimator accumulators (estAcc) persist across
-// merges and fold only the samples retained since the last one, so a
-// mid-run merge costs O(new samples) plus the pooled point's refold.
-// That refold adds every retained sample again, chain by chain in
-// retention order, because floating-point addition is not
-// associative: pooling per-chain partial sums instead would round
-// differently from a from-scratch merge.
+// retain folds one retained sample — its degree and every estimator's
+// raw value — into the chain's running state: each estimator's MeanCI
+// and Welford moments over the transformed value, a snapshot of those
+// moments whenever the MeanCI completes a batch, the sample count and
+// the checkpoint digest. Nothing else of the sample is kept.
+func (cr *chainRun) retain(sp *Spec, deg int, vals []float64) error {
+	h := digestWord(cr.digest, uint64(deg))
+	for e := range cr.accs {
+		es, a := sp.Estimators[e], &cr.accs[e]
+		x := es.transform(vals[e])
+		if err := a.ci.Add(x, deg); err != nil {
+			return fmt.Errorf("%s: %w", es.label(), err)
+		}
+		a.moments.Add(x)
+		if a.ci.Batches() > len(a.snaps) {
+			a.snaps = append(a.snaps, a.moments)
+		}
+		h = digestWord(h, math.Float64bits(vals[e]))
+	}
+	cr.samples++
+	cr.digest = h
+	return nil
+}
+
+// estAcc is one estimator's running state for one chain, over the
+// transformed values of its retained samples: ci is their batch-means
+// estimator, moments their Welford moments, and snaps[k] the moments
+// of the first (k+1)·CIBatch of them, taken as ci completed batch k.
+type estAcc struct {
+	ci      *estimate.MeanCI
+	moments stats.Welford
+	snaps   []stats.Welford
+}
+
+// merge pools chains — every chain of the run, or the sampled subset
+// PartialResult reports — into the Result; run holds every chain of the
+// run, which a shared-cache ledger always spans. It reads only each
+// chain's running state, in chain order, so it is deterministic
+// whatever the chains' scheduling:
+//   - the pooled point is Σ_c ΣWF_c / Σ_c ΣW_c over the chains' MeanCI
+//     sums (a one-chain point is that chain's own estimate);
+//   - the interval pools the chains' completed batches;
+//   - R̂ reads each chain's moments snapshot at L, the shortest chain's
+//     count rounded down to a multiple of CIBatch, and is absent while
+//     L < max(CIBatch, 4).
 func merge(sp *Spec, run, chains []*chainRun) (*Result, error) {
 	res := mergeLedger(sp, run, chains)
 	design := sp.design()
+	shortest := chains[0].samples
+	for _, cr := range chains {
+		shortest = min(shortest, cr.samples)
+	}
+	prefix := shortest / sp.CIBatch * sp.CIBatch
+	rhat := len(chains) >= 2 && prefix >= max(sp.CIBatch, 4)
 	means := make([]float64, len(chains))
 	vars := make([]float64, len(chains))
 	for e, es := range sp.Estimators {
 		out := Estimate{Name: es.label(), Design: design}
-		pooled := estimate.NewMean(design)
+		var sumW, sumWF float64
 		var allW, allWF []float64
-		minLen := -1
-		for _, cr := range chains {
-			vals := cr.values[e]
-			// Every sample goes into the pooled refold; only those
-			// retained since the last merge go into the chain's MeanCI.
-			ci := cr.accs[e].ci
-			folded := ci.N()
-			for i, raw := range vals {
-				val := es.transform(raw)
-				if err := pooled.Add(val, cr.degrees[i]); err != nil {
-					return nil, fmt.Errorf("session: %s: %w", es.label(), err)
-				}
-				if i < folded {
-					continue
-				}
-				if err := ci.Add(val, cr.degrees[i]); err != nil {
-					return nil, fmt.Errorf("session: %s: %w", es.label(), err)
-				}
-			}
-			est, err := ci.Estimate()
+		for i, cr := range chains {
+			a := &cr.accs[e]
+			est, err := a.ci.Estimate()
 			if err != nil {
 				return nil, fmt.Errorf("session: chain %d produced no samples for %s", cr.idx, es.label())
 			}
 			out.PerChain = append(out.PerChain, est)
-			w, wf := ci.Components()
-			allW = append(allW, w...)
-			allWF = append(allWF, wf...)
-			out.Samples += len(vals)
-			if minLen < 0 || len(vals) < minLen {
-				minLen = len(vals)
+			w, wf := a.ci.Sums()
+			sumW += w
+			sumWF += wf
+			bw, bwf := a.ci.Components()
+			allW = append(allW, bw...)
+			allWF = append(allWF, bwf...)
+			out.Samples += cr.samples
+			if rhat {
+				m := a.snaps[prefix/sp.CIBatch-1]
+				means[i], vars[i] = m.Mean(), m.Variance()
 			}
 		}
-		point, err := pooled.Estimate()
-		if err != nil {
-			return nil, fmt.Errorf("session: %s: %w", es.label(), err)
-		}
-		out.Point = point
-		if iv, err := estimate.IntervalFromComponents(point, sp.Confidence, allW, allWF); err == nil {
+		out.Point = sumWF / sumW
+		if iv, err := estimate.IntervalFromComponents(out.Point, sp.Confidence, allW, allWF); err == nil {
 			out.Interval, out.HasInterval = iv, true
 		}
-		// R̂ over equal-length prefixes of the chains' retained series.
-		if len(chains) >= 2 && minLen >= 4 {
-			for i, cr := range chains {
-				means[i], vars[i] = cr.accs[e].moments(es, cr.values[e], minLen)
-			}
-			if r, err := diagnostics.GelmanRubinMoments(minLen, means, vars); err == nil {
+		if rhat {
+			if r, err := diagnostics.GelmanRubinMoments(prefix, means, vars); err == nil {
 				out.GelmanRubin = r
 			}
 		}
 		res.Estimates = append(res.Estimates, out)
 	}
 	return res, nil
-}
-
-// estAcc is one estimator's merge state for one chain, over the
-// transformed values of its retained samples: ci is the batch-means
-// estimator of its first ci.N() samples, and rhat the Welford moments
-// of its first rhat.N() samples, the R̂ prefix the last merge needed.
-type estAcc struct {
-	ci   *estimate.MeanCI
-	rhat stats.Welford
-}
-
-// moments returns the mean and variance of the first n transformed
-// values, advancing rhat to that prefix — from zero when an earlier
-// merge needed a longer one.
-func (a *estAcc) moments(es EstimatorSpec, vals []float64, n int) (mean, variance float64) {
-	if int(a.rhat.N()) > n {
-		a.rhat = stats.Welford{}
-	}
-	for i := int(a.rhat.N()); i < n; i++ {
-		a.rhat.Add(es.transform(vals[i]))
-	}
-	return a.rhat.Mean(), a.rhat.Variance()
 }
 
 // result reports the chain's accounting.
@@ -1219,7 +1215,7 @@ func (cr *chainRun) result(sp *Spec) ChainResult {
 		Start:   cr.start,
 		Steps:   cr.steps,
 		Queries: cr.spend(sp),
-		Samples: len(cr.degrees),
+		Samples: cr.samples,
 	}
 	if cr.ledger != nil {
 		c.Requests = cr.ledger.TotalRequests()
