@@ -6,6 +6,7 @@ package histwalk
 
 import (
 	"histwalk/internal/dataset"
+	"histwalk/internal/engine"
 	"histwalk/internal/experiment"
 )
 
@@ -65,7 +66,7 @@ var (
 	// DatasetTable computes Table 1 for a set of graphs.
 	DatasetTable = experiment.DatasetTable
 	// DesignFor maps a walker name to its estimator design.
-	DesignFor = experiment.DesignFor
+	DesignFor = engine.DesignFor
 	// QuickConfig returns the bench-scale reproduction configuration.
 	QuickConfig = experiment.QuickConfig
 	// FullConfig returns the EXPERIMENTS.md reproduction configuration.

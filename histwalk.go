@@ -51,7 +51,7 @@
 //	// est.Point ≈ g.AvgDegree(), est.Interval is its 95% CI
 //
 // For online consumers, NewSession runs the same Spec one transition
-// at a time (Next) with streaming Progress callbacks, and its final
+// at a time (Next returns an Update per transition), and its final
 // Result is identical to Run's. The pre-session manual style —
 // NewSimulator + NewCNRW + estimator + hand-written budget loop — still
 // compiles and works; new code should prefer Spec/Run.

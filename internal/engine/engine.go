@@ -2,8 +2,8 @@
 // session layer and the experiment harness: a deterministic worker pool
 // (Each) that fans independent seeded tasks out over goroutines, the
 // seed mixer that makes each task's RNG a pure function of (master
-// seed, stream, index) — see TrialSeed — and the per-trial vocabulary
-// (CostModel, DesignFor, Measure, RandomStart).
+// seed, stream, index) — see TrialSeed — and the vocabulary session
+// chains are built from (CostModel, DesignFor, Measure, RandomStart).
 //
 // Determinism comes from two rules. First, every task's seed depends on
 // its index, never on scheduling. Second, each task writes only state
@@ -14,7 +14,8 @@
 //
 // A session fans its chains out on the pool, and the experiment
 // figures run each trial as one session chain (session.RunChain) on
-// it; cmd/repro and cmd/sampler expose the pool size as -workers.
+// it, reading the estimate the chain serves; cmd/repro and cmd/sampler
+// expose the pool size as -workers.
 package engine
 
 import (
@@ -42,10 +43,6 @@ type Options struct {
 	// Workers bounds the fan-out: at most Workers trials run
 	// concurrently. Zero or negative selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Progress, when non-nil, is called after each completed trial with
-	// the number of trials finished so far and the total. Calls may come
-	// from multiple goroutines but never concurrently.
-	Progress func(done, total int)
 }
 
 // Engine is a reusable worker-pool runner. The zero value is valid and
@@ -98,9 +95,6 @@ func (e *Engine) Each(ctx context.Context, n int, fn func(ctx context.Context, i
 				return err
 			}
 			obsTrialsCompleted.Inc()
-			if e.opts.Progress != nil {
-				e.opts.Progress(i+1, n)
-			}
 		}
 		return nil
 	}
@@ -109,10 +103,9 @@ func (e *Engine) Each(ctx context.Context, n int, fn func(ctx context.Context, i
 	defer cancel()
 	var (
 		next     atomic.Int64 // dispatch counter
-		mu       sync.Mutex   // guards firstErr/firstIdx/done
+		mu       sync.Mutex   // guards firstErr/firstIdx
 		firstErr error
 		firstIdx = -1
-		done     int
 		wg       sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
@@ -135,12 +128,6 @@ func (e *Engine) Each(ctx context.Context, n int, fn func(ctx context.Context, i
 					return
 				}
 				obsTrialsCompleted.Inc()
-				if e.opts.Progress != nil {
-					mu.Lock()
-					done++
-					e.opts.Progress(done, n)
-					mu.Unlock()
-				}
 			}
 		}()
 	}

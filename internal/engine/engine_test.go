@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"histwalk/internal/estimate"
 )
 
 func TestTrialSeedStreamsDisjoint(t *testing.T) {
@@ -99,28 +101,13 @@ func TestEachContextCancellation(t *testing.T) {
 	}
 }
 
-func TestEachProgressCoversAllTrials(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var calls atomic.Int64
-		lastDone := 0
-		e := New(Options{
-			Workers: workers,
-			Progress: func(done, total int) {
-				calls.Add(1)
-				if total != 25 || done < 1 || done > 25 {
-					t.Errorf("progress(%d, %d) out of range", done, total)
-				}
-				if done <= lastDone {
-					t.Errorf("progress not monotone: %d after %d", done, lastDone)
-				}
-				lastDone = done
-			},
-		})
-		if err := e.Each(context.Background(), 25, func(_ context.Context, _ int) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if calls.Load() != 25 {
-			t.Fatalf("workers=%d: progress called %d times, want 25", workers, calls.Load())
+func TestDesignFor(t *testing.T) {
+	if DesignFor("MHRW") != estimate.Uniform {
+		t.Fatal("MHRW should be uniform")
+	}
+	for _, n := range []string{"SRW", "NB-SRW", "CNRW", "GNRW(By-Degree)", "NB-CNRW"} {
+		if DesignFor(n) != estimate.DegreeProportional {
+			t.Fatalf("%s should be degree-proportional", n)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -32,12 +33,12 @@ func oneTrial(g *graph.Graph, f core.Factory, attr string, budgets []int, cost C
 // session chain and returns its transitions and accounting.
 func chainUpdates(t *testing.T, g *graph.Graph, f core.Factory, budgets []int, cost CostModel) ([]session.Update, session.ChainResult) {
 	t.Helper()
-	spec, err := trialSpec(g, f, budgets, 1, 1, engine.StreamID("test"), cost)
+	spec, err := trialSpec(g, f, "degree", budgets, 1, 1, engine.StreamID("test"), cost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var us []session.Update
-	res, err := session.RunChain(context.Background(), spec, 0, func(u session.Update) error {
+	res, err := session.RunChain(context.Background(), spec, 0, func(u session.Update, _ session.ChainView) error {
 		us = append(us, u)
 		return nil
 	})
@@ -52,17 +53,6 @@ func testGraph() *graph.Graph {
 	g := graph.PlantedPartition([]int{20, 20, 20}, 0.5, 0.02, rng).LargestComponent()
 	g.SetName("sbm60")
 	return g
-}
-
-func TestDesignFor(t *testing.T) {
-	if DesignFor("MHRW") != estimate.Uniform {
-		t.Fatal("MHRW should be uniform")
-	}
-	for _, n := range []string{"SRW", "NB-SRW", "CNRW", "GNRW(By-Degree)", "NB-CNRW"} {
-		if DesignFor(n) != estimate.DegreeProportional {
-			t.Fatalf("%s should be degree-proportional", n)
-		}
-	}
 }
 
 func TestCostModelString(t *testing.T) {
@@ -167,13 +157,31 @@ func TestTrialSaturationFreeze(t *testing.T) {
 	}
 }
 
+// TestTrialWithoutSamplesFails pins the no-sample failure: a trial
+// whose chain retained no sample has no estimate to report at any
+// budget, so it fails with the estimator's no-samples error instead of
+// freezing a zero estimate. Frontier sampling's bootstrap queries its
+// 5 seeds, which spends a budget of 1 unique query before the first
+// transition.
+func TestTrialWithoutSamplesFails(t *testing.T) {
+	g := testGraph()
+	us, res := chainUpdates(t, g, core.FrontierFactory(5), []int{1}, CostUnique)
+	if len(us) != 0 || res.Samples != 0 {
+		t.Fatalf("chain moved %d times and kept %d samples, want none", len(us), res.Samples)
+	}
+	snaps, err := oneTrial(g, core.FrontierFactory(5), "degree", []int{1}, CostUnique)
+	if !errors.Is(err, estimate.ErrNoSamples) {
+		t.Fatalf("snapshots %+v, err = %v; want estimate.ErrNoSamples", snaps, err)
+	}
+}
+
 // TestTrialSimulatorIsPrivate asserts the no-shared-state invariant the
 // lock-free fan-out rests on: concurrent trials of one series must each
 // see a fresh cache (spend starting at zero), which can only hold if
 // every trial owns its Simulator.
 func TestTrialSimulatorIsPrivate(t *testing.T) {
 	g := testGraph()
-	spec, err := trialSpec(g, core.CNRWFactory(), []int{15}, 64, 7, engine.StreamID("private"), CostUnique)
+	spec, err := trialSpec(g, core.CNRWFactory(), "degree", []int{15}, 64, 7, engine.StreamID("private"), CostUnique)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func TestSharedStartsAcrossAlgorithms(t *testing.T) {
 	stream := engine.StreamID("estimation", "shared")
 	var starts [][]graph.Node
 	for _, f := range testFactories() {
-		spec, err := trialSpec(g, f, []int{3}, 5, 21, stream, CostUnique)
+		spec, err := trialSpec(g, f, "degree", []int{3}, 5, 21, stream, CostUnique)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,12 @@
 package experiment
 
 // The estimation and bias figures run their trials as session chains:
-// trial t of a series is chain t of one session.Spec, stepped by
-// session.RunChain — the same loop histwalkd serves — on the engine's
-// worker pool. This file also hosts the figure-side helpers that are
-// about ground truth rather than walk execution.
+// trial t of a series is chain t of one session.Spec whose only
+// estimator is the figure's attribute, stepped by session.RunChain —
+// the same loop histwalkd serves — on the engine's worker pool, and a
+// trial's estimate is the point that chain serves. This file also
+// hosts the figure-side helpers that are about ground truth rather
+// than walk execution.
 
 import (
 	"context"
@@ -41,13 +43,6 @@ const (
 	CostSteps = engine.CostSteps
 )
 
-// DesignFor returns the estimator design matching a walker: MHRW targets
-// the uniform distribution, every other algorithm in this repository is
-// degree-proportional.
-func DesignFor(factoryName string) estimate.Design {
-	return engine.DesignFor(factoryName)
-}
-
 // snapshot is one trial's state when its spend first reached a budget:
 // the aggregate estimate, and the node the walk occupied — the sample a
 // budget-c crawler would return.
@@ -58,9 +53,11 @@ type snapshot struct {
 
 // trialSpec returns the session spec whose chain t is trial t of a
 // series: trials walks of f over g under (seed, stream), each chain
-// budgeted to the last of budgets (ascending). Algorithms that share
-// the stream share every trial's start node.
-func trialSpec(g *graph.Graph, f core.Factory, budgets []int, trials int, seed int64, stream uint64, cost CostModel) (session.Spec, error) {
+// budgeted to the last of budgets (ascending) and estimating the mean
+// of attr ("degree" or "" for the average degree) as its only
+// estimator. Algorithms that share the stream share every trial's
+// start node.
+func trialSpec(g *graph.Graph, f core.Factory, attr string, budgets []int, trials int, seed int64, stream uint64, cost CostModel) (session.Spec, error) {
 	if len(budgets) == 0 {
 		return session.Spec{}, errors.New("experiment: no budgets")
 	}
@@ -76,64 +73,60 @@ func trialSpec(g *graph.Graph, f core.Factory, budgets []int, trials int, seed i
 	if cost == CostUnique {
 		maxSteps = max(200*last, 100000)
 	}
+	est := session.EstimatorSpec{Kind: session.AggMean, Attr: attr}
+	if attr == "degree" || attr == "" {
+		est = session.EstimatorSpec{Kind: session.AggAvgDegree}
+	}
 	return session.Spec{
-		Graph:    g,
-		Walker:   f,
-		Budget:   last,
-		Cost:     cost,
-		MaxSteps: maxSteps,
-		Chains:   trials,
-		Seed:     seed,
-		Stream:   stream,
+		Graph:      g,
+		Walker:     f,
+		Estimators: []session.EstimatorSpec{est},
+		Budget:     last,
+		Cost:       cost,
+		MaxSteps:   maxSteps,
+		Chains:     trials,
+		Seed:       seed,
+		Stream:     stream,
 	}, nil
 }
 
-// runTrials runs the trials of trialSpec, measuring attr, and returns
-// out[t][i], trial t's snapshot at budgets[i]. The snapshots are
+// runTrials runs the trials of trialSpec and returns out[t][i], trial
+// t's snapshot at budgets[i]: the chain's served estimate of attr and
+// its node when its spend first reached budgets[i]. The snapshots are
 // identical for any worker count. A walk that stops paying before the
 // last budget (its unique queries covered the graph, or it reached the
 // step cap) freezes the remaining budgets at its final state, as a
-// real crawler would.
+// real crawler would; a walk that kept no sample has no estimate to
+// freeze, and fails with estimate.ErrNoSamples.
 func runTrials(ctx context.Context, workers int, g *graph.Graph, f core.Factory, attr string,
 	budgets []int, trials int, seed int64, stream uint64, cost CostModel) ([][]snapshot, error) {
-	spec, err := trialSpec(g, f, budgets, trials, seed, stream, cost)
+	spec, err := trialSpec(g, f, attr, budgets, trials, seed, stream, cost)
 	if err != nil {
 		return nil, err
 	}
-	design := DesignFor(f.Name)
 	out := make([][]snapshot, trials)
 	err = engine.New(engine.Options{Workers: workers}).Each(ctx, trials, func(ctx context.Context, t int) error {
 		snaps := make([]snapshot, 0, len(budgets))
-		est := estimate.NewMean(design)
-		var node graph.Node
-		record := func() error {
-			e, err := est.Estimate()
-			snaps = append(snaps, snapshot{e, node})
-			return err
-		}
-		_, err := session.RunChain(ctx, spec, t, func(u session.Update) error {
-			val, deg, err := engine.Measure(g, attr, u.Node)
+		var last snapshot
+		res, err := session.RunChain(ctx, spec, t, func(u session.Update, v session.ChainView) error {
+			p, err := v.Point(0)
 			if err != nil {
 				return err
 			}
-			if err := est.Add(val, deg); err != nil {
-				return err
-			}
-			node = u.Node
+			last = snapshot{p, u.Node}
 			for len(snaps) < len(budgets) && u.Spent >= budgets[len(snaps)] {
-				if err := record(); err != nil {
-					return err
-				}
+				snaps = append(snaps, last)
 			}
 			return nil
 		})
 		if err != nil {
 			return err
 		}
+		if res.Samples == 0 {
+			return estimate.ErrNoSamples
+		}
 		for len(snaps) < len(budgets) {
-			if err := record(); err != nil {
-				return err
-			}
+			snaps = append(snaps, last)
 		}
 		out[t] = snaps
 		return nil

@@ -83,9 +83,9 @@ func waitState(t *testing.T, m *Manager, id string, want State) {
 // TestJobBitIdenticalToDirectRun is the subsystem's acceptance
 // invariant: ≥4 concurrent interleaved jobs, each with a different
 // seed, every Result bit-identical to a direct session.Run of the same
-// resolved spec. Half the jobs opt into batched stepping over the
-// wire; their reference runs are deliberately per-chain, so the test
-// also pins the service-level interleaving-only contract.
+// resolved spec. Half the jobs name the deprecated "stepping":
+// "batched" alias over the wire against per-chain reference runs, so
+// the test also pins that the alias serves the per-chain Result.
 func TestJobBitIdenticalToDirectRun(t *testing.T) {
 	m := NewManager(Options{MaxConcurrent: 4})
 	defer shutdown(t, m)
@@ -100,7 +100,7 @@ func TestJobBitIdenticalToDirectRun(t *testing.T) {
 			w.Cache = "shared" // interleave both cache policies
 		}
 		if i >= jobs/2 {
-			w.Stepping = "batched" // and both stepping modes
+			w.Stepping = "batched" // and the deprecated stepping alias
 		}
 		st, err := m.Submit(w)
 		if err != nil {

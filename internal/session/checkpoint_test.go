@@ -128,9 +128,9 @@ func TestCheckpointResumeParity(t *testing.T) {
 }
 
 // TestCheckpointResumeModes covers the non-default execution modes:
-// shared cache, batched stepping and the pipelined access layer, alone
-// and pipelined under the shared cache, must all resume to a
-// bit-identical Result.
+// the shared cache and the pipelined access layer, alone and pipelined
+// under the shared cache, must all resume to a bit-identical Result,
+// as must a spec naming the deprecated SteppingBatched alias.
 func TestCheckpointResumeModes(t *testing.T) {
 	g := testGraph(t)
 	cases := []struct {
@@ -138,7 +138,7 @@ func TestCheckpointResumeModes(t *testing.T) {
 		mod  func(*Spec)
 	}{
 		{"shared-cache", func(s *Spec) { s.Cache = CacheShared }},
-		{"batched", func(s *Spec) { s.Stepping = SteppingBatched }},
+		{"batched-alias", func(s *Spec) { s.Stepping = SteppingBatched }},
 		{"pipelined", func(s *Spec) { s.Window = 4; s.Latency = 50 * time.Microsecond }},
 		{"pipelined-shared", func(s *Spec) { s.Window = 4; s.Latency = 50 * time.Microsecond; s.Cache = CacheShared }},
 	}

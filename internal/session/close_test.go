@@ -13,24 +13,27 @@ func chainCounts() (started, finished, abandoned, spent int64) {
 	return obsChainsStarted.Value(), obsChainsFinished.Value(), obsChainsAbandoned.Value(), obsBudgetSpent.Value()
 }
 
-// TestRunCancelCountsAbandonedChains cancels a Run after its first
-// chain finishes: every started chain is then counted once, as
-// finished or abandoned, and a second Close of a session counts
-// nothing more.
+// TestRunCancelCountsAbandonedChains cancels a one-worker Drive at
+// chain 1's first transition, after chain 0 has finished: every
+// started chain is then counted once, as finished or abandoned, and a
+// second Close of a session counts nothing more.
 func TestRunCancelCountsAbandonedChains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	spec := Spec{
-		Graph: testGraph(t), Walker: core.CNRWFactory(), Budget: 40, Chains: 4, Workers: 1, Seed: 3,
-		Progress: func(p Progress) {
-			if p.ChainsDone >= 1 {
-				cancel()
-			}
-		},
-	}
+	spec := Spec{Graph: testGraph(t), Walker: core.CNRWFactory(), Budget: 40, Chains: 4, Workers: 1, Seed: 3}
 	s0, f0, a0, b0 := chainCounts()
-	if _, err := Run(ctx, spec); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run err = %v, want cancellation", err)
+	run, err := NewSession(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = run.Drive(ctx, func(u Update) {
+		if u.Chain == 1 {
+			cancel()
+		}
+	})
+	run.Close()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Drive err = %v, want cancellation", err)
 	}
 	s1, f1, a1, b1 := chainCounts()
 	if s1-s0 != 4 || f1-f0 < 1 || a1-a0 < 1 || (f1-f0)+(a1-a0) != 4 {
@@ -41,7 +44,6 @@ func TestRunCancelCountsAbandonedChains(t *testing.T) {
 		t.Fatalf("budget_spent grew %d, below the finished chain's budget %d", b1-b0, spec.Budget)
 	}
 
-	spec.Progress = nil
 	s, err := NewSession(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,9 @@ package session
 // cancellation between transitions (NextContext), a run to completion
 // that fans a Session's chains over the worker-pool engine while
 // streaming serialized Updates (Drive), and a run of one chain of a
-// spec on the calling goroutine (RunChain). Drive and RunChain step
+// spec on the calling goroutine whose observer can read the chain's
+// running estimates (RunChain). The Update stream of Next, Drive and
+// RunChain is the one way to watch a run. Drive and RunChain step
 // their chains through one loop, chainRun.run. NextContext and Drive
 // leave the Session's chain state intact on cancellation, so Result can
 // still merge a partial outcome — the mechanism behind
@@ -46,9 +48,7 @@ func (s *Session) NextContext(ctx context.Context) (u Update, ok bool, err error
 // observes every transition; calls are serialized (never concurrent),
 // each chain's updates arrive in order with monotonically non-decreasing
 // Spent, but the interleaving across chains depends on scheduling —
-// only the interleaving, never any chain's content. Spec.Progress, when
-// set, additionally receives chain-completion snapshots exactly as in
-// Run.
+// only the interleaving, never any chain's content.
 //
 // On cancellation Drive returns the ctx cause after all chains have
 // stopped (no goroutine keeps stepping), and the Session still holds
@@ -58,23 +58,17 @@ func (s *Session) NextContext(ctx context.Context) (u Update, ok bool, err error
 // on the same Session.
 func (s *Session) Drive(ctx context.Context, onUpdate func(Update)) (*Result, error) {
 	sp := s.sp
-	var observe func(Update) error
+	var observe func(Update, ChainView) error
 	if onUpdate != nil {
 		var mu sync.Mutex // serializes onUpdate across chains
-		observe = func(u Update) error {
+		observe = func(u Update, _ ChainView) error {
 			mu.Lock()
 			onUpdate(u)
 			mu.Unlock()
 			return nil
 		}
 	}
-	var hook func(done, total int)
-	if sp.Progress != nil {
-		hook = func(done, total int) {
-			sp.Progress(Progress{Chains: total, ChainsDone: done})
-		}
-	}
-	eng := engine.New(engine.Options{Workers: sp.Workers, Progress: hook})
+	eng := engine.New(engine.Options{Workers: sp.Workers})
 	err := eng.Each(ctx, len(s.chains), func(ctx context.Context, c int) error {
 		return s.chains[c].run(ctx, sp, observe)
 	})
@@ -88,14 +82,16 @@ func (s *Session) Drive(ctx context.Context, onUpdate func(Update)) (*Result, er
 // seed, RNG, start node, client and walker — and advances it to its
 // stop condition on the calling goroutine, through the loop Drive
 // steps every chain with. observe, when non-nil, sees each transition
-// in order; an error from it stops the chain and is returned.
+// in order, with a view of the chain's running estimates just after
+// it; an error from it stops the chain and is returned.
 //
 // The chain is exactly a Session chain: it measures the spec's
 // estimators on every step (in Client mode that is part of the budget
 // spend) and folds each retained sample into its running state, and
-// the returned ChainResult equals Run(spec).Chains[c]. Spec.Workers and
-// Progress do not apply to a single chain.
-func RunChain(ctx context.Context, spec Spec, c int, observe func(Update) error) (ChainResult, error) {
+// the returned ChainResult equals Run(spec).Chains[c]. What the view
+// reads after the chain's last Update is what Run serves for the chain
+// (see ChainView.Point). Spec.Workers does not apply to a single chain.
+func RunChain(ctx context.Context, spec Spec, c int, observe func(Update, ChainView) error) (ChainResult, error) {
 	sp, err := normalize(spec)
 	if err != nil {
 		return ChainResult{}, err
@@ -119,11 +115,26 @@ func RunChain(ctx context.Context, spec Spec, c int, observe func(Update) error)
 	return cr.result(sp), nil
 }
 
+// ChainView reads one chain's running state from inside a RunChain
+// observer. It is valid only during the call that received it: the
+// chain moves on when the observer returns.
+type ChainView struct{ cr *chainRun }
+
+// Point returns the running point estimate of Spec.Estimators[e]: the
+// chain's own estimate over its retained samples so far, which is the
+// value Run reports as Estimates[e].PerChain[c] once the chain has
+// finished. It fails with estimate.ErrNoSamples until the chain has
+// retained a sample.
+func (v ChainView) Point(e int) (float64, error) {
+	return v.cr.accs[e].ci.Estimate()
+}
+
 // run advances the chain until it reaches a stop condition: the one
 // per-chain loop behind Drive and RunChain. observe, when non-nil, sees
-// every transition, and its error stops the chain. A cancelled ctx
-// stops it before the next transition with the ctx's cause.
-func (cr *chainRun) run(ctx context.Context, sp *Spec, observe func(Update) error) error {
+// every transition with a view of the chain, and its error stops the
+// chain. A cancelled ctx stops it before the next transition with the
+// ctx's cause.
+func (cr *chainRun) run(ctx context.Context, sp *Spec, observe func(Update, ChainView) error) error {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -139,7 +150,7 @@ func (cr *chainRun) run(ctx context.Context, sp *Spec, observe func(Update) erro
 			return err
 		}
 		if stepped && observe != nil {
-			if err := observe(cr.update(sp)); err != nil {
+			if err := observe(cr.update(sp), ChainView{cr}); err != nil {
 				return err
 			}
 		}

@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -18,8 +19,9 @@ import (
 // claims to be. For every registry walker, over Graph and Store
 // sources and under both cost models, plus one Client-mode spec,
 // RunChain(spec, c) must yield exactly the Updates chain c yields
-// under Session.Next, and its ChainResult must equal
-// Run(spec).Chains[c].
+// under Session.Next, its ChainResult must equal Run(spec).Chains[c],
+// and the point each estimator's view reads after the chain's last
+// Update must equal Run(spec).Estimates[e].PerChain[c] bit for bit.
 func TestRunChainMatchesSession(t *testing.T) {
 	g := pipeGraph(t) // carries every attribute the registry's walkers read
 	path := filepath.Join(t.TempDir(), "pipe.hwg")
@@ -87,8 +89,13 @@ func TestRunChainMatchesSession(t *testing.T) {
 			}
 			for c := range res.Chains {
 				var got []Update
-				cres, err := RunChain(context.Background(), tc.mk(), c, func(u Update) error {
+				points := make([]float64, len(estimators))
+				perrs := make([]error, len(estimators))
+				cres, err := RunChain(context.Background(), tc.mk(), c, func(u Update, v ChainView) error {
 					got = append(got, u)
+					for e := range points {
+						points[e], perrs[e] = v.Point(e)
+					}
 					return nil
 				})
 				if err != nil {
@@ -100,6 +107,13 @@ func TestRunChainMatchesSession(t *testing.T) {
 				}
 				if cres != res.Chains[c] {
 					t.Fatalf("chain %d: RunChain result %+v, Run's %+v", c, cres, res.Chains[c])
+				}
+				for e, p := range points {
+					want := res.Estimates[e].PerChain[c]
+					if perrs[e] != nil || math.Float64bits(p) != math.Float64bits(want) {
+						t.Fatalf("chain %d, estimator %d: view read %v (err %v) after the last Update, Run serves %v",
+							c, e, p, perrs[e], want)
+					}
 				}
 			}
 		})
@@ -115,7 +129,7 @@ func TestRunChainStops(t *testing.T) {
 	spec := baseSpec(g)
 	errStop := errors.New("stop here")
 	steps := 0
-	_, err := RunChain(context.Background(), spec, 1, func(u Update) error {
+	_, err := RunChain(context.Background(), spec, 1, func(u Update, _ ChainView) error {
 		steps++
 		if u.Step == 5 {
 			return errStop
@@ -129,7 +143,7 @@ func TestRunChainStops(t *testing.T) {
 	cause := errors.New("cancelled early")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
-	_, err = RunChain(ctx, spec, 0, func(Update) error {
+	_, err = RunChain(ctx, spec, 0, func(Update, ChainView) error {
 		t.Fatal("a cancelled chain stepped")
 		return nil
 	})

@@ -283,11 +283,6 @@ type Spec struct {
 	// max(CIBatch, 4).
 	CIBatch int
 
-	// Progress, when non-nil, streams run progress: Run reports chain
-	// completions (serialized), a Session reports after every
-	// transition.
-	Progress func(Progress)
-
 	// autoMaxSteps records that MaxSteps was defaulted rather than set
 	// by the caller, enabling the Client-mode saturation cap.
 	autoMaxSteps bool
@@ -303,18 +298,6 @@ type Spec struct {
 	// Transport implementing access.NodeCounter); 0 means unknown, which
 	// disables the saturation stop and enables the progress bound.
 	nodes int
-}
-
-// Progress is a snapshot of a run in flight.
-type Progress struct {
-	// Chains and ChainsDone count total and finished chains.
-	Chains     int `json:"chains"`
-	ChainsDone int `json:"chains_done"`
-	// Steps, Spent and Samples are totals across chains (only
-	// populated by Session, which observes every transition).
-	Steps   int `json:"steps"`
-	Spent   int `json:"spent"`
-	Samples int `json:"samples"`
 }
 
 // Validate checks the spec without running it.
@@ -643,11 +626,10 @@ type Update struct {
 // final Result is identical to Run's for the same Spec. A Session is
 // not safe for concurrent use.
 type Session struct {
-	sp       *Spec
-	chains   []*chainRun
-	cursor   int
-	reported bool // final Progress callback already delivered
-	closed   bool // Close counted the unfinished chains
+	sp     *Spec
+	chains []*chainRun
+	cursor int
+	closed bool // Close counted the unfinished chains
 }
 
 // NewSession validates the spec and prepares its chains without
@@ -714,16 +696,7 @@ func (s *Session) Next() (u Update, ok bool, err error) {
 			continue
 		}
 		s.cursor = (s.cursor + 1) % n
-		if s.sp.Progress != nil {
-			s.sp.Progress(s.snapshot())
-		}
 		return cr.update(s.sp), true, nil
-	}
-	// All chains finished: stream one final snapshot so Progress
-	// consumers observe ChainsDone == Chains, as Run's hook does.
-	if s.sp.Progress != nil && !s.reported {
-		s.reported = true
-		s.sp.Progress(s.snapshot())
 	}
 	return Update{}, false, nil
 }
@@ -761,20 +734,6 @@ func (s *Session) Done() bool {
 		}
 	}
 	return true
-}
-
-// snapshot sums the chains' progress counters.
-func (s *Session) snapshot() Progress {
-	p := Progress{Chains: len(s.chains)}
-	for _, cr := range s.chains {
-		if cr.done {
-			p.ChainsDone++
-		}
-		p.Steps += cr.steps
-		p.Spent += cr.spend(s.sp)
-		p.Samples += cr.samples
-	}
-	return p
 }
 
 // Result merges the chains' samples into estimates. It may be called

@@ -528,43 +528,3 @@ func TestSharedCacheValidation(t *testing.T) {
 		t.Fatalf("valid shared-cache spec rejected: %v", err)
 	}
 }
-
-func TestSessionProgressStreams(t *testing.T) {
-	g := testGraph(t)
-	spec := baseSpec(g)
-	spec.Chains = 2
-	var calls int
-	var last Progress
-	spec.Progress = func(p Progress) { calls++; last = p }
-	s, err := NewSession(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		_, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-	}
-	res, err := s.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// one callback per transition plus the final completion snapshot
-	if calls != res.TotalSteps+1 {
-		t.Fatalf("progress called %d times, want %d (one per transition + final)", calls, res.TotalSteps+1)
-	}
-	if last.Steps != res.TotalSteps || last.Chains != 2 || last.ChainsDone != 2 {
-		t.Fatalf("final progress %+v inconsistent with result", last)
-	}
-	// the final snapshot is delivered once, not on every further Next
-	if _, ok, _ := s.Next(); ok {
-		t.Fatal("Next returned ok after completion")
-	}
-	if calls != res.TotalSteps+1 {
-		t.Fatalf("completion snapshot re-delivered (%d calls)", calls)
-	}
-}

@@ -30,7 +30,8 @@ func packedTestGraph(t *testing.T) *graphstore.Mapped {
 // TestRunStoreBackendIdentical pins the session-level backend
 // invariant: a run over Spec.Store (mmap) is deep-equal to the same
 // run over Spec.Graph (heap) — estimates, per-chain trajectories,
-// budgets and cost accounting — across the stepping and cache modes.
+// budgets and cost accounting — under both cache policies, and for a
+// spec naming the deprecated SteppingBatched alias.
 func TestRunStoreBackendIdentical(t *testing.T) {
 	g := testGraph(t)
 	m := packedTestGraph(t)
@@ -40,9 +41,8 @@ func TestRunStoreBackendIdentical(t *testing.T) {
 		stepping SteppingMode
 	}{
 		{"isolated-perchain", CacheIsolated, SteppingPerChain},
-		{"isolated-batched", CacheIsolated, SteppingBatched},
 		{"shared-perchain", CacheShared, SteppingPerChain},
-		{"shared-batched", CacheShared, SteppingBatched},
+		{"batched-alias", CacheIsolated, SteppingBatched},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			heapSpec := baseSpec(g)

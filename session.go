@@ -45,8 +45,6 @@ type (
 	Session = session.Session
 	// Update reports one Session transition.
 	Update = session.Update
-	// Progress is a streamed snapshot of a run in flight.
-	Progress = session.Progress
 )
 
 // Aggregate kinds for EstimatorSpec.
