@@ -36,9 +36,11 @@
 // With -store-dir the daemon is durable: every job's spec, event log
 // and periodic chain checkpoints are persisted to an append-only
 // CRC-framed log in that directory (compacted as it grows: each
-// finished job is written once, to an immutable segment). On restart —
-// clean or after a kill -9 — terminal jobs reload as queryable history,
-// queued jobs re-enter the queue in admission order, and running jobs
+// finished job is written once, to an immutable segment, with its
+// status summary). On restart — clean or after a kill -9 — terminal
+// jobs reload as queryable history from their summaries alone (a
+// replay of their events reads them from the segment), queued jobs
+// re-enter the queue in admission order, and running jobs
 // resume from their last checkpoint to the bit-identical Result an
 // uninterrupted run would have produced. SSE clients reconnect with
 // Last-Event-ID and miss nothing.

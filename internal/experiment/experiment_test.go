@@ -426,7 +426,7 @@ func TestRandomStartSkipsIsolated(t *testing.T) {
 	g := b.Build()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
-		v, err := randomStart(g, rng)
+		v, err := engine.RandomStart(g, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func TestRandomStartSkipsIsolated(t *testing.T) {
 			t.Fatalf("picked isolated node %d", v)
 		}
 	}
-	if _, err := randomStart(graph.NewBuilder(0).Build(), rng); err == nil {
+	if _, err := engine.RandomStart(graph.NewBuilder(0).Build(), rng); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }

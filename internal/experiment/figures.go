@@ -278,7 +278,7 @@ func StationaryFigure(cfg StationaryConfig) (*Figure, error) {
 		walkCounts := make([][]float64, cfg.Walks)
 		err := eng.Each(ctxOf(cfg.Ctx), cfg.Walks, func(_ context.Context, w int) error {
 			rng := rand.New(rand.NewSource(engine.TrialSeed(cfg.Seed, stream, w)))
-			start, err := randomStart(cfg.Graph, rng)
+			start, err := engine.RandomStart(cfg.Graph, rng)
 			if err != nil {
 				return err
 			}

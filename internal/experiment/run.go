@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"histwalk/internal/core"
 	"histwalk/internal/engine"
@@ -135,11 +134,6 @@ func runTrials(ctx context.Context, workers int, g *graph.Graph, f core.Factory,
 		return nil, err
 	}
 	return out, nil
-}
-
-// randomStart draws a uniform non-isolated start node.
-func randomStart(g *graph.Graph, rng *rand.Rand) (graph.Node, error) {
-	return engine.RandomStart(g, rng)
 }
 
 // groundTruth returns the exact population mean of the measure function.

@@ -6,8 +6,9 @@ package service
 //
 //	events.log            submit, event, cp, evict: every change since
 //	                      the last compaction, appended
-//	segment-NNNNNN.jsonl  job records of the jobs one compaction found
-//	                      newly terminal, then end; never rewritten
+//	segment-NNNNNN.jsonl  per job one compaction found newly terminal,
+//	                      its sum record then its job record; then end;
+//	                      never rewritten
 //	snapshot.jsonl        the manifest: job records of live (queued or
 //	                      running) jobs, an evict tombstone per evicted
 //	                      job whose segment still exists, then end
@@ -37,24 +38,42 @@ package service
 // before step 4 may bring it back as terminal history, as the
 // single-snapshot layout could.
 //
-// Recovery removes leftover *.tmp files, then loads the segments in
-// numeric order, the manifest, and the log's longest valid prefix,
-// truncating the log's corrupt tail (a torn final append). Two rules
-// keep the fold idempotent: (a) a job record never replaces a terminal
-// record already loaded; (b) an evict of an unknown job is a no-op;
-// events are appended by sequence number. The manifest and segments
-// are committed by rename, so a bad line in one is corruption, not a
-// torn append: each must decode whole and end in an end record whose n
-// counts the records before it, or OpenFileStore fails naming the file.
-// A store written before segments existed is a manifest that still
-// lists terminal jobs; the first compaction seals them.
+// Sealing folds each job's events once (summary.apply, job.go) into its
+// sum record: ID, Seq, Spec and the summary — state, error, per-chain
+// progress, event count, Result, pipeline counters. The job record
+// beside it holds the events. The mirror then keeps an index entry per
+// sealed job: its segment and the byte span of its job record. A
+// terminal job hands its events to the store (HandOff), so a sealed job
+// costs the Manager its summary alone; Events serves a replay with one
+// read of the job record.
+//
+// Recovery removes leftover *.tmp files, then streams the segments in
+// numeric order and loads the manifest and the log's longest valid
+// prefix, truncating the log's corrupt tail (a torn final append). A
+// segment's sum records are decoded and its job records only indexed,
+// so boot decodes no sealed event. A segment sealed before sum records
+// existed holds job records alone; each is decoded and folded at every
+// open, until eviction deletes the segment. Two rules keep the fold
+// idempotent: (a) a job record never replaces a terminal record already
+// loaded, and the log's events and checkpoints of a sealed job are
+// ignored; (b) an evict of an unknown job is a no-op; events are
+// appended by sequence number. The manifest and segments are committed
+// by rename, so a bad line in one is corruption, not a torn append:
+// every line must be CRC-clean and the file must end in an end record
+// whose n counts the records before it, or OpenFileStore fails naming
+// the file. A segment's job records are JSON-decoded on replay, and a
+// bad one fails that replay alone. A store written before segments
+// existed is a manifest that still lists terminal jobs; the first
+// compaction seals them.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"maps"
 	"os"
 	"path/filepath"
@@ -81,8 +100,10 @@ type logRec struct {
 	// Kind discriminates the record: "submit" (job admission: ID, Seq,
 	// Spec), "event" (one appended Event), "cp" (checkpoint
 	// replacement), "evict" (catalog removal; a manifest tombstone),
-	// "job" (segment and manifest: one full JobRecord), "end" (segment
-	// and manifest commit marker with the count of records before it).
+	// "job" (segment and manifest: one full JobRecord), "sum" (segment:
+	// a sealed job's summary, Job holding its ID, Seq and Spec; the job
+	// record follows it), "end" (segment and manifest commit marker with
+	// the count of records before it).
 	Kind       string              `json:"k"`
 	ID         string              `json:"id,omitempty"`
 	Seq        int                 `json:"seq,omitempty"`
@@ -90,6 +111,7 @@ type logRec struct {
 	Event      *Event              `json:"ev,omitempty"`
 	Checkpoint *session.Checkpoint `json:"cp,omitempty"`
 	Job        *JobRecord          `json:"job,omitempty"`
+	Sum        *summary            `json:"sum,omitempty"`
 	Count      int                 `json:"n,omitempty"`
 }
 
@@ -100,15 +122,25 @@ func encodeRec(buf []byte, payload []byte) []byte {
 	return append(buf, '\n')
 }
 
+// lineCRC parses the framing of a line that starts with head: the
+// payload's CRC, then a space.
+func lineCRC(head []byte) (uint32, error) {
+	if len(head) < 9 || head[8] != ' ' {
+		return 0, fmt.Errorf("service: malformed log line framing")
+	}
+	var want uint32
+	if _, err := fmt.Sscanf(string(head[:8]), "%08x", &want); err != nil {
+		return 0, fmt.Errorf("service: malformed log line CRC: %w", err)
+	}
+	return want, nil
+}
+
 // decodeLine verifies and strips one complete line's framing (without
 // the trailing newline), returning the payload.
 func decodeLine(line []byte) ([]byte, error) {
-	if len(line) < 9 || line[8] != ' ' {
-		return nil, fmt.Errorf("service: malformed log line framing")
-	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-		return nil, fmt.Errorf("service: malformed log line CRC: %w", err)
+	want, err := lineCRC(line)
+	if err != nil {
+		return nil, err
 	}
 	payload := line[9:]
 	if got := crc32.Checksum(payload, storeCRC); got != want {
@@ -141,23 +173,127 @@ func decodeLog(data []byte) (recs []logRec, valid int) {
 	return recs, valid
 }
 
-// readCommitted reads a file committed by rename — a segment or the
-// manifest — and returns its records without the end marker. The file
-// must decode whole and end in an end record counting the records
-// before it.
-func readCommitted(path string) ([]logRec, error) {
-	data, err := os.ReadFile(path)
+// lineSpan is where one line lies in a file, its newline included.
+type lineSpan struct {
+	off  int64
+	size int
+}
+
+// jobHead opens the payload of every job record: json.Marshal writes
+// logRec's fields in order, Kind first.
+var jobHead = []byte(`{"k":"job"`)
+
+// scanCommitted streams a file committed by rename — a segment or the
+// manifest — and calls visit with each record before the end marker and
+// the span of its line. Every line must be CRC-clean and JSON, and the
+// file must end in an end record counting the records before it. With
+// lazy set, a job record that follows a sum record is CRC-checked but
+// not decoded: visit sees its Kind alone.
+func scanCommitted(path string, lazy bool, visit func(r *logRec, at lineSpan) error) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	recs, valid := decodeLog(data)
-	if valid < len(data) {
-		return nil, fmt.Errorf("service: %s is corrupt at byte %d", path, valid)
+	defer f.Close()
+	br := bufio.NewReaderSize(f, 64<<10)
+	var (
+		at       lineSpan
+		n        int                       // records before the current line
+		payload  = make([]byte, 0, 64<<10) // reused for every decoded line
+		afterSum bool
+	)
+	corrupt := func(err error) error {
+		return fmt.Errorf("service: %s is corrupt at byte %d: %w", path, at.off, err)
 	}
-	if n := len(recs) - 1; n < 0 || recs[n].Kind != "end" || recs[n].Count != n {
-		return nil, fmt.Errorf("service: %s lacks a valid end marker", path)
+	for ; ; at.off += int64(at.size) {
+		rec := logRec{}
+		skip := lazy && afterSum && isJobLine(br)
+		payload, at.size, err = nextLine(br, payload[:0], !skip)
+		switch {
+		case err == io.EOF:
+			return fmt.Errorf("service: %s lacks a valid end marker", path)
+		case err != nil:
+			return corrupt(err)
+		case skip:
+			rec.Kind = "job"
+		default:
+			if err := json.Unmarshal(payload, &rec); err != nil {
+				return corrupt(err)
+			}
+		}
+		if rec.Kind == "end" {
+			if rec.Count != n {
+				return fmt.Errorf("service: %s lacks a valid end marker", path)
+			}
+			if _, err := br.ReadByte(); err != io.EOF {
+				return corrupt(errors.New("data past the end marker"))
+			}
+			return nil
+		}
+		if err := visit(&rec, at); err != nil {
+			return corrupt(err)
+		}
+		n++
+		afterSum = rec.Kind == "sum"
 	}
-	return recs[:len(recs)-1], nil
+}
+
+// isJobLine reports whether the next line of br holds a job record.
+func isJobLine(br *bufio.Reader) bool {
+	head, err := br.Peek(9 + len(jobHead))
+	return err == nil && bytes.Equal(head[9:], jobHead)
+}
+
+// nextLine consumes the next line of br, streaming its payload through
+// the CRC check, and returns the line's length, newline included. With
+// keep set it appends the payload to buf. At the end of the file it
+// returns io.EOF.
+func nextLine(br *bufio.Reader, buf []byte, keep bool) ([]byte, int, error) {
+	head, err := br.Peek(9)
+	if len(head) == 0 && err == io.EOF {
+		return buf, 0, io.EOF
+	}
+	want, err := lineCRC(head)
+	if err != nil {
+		return buf, 0, err
+	}
+	size, _ := br.Discard(9)
+	var got uint32
+	for {
+		frag, err := br.ReadSlice('\n')
+		size += len(frag)
+		if err == nil {
+			frag = frag[:len(frag)-1]
+		}
+		got = crc32.Update(got, storeCRC, frag)
+		if keep {
+			buf = append(buf, frag...)
+		}
+		switch err {
+		case nil:
+			if got != want {
+				return buf, size, fmt.Errorf("service: log line CRC mismatch: %08x != %08x", got, want)
+			}
+			return buf, size, nil
+		case bufio.ErrBufferFull:
+		case io.EOF:
+			return buf, size, io.ErrUnexpectedEOF
+		default:
+			return buf, size, err
+		}
+	}
+}
+
+// readCommitted reads a file committed by rename — a segment or the
+// manifest — and returns its records, every one decoded, without the
+// end marker.
+func readCommitted(path string) ([]logRec, error) {
+	var recs []logRec
+	err := scanCommitted(path, false, func(r *logRec, _ lineSpan) error {
+		recs = append(recs, *r)
+		return nil
+	})
+	return recs, err
 }
 
 // FileStoreOptions configures a FileStore. The zero value selects the
@@ -177,8 +313,10 @@ func (o FileStoreOptions) withDefaults() FileStoreOptions {
 
 // sealedJob is the mirror's index entry for a job in a segment.
 type sealedJob struct {
-	seq int // admission sequence number
-	seg int // segment number
+	seq    int      // admission sequence number
+	seg    int      // segment number
+	at     lineSpan // its job record in the segment
+	events int      // its event count
 }
 
 // segment is one segment file's share of the catalog.
@@ -203,32 +341,38 @@ type FileStore struct {
 	logBytes int64
 	// recs holds the unsealed jobs: live ones and those that turned
 	// terminal since the last compaction. Between OpenFileStore and
-	// Recover it also holds the sealed jobs' decoded records.
-	recs    map[string]*JobRecord
-	sealed  map[string]sealedJob
+	// Recover it also holds the sealed jobs' records, summaries without
+	// events.
+	recs   map[string]*JobRecord
+	sealed map[string]sealedJob
+	// orphans holds the events of jobs that compaction's own eviction
+	// dropped while the Manager still lists them, until Evict drops
+	// them from the catalog too.
+	orphans map[string][]Event
 	segs    map[int]*segment
 	lastSeg int  // highest segment number written or loaded
 	limit   int  // last Evict limit; re-applied at compaction (0 = none yet)
 	closed  bool // Close has run
 }
 
-// OpenFileStore opens (or creates) the store directory and loads the
-// segments, the manifest and the log's valid prefix, truncating any
-// corrupt log tail. A corrupt segment or manifest is an error. The
-// returned store's Recover holds every job the process knew before it
-// died.
+// OpenFileStore opens (or creates) the store directory, streams the
+// segments and loads the manifest and the log's valid prefix,
+// truncating any corrupt log tail. A corrupt segment or manifest is an
+// error. The returned store's Recover holds every job the process knew
+// before it died.
 func OpenFileStore(dir string, opts FileStoreOptions) (*FileStore, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: creating store dir: %w", err)
 	}
 	fs := &FileStore{
-		mem:    NewMemStore(),
-		dir:    dir,
-		opts:   opts,
-		recs:   make(map[string]*JobRecord),
-		sealed: make(map[string]sealedJob),
-		segs:   make(map[int]*segment),
+		mem:     NewMemStore(),
+		dir:     dir,
+		opts:    opts,
+		recs:    make(map[string]*JobRecord),
+		sealed:  make(map[string]sealedJob),
+		orphans: make(map[string][]Event),
+		segs:    make(map[int]*segment),
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -252,20 +396,17 @@ func OpenFileStore(dir string, opts FileStoreOptions) (*FileStore, error) {
 	}
 	slices.Sort(nums)
 	for _, n := range nums {
-		recs, err := readCommitted(filepath.Join(dir, segmentName(n)))
+		seg := &segment{}
+		err := fs.scanSegment(n, func(rec *JobRecord, at lineSpan) {
+			if _, dup := fs.sealed[rec.ID]; dup {
+				return
+			}
+			fs.sealed[rec.ID] = sealedJob{seq: rec.Seq, seg: n, at: at, events: rec.sum.Events}
+			fs.recs[rec.ID] = rec
+			seg.jobs++
+		})
 		if err != nil {
 			return nil, err
-		}
-		fs.apply(recs)
-		seg := &segment{}
-		for _, r := range recs {
-			if r.Kind != "job" || r.Job == nil {
-				continue
-			}
-			if _, dup := fs.sealed[r.Job.ID]; !dup {
-				fs.sealed[r.Job.ID] = sealedJob{seq: r.Job.Seq, seg: n}
-				seg.jobs++
-			}
 		}
 		fs.segs[n] = seg
 		fs.lastSeg = n
@@ -302,11 +443,41 @@ func OpenFileStore(dir string, opts FileStoreOptions) (*FileStore, error) {
 	return fs, nil
 }
 
+// scanSegment streams segment n and calls visit with each sealed job's
+// record — ID, Seq, Spec and summary, no events — and the span of its
+// job record, which is indexed, not decoded. A segment sealed before
+// sum records holds job records alone; each is decoded and folded here.
+func (fs *FileStore) scanSegment(n int, visit func(rec *JobRecord, at lineSpan)) error {
+	var pending *JobRecord // the sum record whose job record comes next
+	return scanCommitted(filepath.Join(fs.dir, segmentName(n)), true, func(r *logRec, at lineSpan) error {
+		switch r.Kind {
+		case "sum":
+			if pending != nil || r.Job == nil || r.Sum == nil {
+				return errors.New("sum record out of place")
+			}
+			pending = r.Job
+			pending.sum = r.Sum
+		case "job":
+			rec := pending
+			if rec == nil {
+				if r.Job == nil {
+					return errors.New("job record without a job")
+				}
+				s := r.Job.summary()
+				rec = &JobRecord{ID: r.Job.ID, Seq: r.Job.Seq, Spec: r.Job.Spec, sum: &s}
+			}
+			pending = nil
+			visit(rec, at)
+		}
+		return nil
+	})
+}
+
 // apply folds decoded records into the mirror, idempotently: a job
 // record never replaces a terminal record already loaded (a job sealed
-// just before a crash is still live in the old manifest), replayed
-// events are skipped by sequence number, evictions of unknown jobs are
-// ignored.
+// just before a crash is still live in the old manifest), a sealed
+// job's events and checkpoints are ignored, replayed events are skipped
+// by sequence number, evictions of unknown jobs are ignored.
 func (fs *FileStore) apply(recs []logRec) {
 	for _, r := range recs {
 		switch r.Kind {
@@ -334,14 +505,14 @@ func (fs *FileStore) apply(recs []logRec) {
 			fs.recs[r.ID] = rec
 		case "event":
 			rec := fs.recs[r.ID]
-			if rec == nil || r.Event == nil {
+			if rec == nil || rec.sum != nil || r.Event == nil {
 				continue
 			}
 			if r.Event.Seq == len(rec.Events)+1 {
 				rec.Events = append(rec.Events, *r.Event)
 			}
 		case "cp":
-			if rec := fs.recs[r.ID]; rec != nil {
+			if rec := fs.recs[r.ID]; rec != nil && rec.sum == nil {
 				rec.Checkpoint = r.Checkpoint
 			}
 		case "evict":
@@ -356,6 +527,7 @@ func (fs *FileStore) apply(recs []logRec) {
 // stays a tombstone of its segment until the segment file is deleted.
 func (fs *FileStore) dropLocked(id string) {
 	delete(fs.recs, id)
+	delete(fs.orphans, id)
 	if s, ok := fs.sealed[id]; ok {
 		delete(fs.sealed, id)
 		seg := fs.segs[s.seg]
@@ -479,11 +651,92 @@ func (fs *FileStore) RecordCheckpoint(id string, cp *session.Checkpoint) error {
 	return nil
 }
 
+// HandOff reports whether the store holds all n events of the terminal
+// job id: in the mirror until a compaction seals the job, then in its
+// segment. The job calls it under its own mutex, so the lock order is
+// job mutex, then fs.mu; compaction takes no job mutex.
+func (fs *FileStore) HandOff(id string, n int) bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if s, ok := fs.sealed[id]; ok {
+		return s.events == n
+	}
+	evs, ok := fs.heldLocked(id)
+	return ok && len(evs) == n
+}
+
+// heldLocked returns the events the store holds in memory for job id:
+// an unsealed job's in the mirror, or an orphan's.
+func (fs *FileStore) heldLocked(id string) ([]Event, bool) {
+	if rec := fs.recs[id]; rec != nil && rec.sum == nil {
+		return rec.Events, true
+	}
+	evs, ok := fs.orphans[id]
+	return evs, ok
+}
+
+// Events returns a handed-off job's events past index after: a copy of
+// those held in memory while the job is unsealed, else its job record,
+// read from its segment in one read. A failed read counts in
+// histwalk_store_errors_total; an evicted job is ErrUnknownJob.
+func (fs *FileStore) Events(id string, after int) ([]Event, error) {
+	fs.mu.Lock()
+	if evs, ok := fs.heldLocked(id); ok {
+		evs = append([]Event(nil), evs[min(after, len(evs)):]...)
+		fs.mu.Unlock()
+		return evs, nil
+	}
+	s, ok := fs.sealed[id]
+	if !ok {
+		fs.mu.Unlock()
+		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
+	}
+	// Open under fs.mu, so no compaction deletes the segment first; an
+	// open file stays readable after its unlink.
+	f, err := os.Open(filepath.Join(fs.dir, segmentName(s.seg)))
+	fs.mu.Unlock()
+	if err == nil {
+		var evs []Event
+		evs, err = readJobEvents(f, id, s)
+		f.Close()
+		if err == nil {
+			return evs[min(after, len(evs)):], nil
+		}
+	}
+	obsStoreErrors.Inc()
+	return nil, fmt.Errorf("service: reading the events of %s: %w", id, err)
+}
+
+// readJobEvents reads and decodes the job record s indexes in f, which
+// must be job id's with s.events events.
+func readJobEvents(f *os.File, id string, s sealedJob) ([]Event, error) {
+	line := make([]byte, s.at.size)
+	if _, err := f.ReadAt(line, s.at.off); err != nil {
+		return nil, err
+	}
+	var r logRec
+	if line[len(line)-1] != '\n' {
+		return nil, fmt.Errorf("%s: no line ends at byte %d", f.Name(), s.at.off+int64(s.at.size))
+	}
+	payload, err := decodeLine(line[:len(line)-1])
+	if err == nil {
+		err = json.Unmarshal(payload, &r)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s at byte %d: %w", f.Name(), s.at.off, err)
+	}
+	if r.Kind != "job" || r.Job == nil || r.Job.ID != id || len(r.Job.Events) != s.events {
+		return nil, fmt.Errorf("%s at byte %d: not the job record of %s", f.Name(), s.at.off, id)
+	}
+	return r.Job.Events, nil
+}
+
 // Recover returns the durable records in admission order. Unsealed
 // records' event slices are copied: the caller rehydrates jobs from
-// them while RecordEvent keeps appending to the mirror. Sealed jobs'
-// decoded records are handed over, leaving only their index entries,
-// so a later call reads them back from their segments.
+// them while RecordEvent keeps appending to the mirror. A sealed job's
+// record carries its summary and no events; the store hands it over,
+// keeping only the index entry, so a later call reads the summary back
+// from the segment.
 func (fs *FileStore) Recover() ([]JobRecord, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -504,14 +757,13 @@ func (fs *FileStore) Recover() ([]JobRecord, error) {
 		out = append(out, r)
 	}
 	for n, ids := range reread {
-		recs, err := readCommitted(filepath.Join(fs.dir, segmentName(n)))
+		err := fs.scanSegment(n, func(rec *JobRecord, _ lineSpan) {
+			if slices.Contains(ids, rec.ID) {
+				out = append(out, *rec)
+			}
+		})
 		if err != nil {
 			return nil, err
-		}
-		for _, r := range recs {
-			if r.Job != nil && slices.Contains(ids, r.Job.ID) {
-				out = append(out, *r.Job)
-			}
 		}
 	}
 	slices.SortFunc(out, func(a, b JobRecord) int { return a.Seq - b.Seq })
@@ -564,31 +816,44 @@ func (fs *FileStore) compactLocked() error {
 	}
 	slices.SortFunc(ordered, func(a, b storeEntry) int { return seq(a.id) - seq(b.id) })
 	for _, id := range evictVictims(ordered, fs.limit) {
+		evs := fs.listedEventsLocked(id)
 		fs.dropLocked(id)
+		if evs != nil {
+			fs.orphans[id] = evs
+		}
 	}
 
-	var fresh, live []logRec
+	var fresh []*JobRecord
+	var live []logRec
 	for _, e := range ordered {
 		rec, ok := fs.recs[e.id]
 		if _, sealed := fs.sealed[e.id]; !ok || sealed {
 			continue // evicted just above, or sealed earlier
 		}
 		if e.terminal {
-			fresh = append(fresh, logRec{Kind: "job", Job: rec})
+			fresh = append(fresh, rec)
 		} else {
 			live = append(live, logRec{Kind: "job", Job: rec})
 		}
 	}
 	if len(fresh) > 0 {
+		// Each job's sum record, then its job record.
 		n := fs.lastSeg + 1
-		if err := fs.commitFile(segmentName(n), fresh); err != nil {
+		recs := make([]logRec, 0, 2*len(fresh))
+		for _, rec := range fresh {
+			s := rec.summary()
+			head := &JobRecord{ID: rec.ID, Seq: rec.Seq, Spec: rec.Spec}
+			recs = append(recs, logRec{Kind: "sum", Job: head, Sum: &s}, logRec{Kind: "job", Job: rec})
+		}
+		spans, err := fs.commitFile(segmentName(n), recs)
+		if err != nil {
 			return err
 		}
 		fs.lastSeg = n
 		fs.segs[n] = &segment{jobs: len(fresh)}
-		for _, r := range fresh {
-			fs.sealed[r.Job.ID] = sealedJob{seq: r.Job.Seq, seg: n}
-			delete(fs.recs, r.Job.ID)
+		for i, rec := range fresh {
+			fs.sealed[rec.ID] = sealedJob{seq: rec.Seq, seg: n, at: spans[2*i+1], events: len(rec.Events)}
+			delete(fs.recs, rec.ID)
 		}
 	}
 
@@ -607,7 +872,7 @@ func (fs *FileStore) compactLocked() error {
 		}
 	}
 
-	if err := fs.commitFile(snapshotName, append(tombs, live...)); err != nil {
+	if _, err := fs.commitFile(snapshotName, append(tombs, live...)); err != nil {
 		return err
 	}
 	if err := fs.log.Truncate(0); err != nil {
@@ -621,17 +886,45 @@ func (fs *FileStore) compactLocked() error {
 	return nil
 }
 
+// listedEventsLocked returns the events of a job that compaction's own
+// eviction drops while the Manager still lists it (the catalog was over
+// the limit when live jobs finished), so that replays keep serving them
+// until the Manager's next Evict; nil for any other job.
+func (fs *FileStore) listedEventsLocked(id string) []Event {
+	if _, listed := fs.mem.Get(id); !listed {
+		return nil
+	}
+	if evs, ok := fs.heldLocked(id); ok {
+		return evs
+	}
+	s, ok := fs.sealed[id]
+	if !ok {
+		return nil
+	}
+	f, err := os.Open(filepath.Join(fs.dir, segmentName(s.seg)))
+	if err == nil {
+		defer f.Close()
+		var evs []Event
+		if evs, err = readJobEvents(f, id, s); err == nil {
+			return evs
+		}
+	}
+	obsStoreErrors.Inc()
+	return nil
+}
+
 // commitFile writes recs and an end marker counting them to name
 // through a temp file, streamed by a bufio.Writer: flush, fsync, close,
-// rename. A crash leaves the old file (or none) whole, plus a temp file
-// that OpenFileStore removes.
-func (fs *FileStore) commitFile(name string, recs []logRec) error {
+// rename. It returns the span of each record's line. A crash leaves the
+// old file (or none) whole, plus a temp file that OpenFileStore
+// removes.
+func (fs *FileStore) commitFile(name string, recs []logRec) ([]lineSpan, error) {
 	tmp := filepath.Join(fs.dir, name+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("service: creating %s: %w", name, err)
+		return nil, fmt.Errorf("service: creating %s: %w", name, err)
 	}
-	err = writeRecs(f, recs)
+	spans, err := writeRecs(f, recs)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -640,27 +933,34 @@ func (fs *FileStore) commitFile(name string, recs []logRec) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("service: committing %s: %w", name, err)
+		return nil, fmt.Errorf("service: committing %s: %w", name, err)
 	}
-	return nil
+	return spans, nil
 }
 
-// writeRecs streams recs and their end marker to f and fsyncs it.
-func writeRecs(f *os.File, recs []logRec) error {
+// writeRecs streams recs and their end marker to f, fsyncs it, and
+// returns the span of each record's line.
+func writeRecs(f *os.File, recs []logRec) ([]lineSpan, error) {
 	w := bufio.NewWriterSize(f, 64<<10)
+	spans := make([]lineSpan, len(recs))
+	var off int64
 	var line []byte
-	for _, r := range append(recs[:len(recs):len(recs)], logRec{Kind: "end", Count: len(recs)}) {
+	for i, r := range append(recs[:len(recs):len(recs)], logRec{Kind: "end", Count: len(recs)}) {
 		payload, err := json.Marshal(r)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		line = encodeRec(line[:0], payload)
 		if _, err := w.Write(line); err != nil {
-			return err
+			return nil, err
 		}
+		if i < len(recs) {
+			spans[i] = lineSpan{off: off, size: len(line)}
+		}
+		off += int64(len(line))
 	}
 	if err := w.Flush(); err != nil {
-		return err
+		return nil, err
 	}
-	return f.Sync()
+	return spans, f.Sync()
 }

@@ -13,8 +13,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"histwalk/internal/session"
@@ -55,7 +58,13 @@ func recoveredView(t *testing.T, dir string) map[string]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		evs, err := json.Marshal(j.events)
+		log := j.events
+		if log == nil { // a sealed job's events stay in its segment
+			if log, err = store.Events(j.id, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		evs, err := json.Marshal(log)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,6 +369,89 @@ func TestStoreMigratesV1(t *testing.T) {
 	compare("second boot", serveStore(t, dir))
 }
 
+// TestStoreMigratesV2 boots on testdata/v2store, a crash image that the
+// segment layout wrote before segments held summary records (commit
+// dca975f). Its two segments seal a done job, a failed one, one
+// cancelled while running, a pipelined done job and a GNRW job with two
+// estimators; its manifest holds an evict tombstone for the first job, a
+// running job with a checkpoint and a queued job; its log holds the
+// running job's later events and checkpoints. testdata/v2store-served.json
+// holds every GET body and SSE stream that code served after booting on
+// the image, with serveStore's options, once every job had finished.
+// Booting on the image must serve the same bytes, and so must a second
+// boot, after the shutdown compaction sealed the last two jobs into a
+// third segment beside the old two.
+func TestStoreMigratesV2(t *testing.T) {
+	src := filepath.Join("testdata", "v2store")
+	raw, err := os.ReadFile(filepath.Join("testdata", "v2store-served.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want v1Served
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := readCommitted(filepath.Join(src, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tombs := 0
+	for _, r := range manifest {
+		if r.Kind == "evict" {
+			tombs++
+		}
+	}
+	if segs := segmentFiles(t, src); len(segs) != 2 || tombs != 1 {
+		t.Fatalf("testdata/v2store holds segments %v and %d tombstones, want 2 and 1", segs, tombs)
+	}
+	image, err := OpenFileStore(copyDir(t, src), FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := image.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	image.Close()
+	var states []string
+	for _, r := range recs {
+		s := string(r.State())
+		if !r.State().Terminal() {
+			s += fmt.Sprintf("/%v", r.Checkpoint != nil)
+		}
+		states = append(states, s)
+	}
+	if got := strings.Join(states, " "); got != "failed cancelled done done running/true queued/false" {
+		t.Fatalf("testdata/v2store holds %s (state, /checkpoint when live)", got)
+	}
+	dir := copyDir(t, src)
+	sameServed(t, "first boot", serveStore(t, dir), want)
+	if segs := segmentFiles(t, dir); len(segs) != 3 {
+		t.Fatalf("after the shutdown compaction: segments %v, want the old two and a new one", segs)
+	}
+	sameServed(t, "second boot", serveStore(t, dir), want)
+}
+
+// sameServed fails unless a daemon served exactly want's bodies.
+func sameServed(t *testing.T, label string, got, want v1Served) {
+	t.Helper()
+	if got.List != want.List {
+		t.Fatalf("%s: GET /v1/jobs differs:\n%s\nvs\n%s", label, got.List, want.List)
+	}
+	if len(got.Jobs) != len(want.Jobs) {
+		t.Fatalf("%s: %d jobs, want %d", label, len(got.Jobs), len(want.Jobs))
+	}
+	for i, w := range want.Jobs {
+		g := got.Jobs[i]
+		if g.ID != w.ID || g.Get != w.Get {
+			t.Fatalf("%s: GET /v1/jobs/%s differs:\n%s\nvs\n%s", label, w.ID, g.Get, w.Get)
+		}
+		if g.SSE != w.SSE {
+			t.Fatalf("%s: SSE stream of %s differs:\n%s\nvs\n%s", label, w.ID, g.SSE, w.SSE)
+		}
+	}
+}
+
 // TestStoreWriteOnce runs jobs under a compaction per append and a
 // store limit of 3, and checks the layout after each job: no job is in
 // two segment files, no segment's bytes change after its rename, the
@@ -478,10 +570,283 @@ func TestStoreWriteOnce(t *testing.T) {
 		t.Fatalf("second Recover: %d records, want %d", len(again), len(live))
 	}
 	for i := range again {
-		if again[i].ID != live[i].ID || len(again[i].Events) != live[i].Events {
+		if n := again[i].summary().Events; again[i].ID != live[i].ID || n != live[i].Events {
 			t.Fatalf("second Recover: record %d is %s with %d events, want %s with %d",
-				i, again[i].ID, len(again[i].Events), live[i].ID, live[i].Events)
+				i, again[i].ID, n, live[i].ID, live[i].Events)
 		}
+	}
+}
+
+// replaySSE serves one job's event stream through h and returns the
+// response code and body.
+func replaySSE(h http.Handler, id string) (int, string) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+id+"/events", nil))
+	return rec.Code, rec.Body.String()
+}
+
+// openFDs counts the process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open files: %v", err)
+	}
+	return len(ents)
+}
+
+// TestStoreSealedReplayRacesEviction replays the SSE streams of sealed
+// jobs, whose events a restarted daemon reads from their segment, from
+// several goroutines while submissions evict those jobs and compaction
+// deletes their segment. Each replay must be the job's complete
+// stream, byte-identical to the one served before the restart, or a
+// 404, or an empty stream; and no segment file may be left open.
+func TestStoreSealedReplayRacesEviction(t *testing.T) {
+	openFDs(t)
+	const sealedJobs = 6
+	dir := t.TempDir()
+	m1, _ := openFileManager(t, dir, Options{MaxConcurrent: 2})
+	h1 := NewHandler(m1)
+	var ids []string
+	for i := 0; i < sealedJobs; i++ {
+		st, err := m1.Submit(wire(int64(1300 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		await(t, m1, st.ID)
+		ids = append(ids, st.ID)
+	}
+	streams := map[string]string{}
+	for _, id := range ids {
+		code, body := replaySSE(h1, id)
+		if code != http.StatusOK || body == "" {
+			t.Fatalf("SSE of %s before the restart: %d, %d bytes", id, code, len(body))
+		}
+		streams[id] = body
+	}
+	shutdown(t, m1) // seals the six jobs into one segment
+	segs := segmentFiles(t, dir)
+	if len(segs) != 1 {
+		t.Fatalf("segments %v, want one", segs)
+	}
+
+	store, err := OpenFileStore(dir, FileStoreOptions{CompactBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, _, err := OpenManager(Options{MaxConcurrent: 1, StoreLimit: sealedJobs, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, m2)
+	h2 := NewHandler(m2)
+	before := openFDs(t)
+	var (
+		wg, ready      sync.WaitGroup
+		stop           = make(chan struct{})
+		complete, gone atomic.Int64
+	)
+	replay := func(id string) (evicted bool) {
+		switch code, body := replaySSE(h2, id); {
+		case code == http.StatusOK && body == streams[id]:
+			complete.Add(1)
+		case code == http.StatusNotFound || code == http.StatusOK && body == "":
+			gone.Add(1)
+			return true
+		default:
+			t.Errorf("replay of %s: %d with %d bytes, want its %d-byte stream, a 404 or an empty stream",
+				id, code, len(body), len(streams[id]))
+			return true
+		}
+		return false
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		ready.Add(1)
+		go func() {
+			defer wg.Done()
+			// One replay of every job before the evictions start, then
+			// replays of the jobs not yet seen evicted.
+			for _, id := range ids {
+				replay(id)
+			}
+			ready.Done()
+			evicted := map[string]bool{}
+			for i := g; len(evicted) < len(ids); i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if id := ids[i%len(ids)]; !evicted[id] {
+					evicted[id] = replay(id)
+				}
+			}
+		}()
+	}
+	stopReplays := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer stopReplays() // on a failure below
+	// Each admission evicts the oldest sealed job, and the compaction
+	// after the last eviction deletes the segment. The new jobs stay
+	// live, parked or queued, so few appends compete with the replays.
+	ready.Wait()
+	installHold(m2)
+	var fresh []string
+	for i := 0; i < sealedJobs; i++ {
+		st, err := m2.Submit(wire(int64(1400 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh = append(fresh, st.ID)
+	}
+	for _, id := range fresh {
+		if _, err := m2.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+		await(t, m2, id)
+	}
+	stopReplays()
+	if _, err := os.Stat(filepath.Join(dir, segs[0])); !os.IsNotExist(err) {
+		t.Fatalf("segment %s outlived its jobs: %v", segs[0], err)
+	}
+	for _, id := range ids {
+		if code, _ := replaySSE(h2, id); code != http.StatusNotFound {
+			t.Fatalf("replay of evicted job %s: %d, want 404", id, code)
+		}
+	}
+	if after := openFDs(t); after != before {
+		t.Fatalf("%d open files before the replays, %d after", before, after)
+	}
+	t.Logf("%d complete replays, %d of evicted jobs", complete.Load(), gone.Load())
+	if complete.Load() == 0 {
+		t.Fatal("no replay read a sealed job's stream")
+	}
+}
+
+// TestStoreReplayAfterCompactionEviction: when live jobs outnumber the
+// terminal ones the store limit leaves, the catalog runs over the limit
+// until the next admission, and a compaction in between evicts the
+// oldest finished jobs from disk while the Manager still lists them.
+// Those jobs handed their events to the store; a replay must still
+// serve them until the Manager evicts the job.
+func TestStoreReplayAfterCompactionEviction(t *testing.T) {
+	store, err := OpenFileStore(t.TempDir(), FileStoreOptions{CompactBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := OpenManager(Options{MaxConcurrent: 1, StoreLimit: 2, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, m)
+	release := installHold(m)
+	var ids []string
+	for i := 0; i < 4; i++ {
+		st, err := m.Submit(wire(int64(1600 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	release()
+	for _, id := range ids {
+		await(t, m, id)
+	}
+	h := NewHandler(m)
+	for _, id := range ids {
+		st, err := m.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := replaySSE(h, id)
+		if n := strings.Count(body, "\nid: ") + 1; code != http.StatusOK || !strings.HasPrefix(body, "id: 1\n") || n != st.Events {
+			t.Fatalf("listed job %s with %d events replays %d with %d bytes", id, st.Events, code, len(body))
+		}
+	}
+}
+
+// TestStoreBootCostIgnoresEvents pins the cost of a boot over sealed
+// jobs as an allocation count: OpenFileStore, OpenManager and the
+// Shutdown that stops it allocate the same over the same jobs whether
+// they logged few events or many (ProgressTicks 4 or 256); a -race
+// build only logs the counts. No terminal job holds decoded events
+// after the compaction that seals it, nor after a boot.
+func TestStoreBootCostIgnoresEvents(t *testing.T) {
+	failing := wire(1501)
+	failing.Estimators = []session.EstimatorJSON{{Kind: "mean", Attr: "no_such_attr"}}
+	gnrw := wire(1502)
+	gnrw.Walker = "gnrw-degree"
+	gnrw.Cache = "shared"
+	specs := []session.SpecJSON{wire(1500), failing, gnrw, wire(1503)}
+	noEvents := func(label string, m *Manager) {
+		t.Helper()
+		for _, j := range m.store.All() {
+			j.mu.Lock()
+			terminal, held := j.sum.State.Terminal(), len(j.events)
+			j.mu.Unlock()
+			if !terminal || held > 0 {
+				t.Fatalf("%s: job %s is %s holding %d decoded events", label, j.id, j.sum.State, held)
+			}
+		}
+	}
+	boot := func(dir string) *Manager {
+		t.Helper()
+		m, _ := openFileManager(t, dir, Options{MaxConcurrent: 1})
+		return m
+	}
+	events := map[int]int{}
+	allocs := map[int]float64{}
+	for _, ticks := range []int{4, 256} {
+		dir := t.TempDir()
+		store, err := OpenFileStore(dir, FileStoreOptions{CompactBytes: 1 << 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := OpenManager(Options{MaxConcurrent: 2, ProgressTicks: ticks, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range specs {
+			if _, err := m.Submit(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		awaitAll(t, m)
+		func() {
+			store.mu.Lock()
+			defer store.mu.Unlock()
+			if err := store.compactLocked(); err != nil {
+				t.Fatal(err)
+			}
+			if len(store.recs) != 0 || len(store.sealed) != len(specs) {
+				t.Fatalf("after the sealing compaction the mirror holds %d records and %d sealed jobs", len(store.recs), len(store.sealed))
+			}
+		}()
+		noEvents("after the sealing compaction", m)
+		for _, st := range m.List() {
+			events[ticks] += st.Events
+		}
+		shutdown(t, m)
+		m = boot(dir)
+		noEvents("after boot", m)
+		shutdown(t, m)
+		// With the collector off, sync.Pool hits (fmt, encoding/json) do
+		// not depend on when a collection ran.
+		gc := debug.SetGCPercent(-1)
+		allocs[ticks] = testing.AllocsPerRun(10, func() { shutdown(t, boot(dir)) })
+		debug.SetGCPercent(gc)
+	}
+	t.Logf("boot allocations: %v with %d events, %v with %d", allocs[4], events[4], allocs[256], events[256])
+	if events[256] < 4*events[4] {
+		t.Fatalf("ProgressTicks 256 logged %d events against %d at 4, want many more", events[256], events[4])
+	}
+	if raceEnabled {
+		t.Log("allocation counts are not compared under -race, whose sync.Pool drops puts at random")
+	} else if allocs[4] != allocs[256] {
+		t.Fatalf("boot over the same jobs allocates %v with %d events, %v with %d", allocs[4], events[4], allocs[256], events[256])
 	}
 }
 

@@ -5,6 +5,8 @@ package service
 // subscribers (the SSE handler, tests) replay the log from any index
 // and block for more via waitEvents, so a consumer that connects late
 // still observes the full queued → running → terminal history in order.
+// A finished job whose store serves its log (a FileStore) keeps only
+// its summary; waitEvents then reads the log from the store.
 
 import (
 	"context"
@@ -134,16 +136,13 @@ type job struct {
 	// admission/adoption, before the job is shared.
 	store JobStore
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	state  State
-	errMsg string
-	result *session.Result
+	mu   sync.Mutex
+	cond *sync.Cond
+	// sum is the job's status: the fold of its events (summary.apply).
+	sum summary
+	// events is the job's event log; nil once the job is terminal and
+	// its store serves the log instead (handOffLocked).
 	events []Event
-	chains []ChainProgress
-	// pipeline is the final PipelineStats snapshot of a pipelined job,
-	// carried by its terminal event.
-	pipeline *access.PipelineStats
 	// submittedAt/startedAt feed the queue-wait and run-duration
 	// histograms; startedAt is zero until the job enters running.
 	submittedAt time.Time
@@ -162,57 +161,97 @@ type job struct {
 // newJob returns a queued job whose event log already carries the
 // "queued" state event, so subscribers always see the full lifecycle.
 func newJob(seq int, id string, wire session.SpecJSON, spec session.Spec) *job {
-	j := &job{id: id, seq: seq, wire: wire, spec: spec, state: StateQueued, submittedAt: time.Now()}
+	j := &job{id: id, seq: seq, wire: wire, spec: spec, submittedAt: time.Now()}
 	j.cond = sync.NewCond(&j.mu)
 	j.events = []Event{{Seq: 1, Job: id, Type: "state", State: StateQueued}}
+	j.sum = summarize(j.events)
 	return j
 }
 
 // appendLocked appends ev with the next sequence number, folds it into
-// the job's status (apply), counts and persists it, and wakes waiters.
-// An event without a State carries the job's current one. Callers hold
-// j.mu; the store's record methods are safe to call under it (store
+// the job's status (summary.apply), counts and persists it, and wakes
+// waiters. An event without a State carries the job's current one. The
+// terminal event hands the log to the store (handOffLocked). Callers
+// hold j.mu; the store's methods are safe to call under it (store
 // mutexes are leaves of the lock order).
 func (j *job) appendLocked(ev Event) {
-	ev.Seq = len(j.events) + 1
+	ev.Seq = j.sum.Events + 1
 	ev.Job = j.id
 	if ev.State == "" {
-		ev.State = j.state
+		ev.State = j.sum.State
 	}
 	j.events = append(j.events, ev)
-	j.apply(&ev)
+	j.sum.apply(&ev)
 	obsJobEvents.Inc()
 	if j.store != nil {
 		// Write failures are counted by the store (obsStoreErrors); the
 		// in-memory event stream stays authoritative for live consumers.
 		_ = j.store.RecordEvent(j.id, ev)
+		if ev.State.Terminal() {
+			j.handOffLocked()
+		}
 	}
 	j.cond.Broadcast()
 }
 
-// apply folds one event into the job's status: state, error, Result,
-// per-chain progress and pipeline counters. The event log is the single
-// source of truth for them: appendLocked applies every live event, and
-// jobFromRecord replays a recovered log through the same fold.
-func (j *job) apply(ev *Event) {
+// handOffLocked drops a terminal job's event log when its store serves
+// the whole of it (JobStore.HandOff), so a finished job costs the
+// Manager only its summary. Callers hold j.mu.
+func (j *job) handOffLocked() {
+	if j.events != nil && j.store.HandOff(j.id, j.sum.Events) {
+		j.events = nil
+	}
+}
+
+// summary is a job's status as its event log folds it: state, error,
+// per-chain progress, event count, Result and pipeline counters. It is
+// all a finished job costs the Manager once its store serves the log,
+// and what a segment's summary record holds (filestore.go).
+type summary struct {
+	State  State           `json:"state"`
+	Error  string          `json:"error,omitempty"`
+	Chains []ChainProgress `json:"chains,omitempty"`
+	Events int             `json:"events"`
+	Result *session.Result `json:"result,omitempty"`
+	// Pipeline is the final PipelineStats snapshot of a pipelined job,
+	// carried by its terminal event.
+	Pipeline *access.PipelineStats `json:"pipeline,omitempty"`
+}
+
+// summarize folds an event log, from the queued state.
+func summarize(evs []Event) summary {
+	s := summary{State: StateQueued}
+	for i := range evs {
+		s.apply(&evs[i])
+	}
+	return s
+}
+
+// apply folds one event into the summary. The event log is the single
+// source of truth for a job's status, and this is its one fold:
+// appendLocked applies every live event, jobFromRecord replays a
+// recovered log, and compaction folds a finished job's log once into
+// the summary record it seals.
+func (s *summary) apply(ev *Event) {
+	s.Events++
 	if ev.State != "" {
-		j.state = ev.State
+		s.State = ev.State
 	}
 	switch ev.Type {
 	case "state", "result":
-		j.errMsg = ev.Error
+		s.Error = ev.Error
 	}
 	if ev.Result != nil {
-		j.result = ev.Result
+		s.Result = ev.Result
 	}
 	if ev.Chain != nil {
-		for len(j.chains) <= ev.Chain.Chain {
-			j.chains = append(j.chains, ChainProgress{Chain: len(j.chains)})
+		for len(s.Chains) <= ev.Chain.Chain {
+			s.Chains = append(s.Chains, ChainProgress{Chain: len(s.Chains)})
 		}
-		j.chains[ev.Chain.Chain] = *ev.Chain
+		s.Chains[ev.Chain.Chain] = *ev.Chain
 	}
 	if ev.Pipeline != nil {
-		j.pipeline = ev.Pipeline
+		s.Pipeline = ev.Pipeline
 	}
 }
 
@@ -220,7 +259,7 @@ func (j *job) apply(ev *Event) {
 // or "result" event, after moving the job-state ledger
 // (countTransition). Callers hold j.mu.
 func (j *job) setStateLocked(ev Event) {
-	countTransition(j.state, ev.State)
+	countTransition(j.sum.State, ev.State)
 	j.appendLocked(ev)
 }
 
@@ -235,20 +274,20 @@ func (j *job) status() JobStatus {
 	defer j.mu.Unlock()
 	st := JobStatus{
 		ID:       j.id,
-		State:    j.state,
-		Error:    j.errMsg,
+		State:    j.sum.State,
+		Error:    j.sum.Error,
 		Spec:     j.wire,
-		Events:   len(j.events),
-		Result:   j.result,
-		Pipeline: j.pipeline,
+		Events:   j.sum.Events,
+		Result:   j.sum.Result,
+		Pipeline: j.sum.Pipeline,
 	}
 	if t := j.wire.Transport; t != nil && t.AuthValue != "" {
 		red := *t
 		red.AuthValue = redacted
 		st.Spec.Transport = &red
 	}
-	if len(j.chains) > 0 {
-		st.Chains = append([]ChainProgress(nil), j.chains...)
+	if len(j.sum.Chains) > 0 {
+		st.Chains = append([]ChainProgress(nil), j.sum.Chains...)
 	}
 	return st
 }
@@ -257,13 +296,15 @@ func (j *job) status() JobStatus {
 func (j *job) stateNow() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
+	return j.sum.State
 }
 
 // waitEvents blocks until the job has events past index `after`, the
 // job is terminal, or ctx is done. It returns the new events (a copy),
 // whether the job was terminal at snapshot time, and the ctx cause if
-// the wait was cut short with nothing to deliver.
+// the wait was cut short with nothing to deliver. A job that handed
+// its log to the store gets the events from the store, outside j.mu; a
+// failed read is returned as the error, with no events.
 func (j *job) waitEvents(ctx context.Context, after int) ([]Event, bool, error) {
 	if after < 0 {
 		after = 0
@@ -277,18 +318,24 @@ func (j *job) waitEvents(ctx context.Context, after int) ([]Event, bool, error) 
 	})
 	defer stop()
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	for len(j.events) <= after && !j.state.Terminal() && ctx.Err() == nil {
+	for j.sum.Events <= after && !j.sum.State.Terminal() && ctx.Err() == nil {
 		j.cond.Wait()
 	}
-	terminal := j.state.Terminal()
-	if len(j.events) <= after {
+	terminal := j.sum.State.Terminal()
+	if j.sum.Events <= after {
+		j.mu.Unlock()
 		if err := ctx.Err(); err != nil {
 			return nil, terminal, context.Cause(ctx)
 		}
 		return nil, terminal, nil
 	}
+	if j.events == nil {
+		j.mu.Unlock()
+		evs, err := j.store.Events(j.id, after)
+		return evs, terminal, err
+	}
 	evs := make([]Event, len(j.events)-after)
 	copy(evs, j.events[after:])
+	j.mu.Unlock()
 	return evs, terminal, nil
 }

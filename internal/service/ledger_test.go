@@ -339,7 +339,7 @@ func TestJobLedger(t *testing.T) {
 				}
 				delete(known, st.ID) // what stays in known left the catalog
 				r, ok := boot[st.ID]
-				events += float64(st.Events - len(r.Events))
+				events += float64(st.Events - r.summary().Events)
 				if !ok || !r.State().Terminal() {
 					ended[st.State]++
 				}

@@ -241,8 +241,9 @@ func OpenManager(opts Options) (*Manager, *Recovery, error) {
 }
 
 // rehydrate rebuilds one recovered record into a catalog job and, for
-// live records, re-enqueues it. Runs before the worker pool starts, so
-// no locking discipline applies yet.
+// live records, re-enqueues it. A terminal job keeps only its summary
+// when the store serves its events. Runs before the worker pool starts,
+// so no locking discipline applies yet.
 func (m *Manager) rehydrate(r *JobRecord, rec *Recovery) {
 	j := jobFromRecord(r)
 	j.store = m.store
@@ -251,8 +252,9 @@ func (m *Manager) rehydrate(r *JobRecord, rec *Recovery) {
 	}
 	m.store.Adopt(j)
 	obsJobsRecovered.Inc()
-	state := j.state
+	state := j.sum.State
 	if state.Terminal() {
+		j.handOffLocked()
 		rec.Terminal++
 		return
 	}
@@ -279,23 +281,20 @@ func (m *Manager) rehydrate(r *JobRecord, rec *Recovery) {
 	m.queue <- j
 }
 
-// jobFromRecord rebuilds the in-memory job from a durable record by
-// replaying its event log through job.apply, the fold the live path
-// runs on every appended event.
+// jobFromRecord rebuilds the in-memory job from a durable record: a
+// sealed record's stored summary, or its event log replayed through
+// summary.apply, the fold the live path runs on every appended event.
 func jobFromRecord(r *JobRecord) *job {
 	j := &job{
 		id:          r.ID,
 		seq:         r.Seq,
 		wire:        r.Spec,
-		state:       StateQueued,
+		sum:         r.summary(),
 		events:      append([]Event(nil), r.Events...),
 		submittedAt: time.Now(),
 		resume:      r.Checkpoint,
 	}
 	j.cond = sync.NewCond(&j.mu)
-	for i := range j.events {
-		j.apply(&j.events[i])
-	}
 	return j
 }
 
@@ -410,7 +409,7 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 	}
 	j.mu.Lock()
 	switch {
-	case j.state.Terminal():
+	case j.sum.State.Terminal():
 		j.mu.Unlock()
 		return j.status(), ErrJobTerminal
 	case j.cancelRun == nil:
@@ -493,8 +492,8 @@ func (m *Manager) runJob(j *job) {
 		// Graceful drain: jobs still queued (or recovered but not yet
 		// picked up) when Shutdown began are cancelled, not run.
 		j.mu.Lock()
-		recovered := j.recovered && j.state == StateRunning
-		if j.state != StateQueued && !recovered {
+		recovered := j.recovered && j.sum.State == StateRunning
+		if j.sum.State != StateQueued && !recovered {
 			j.mu.Unlock()
 			return
 		}
@@ -504,8 +503,8 @@ func (m *Manager) runJob(j *job) {
 		return
 	}
 	j.mu.Lock()
-	recovered := j.recovered && j.state == StateRunning
-	if j.state != StateQueued && !recovered { // cancelled while waiting
+	recovered := j.recovered && j.sum.State == StateRunning
+	if j.sum.State != StateQueued && !recovered { // cancelled while waiting
 		j.mu.Unlock()
 		return
 	}
@@ -563,7 +562,7 @@ func (m *Manager) runJob(j *job) {
 func (m *Manager) drive(ctx context.Context, j *job) (res *session.Result, ps *access.PipelineStats, err error) {
 	j.mu.Lock()
 	resume := j.resume
-	prior := append([]ChainProgress(nil), j.chains...)
+	prior := append([]ChainProgress(nil), j.sum.Chains...)
 	j.mu.Unlock()
 	sess, err := session.NewSession(j.spec)
 	if err != nil {

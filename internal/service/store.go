@@ -9,7 +9,9 @@ package service
 //   - the catalog: which jobs exist, in admission order, looked up by
 //     ID — Add/Adopt/Get/All/Len/Evict;
 //   - durability: the append-only record of everything needed to
-//     rebuild the catalog — RecordEvent/RecordCheckpoint/Recover.
+//     rebuild the catalog — RecordEvent/RecordCheckpoint/Recover — and,
+//     for a store that keeps finished jobs' events, serving them back —
+//     HandOff/Events.
 //
 // Eviction policy lives HERE, in evictVictims, and nowhere else: the
 // Manager's store-limit eviction and FileStore's log compaction both
@@ -17,6 +19,7 @@ package service
 // set the live Manager would have kept.
 
 import (
+	"fmt"
 	"sync"
 
 	"histwalk/internal/session"
@@ -52,8 +55,15 @@ type JobStore interface {
 	// replacing any earlier one.
 	RecordCheckpoint(id string, cp *session.Checkpoint) error
 	// Recover returns the durable job records in admission order, for
-	// rehydration at boot. Stores without durability return nil.
+	// rehydration at boot: a sealed job's record carries its summary
+	// and no events. Stores without durability return nil.
 	Recover() ([]JobRecord, error)
+	// HandOff reports whether the store serves all n events of the
+	// terminal job id through Events, so the job may drop its own copy.
+	// It is called under the job's mutex. A MemStore serves nothing.
+	HandOff(id string, n int) bool
+	// Events returns a handed-off job's events past index after.
+	Events(id string, after int) ([]Event, error)
 	// Close releases the store's resources (flushing and compacting
 	// durable state where applicable).
 	Close() error
@@ -61,8 +71,10 @@ type JobStore interface {
 
 // JobRecord is the durable form of one job: everything needed to
 // rebuild its catalog entry after a restart. State, error, result and
-// per-chain progress are not stored separately — they are derived from
-// the event log, which is the single source of truth.
+// per-chain progress are derived from the event log, which is the
+// single source of truth. A sealed job's record carries the fold of its
+// log, computed once when it was sealed, instead of the log itself,
+// which stays in its segment.
 type JobRecord struct {
 	// ID is the job's deterministic identifier.
 	ID string `json:"id"`
@@ -70,19 +82,37 @@ type JobRecord struct {
 	Seq int `json:"seq"`
 	// Spec is the wire spec the job was submitted with.
 	Spec session.SpecJSON `json:"spec"`
-	// Events is the job's full event log, in order.
-	Events []Event `json:"events"`
+	// Events is the job's full event log, in order; nil in a sealed
+	// job's record.
+	Events []Event `json:"events,omitempty"`
 	// Checkpoint is the latest chain checkpoint of a running job, nil
-	// for jobs that never checkpointed.
+	// for jobs that never checkpointed; Recover leaves it nil in a
+	// sealed job's record.
 	Checkpoint *session.Checkpoint `json:"checkpoint,omitempty"`
+	// sum is a sealed job's summary, the fold of its events; nil while
+	// Events holds them.
+	sum *summary
 }
 
-// State derives the job's lifecycle position from its event log.
+// State derives the job's lifecycle position from its event log, or
+// reads it from a sealed job's summary.
 func (r *JobRecord) State() State {
+	if r.sum != nil {
+		return r.sum.State
+	}
 	if len(r.Events) == 0 {
 		return StateQueued
 	}
 	return r.Events[len(r.Events)-1].State
+}
+
+// summary returns the job's status: a sealed record's stored summary,
+// else the fold of its events.
+func (r *JobRecord) summary() summary {
+	if r.sum != nil {
+		return *r.sum
+	}
+	return summarize(r.Events)
 }
 
 // storeEntry is one catalog position as the eviction policy sees it.
@@ -213,6 +243,14 @@ func (s *MemStore) RecordCheckpoint(string, *session.Checkpoint) error { return 
 
 // Recover returns nil: nothing survives a MemStore's process.
 func (s *MemStore) Recover() ([]JobRecord, error) { return nil, nil }
+
+// HandOff returns false: a MemStore's jobs keep their own events.
+func (s *MemStore) HandOff(string, int) bool { return false }
+
+// Events fails: no job hands its events to a MemStore.
+func (s *MemStore) Events(id string, _ int) ([]Event, error) {
+	return nil, fmt.Errorf("%w: %q holds no handed-off events", ErrUnknownJob, id)
+}
 
 // Close is a no-op.
 func (s *MemStore) Close() error { return nil }
