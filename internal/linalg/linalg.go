@@ -180,15 +180,6 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 	return f.Solve(b)
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Dot returns ⟨a, b⟩.
 func Dot(a, b []float64) float64 {
 	s := 0.0

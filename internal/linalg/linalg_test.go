@@ -153,7 +153,10 @@ func TestLUSolveReuse(t *testing.T) {
 }
 
 func TestIdentityDotNorm(t *testing.T) {
-	id := Identity(3)
+	id := NewMatrix(3, 3)
+	for i := 0; i < 3; i++ {
+		id.Set(i, i, 1)
+	}
 	x := []float64{1, 2, 3}
 	y, _ := id.MulVec(x)
 	for i := range x {

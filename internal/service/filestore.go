@@ -42,10 +42,12 @@ package service
 // sum record: ID, Seq, Spec and the summary — state, error, per-chain
 // progress, event count, Result, pipeline counters. The job record
 // beside it holds the events. The mirror then keeps an index entry per
-// sealed job: its segment and the byte span of its job record. A
-// terminal job hands its events to the store (HandOff), so a sealed job
-// costs the Manager its summary alone; Events serves a replay with one
-// read of the job record.
+// sealed job: its segment and the byte span of its job record. The
+// store holds every job's log, so a job costs the Manager its summary
+// alone: Events serves a replay from the mirror until the seal, then
+// with one read of the job record. RecordEvent appends to the mirror
+// before it writes the log, so an event whose write fails is still
+// served, and the next compaction makes it durable.
 //
 // Recovery removes leftover *.tmp files, then streams the segments in
 // numeric order and loads the manifest and the log's longest valid
@@ -329,8 +331,9 @@ type segment struct {
 // process plus an append-only log, segments and a manifest on disk.
 // The mirror — the JobRecord view of the catalog — is maintained from
 // the appends themselves, so compaction never reads live job state and
-// takes no job mutexes. It holds the full record of every unsealed job
-// and an index entry per sealed one.
+// takes no job mutexes. It holds the full record of every unsealed job,
+// its event log included, and an index entry per sealed one; the
+// MemStore's own logs stay empty.
 type FileStore struct {
 	mem  *MemStore
 	dir  string
@@ -348,11 +351,15 @@ type FileStore struct {
 	// orphans holds the events of jobs that compaction's own eviction
 	// dropped while the Manager still lists them, until Evict drops
 	// them from the catalog too.
-	orphans map[string][]Event
-	segs    map[int]*segment
-	lastSeg int  // highest segment number written or loaded
-	limit   int  // last Evict limit; re-applied at compaction (0 = none yet)
-	closed  bool // Close has run
+	orphans   map[string][]Event
+	segs      map[int]*segment
+	lastSeg   int  // highest segment number written or loaded
+	limit     int  // last Evict limit; re-applied at compaction (0 = none yet)
+	recovered bool // Recover has run
+	closed    bool // Close has run
+	// openTime is how long OpenFileStore took; OpenManager counts it in
+	// the boot time it reports.
+	openTime time.Duration
 }
 
 // OpenFileStore opens (or creates) the store directory, streams the
@@ -361,6 +368,7 @@ type FileStore struct {
 // error. The returned store's Recover holds every job the process knew
 // before it died.
 func OpenFileStore(dir string, opts FileStoreOptions) (*FileStore, error) {
+	t0 := time.Now()
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: creating store dir: %w", err)
@@ -440,6 +448,7 @@ func OpenFileStore(dir string, opts FileStoreOptions) (*FileStore, error) {
 	}
 	fs.log = f
 	fs.logBytes = int64(valid)
+	fs.openTime = time.Since(t0)
 	return fs, nil
 }
 
@@ -555,8 +564,8 @@ func (fs *FileStore) appendLocked(recs ...logRec) error {
 }
 
 // Add admits a fresh job: catalog insert plus a durable submit record
-// and the job's already-seeded events.
-func (fs *FileStore) Add(j *job) error {
+// and the job's seed events.
+func (fs *FileStore) Add(j *job, seed []Event) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	_, known := fs.recs[j.id]
@@ -564,7 +573,7 @@ func (fs *FileStore) Add(j *job) error {
 		fs.mem.Adopt(j)
 		return nil
 	}
-	rec := &JobRecord{ID: j.id, Seq: j.seq, Spec: j.wire, Events: append([]Event(nil), j.events...)}
+	rec := &JobRecord{ID: j.id, Seq: j.seq, Spec: j.wire, Events: append([]Event(nil), seed...)}
 	recs := []logRec{{Kind: "submit", ID: j.id, Seq: j.seq, Spec: &j.wire}}
 	for i := range rec.Events {
 		recs = append(recs, logRec{Kind: "event", ID: j.id, Event: &rec.Events[i]})
@@ -588,9 +597,6 @@ func (fs *FileStore) Get(id string) (*job, bool) { return fs.mem.Get(id) }
 // All returns the live catalog in admission order.
 func (fs *FileStore) All() []*job { return fs.mem.All() }
 
-// Len returns the live catalog size.
-func (fs *FileStore) Len() int { return fs.mem.Len() }
-
 // Evict applies the shared eviction policy to the live catalog and
 // makes the removals durable.
 func (fs *FileStore) Evict(limit int) []string {
@@ -611,7 +617,9 @@ func (fs *FileStore) Evict(limit int) []string {
 	return victims
 }
 
-// RecordEvent appends one job event to the log and the mirror.
+// RecordEvent appends one job event to the mirror, then to the log. An
+// event whose log write fails stays in the mirror: replays serve it, and
+// the next compaction writes it to the manifest or a segment.
 func (fs *FileStore) RecordEvent(id string, ev Event) error {
 	t0 := time.Now()
 	fs.mu.Lock()
@@ -620,11 +628,11 @@ func (fs *FileStore) RecordEvent(id string, ev Event) error {
 	if rec == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
-	if err := fs.appendLocked(logRec{Kind: "event", ID: id, Event: &ev}); err != nil {
-		return err
-	}
 	if ev.Seq == len(rec.Events)+1 {
 		rec.Events = append(rec.Events, ev)
+	}
+	if err := fs.appendLocked(logRec{Kind: "event", ID: id, Event: &ev}); err != nil {
+		return err
 	}
 	fs.maybeCompactLocked()
 	obsStoreAppend.Since(t0)
@@ -651,20 +659,6 @@ func (fs *FileStore) RecordCheckpoint(id string, cp *session.Checkpoint) error {
 	return nil
 }
 
-// HandOff reports whether the store holds all n events of the terminal
-// job id: in the mirror until a compaction seals the job, then in its
-// segment. The job calls it under its own mutex, so the lock order is
-// job mutex, then fs.mu; compaction takes no job mutex.
-func (fs *FileStore) HandOff(id string, n int) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if s, ok := fs.sealed[id]; ok {
-		return s.events == n
-	}
-	evs, ok := fs.heldLocked(id)
-	return ok && len(evs) == n
-}
-
 // heldLocked returns the events the store holds in memory for job id:
 // an unsealed job's in the mirror, or an orphan's.
 func (fs *FileStore) heldLocked(id string) ([]Event, bool) {
@@ -675,10 +669,12 @@ func (fs *FileStore) heldLocked(id string) ([]Event, bool) {
 	return evs, ok
 }
 
-// Events returns a handed-off job's events past index after: a copy of
-// those held in memory while the job is unsealed, else its job record,
-// read from its segment in one read. A failed read counts in
-// histwalk_store_errors_total; an evicted job is ErrUnknownJob.
+// Events returns job id's events past index after: a copy of those held
+// in memory while the job is unsealed, else its job record, read from
+// its segment in one read. A failed read counts in
+// histwalk_store_errors_total; an evicted job is ErrUnknownJob. Jobs
+// call it outside their mutex; compaction takes no job mutex, so the
+// lock order stays job mutex, then fs.mu.
 func (fs *FileStore) Events(id string, after int) ([]Event, error) {
 	fs.mu.Lock()
 	if evs, ok := fs.heldLocked(id); ok {
@@ -735,18 +731,15 @@ func readJobEvents(f *os.File, id string, s sealedJob) ([]Event, error) {
 // records' event slices are copied: the caller rehydrates jobs from
 // them while RecordEvent keeps appending to the mirror. A sealed job's
 // record carries its summary and no events; the store hands it over,
-// keeping only the index entry, so a later call reads the summary back
-// from the segment.
+// keeping only the index entry. A second call fails.
 func (fs *FileStore) Recover() ([]JobRecord, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	out := make([]JobRecord, 0, len(fs.recs)+len(fs.sealed))
-	reread := make(map[int][]string) // segment → its sealed jobs not in recs
-	for id, s := range fs.sealed {
-		if _, ok := fs.recs[id]; !ok {
-			reread[s.seg] = append(reread[s.seg], id)
-		}
+	if fs.recovered {
+		return nil, errors.New("service: the file store was already recovered")
 	}
+	fs.recovered = true
+	out := make([]JobRecord, 0, len(fs.recs))
 	for id, rec := range fs.recs {
 		r := *rec
 		if _, ok := fs.sealed[id]; ok {
@@ -755,16 +748,6 @@ func (fs *FileStore) Recover() ([]JobRecord, error) {
 			r.Events = append([]Event(nil), rec.Events...)
 		}
 		out = append(out, r)
-	}
-	for n, ids := range reread {
-		err := fs.scanSegment(n, func(rec *JobRecord, _ lineSpan) {
-			if slices.Contains(ids, rec.ID) {
-				out = append(out, *rec)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
 	slices.SortFunc(out, func(a, b JobRecord) int { return a.Seq - b.Seq })
 	return out, nil

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"histwalk/internal/session"
 )
@@ -58,11 +59,9 @@ func recoveredView(t *testing.T, dir string) map[string]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log := j.events
-		if log == nil { // a sealed job's events stay in its segment
-			if log, err = store.Events(j.id, 0); err != nil {
-				t.Fatal(err)
-			}
+		log, err := store.Events(j.id, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
 		evs, err := json.Marshal(log)
 		if err != nil {
@@ -457,7 +456,7 @@ func sameServed(t *testing.T, label string, got, want v1Served) {
 // two segment files, no segment's bytes change after its rename, the
 // manifest holds no terminal job, and no segment whose jobs are all
 // evicted survives. After Recover, the FileStore keeps no decoded
-// record for a sealed job.
+// record for a sealed job, and a second Recover fails.
 func TestStoreWriteOnce(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenFileStore(dir, FileStoreOptions{CompactBytes: 1})
@@ -560,20 +559,8 @@ func TestStoreWriteOnce(t *testing.T) {
 			}
 		}
 	}()
-	// A later Recover reads the sealed records back from their segments.
-	again, err := store2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := m2.List()
-	if len(again) != len(live) {
-		t.Fatalf("second Recover: %d records, want %d", len(again), len(live))
-	}
-	for i := range again {
-		if n := again[i].summary().Events; again[i].ID != live[i].ID || n != live[i].Events {
-			t.Fatalf("second Recover: record %d is %s with %d events, want %s with %d",
-				i, again[i].ID, n, live[i].ID, live[i].Events)
-		}
+	if again, err := store2.Recover(); err == nil {
+		t.Fatalf("a second Recover returned %d records and no error", len(again))
 	}
 }
 
@@ -768,12 +755,149 @@ func TestStoreReplayAfterCompactionEviction(t *testing.T) {
 	}
 }
 
+// TestStoreFailedAppendKeepsJob: an event whose log write fails stays in
+// the store's mirror. A running job's "cancelled" event is appended
+// while the log is a read-only handle; the job must still serve it, and
+// the clean shutdown must seal it, so the restart recovers the job as
+// cancelled with every event and the same SSE stream.
+func TestStoreFailedAppendKeepsJob(t *testing.T) {
+	dir := t.TempDir()
+	m, _ := openFileManager(t, dir, Options{MaxConcurrent: 1})
+	store := m.store.(*FileStore)
+	installHold(m)
+	st, err := m.Submit(wire(1700))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, st.ID, StateRunning) // its running event is logged
+	readOnly, err := os.Open(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer readOnly.Close()
+	store.mu.Lock()
+	writable := store.log
+	store.log = readOnly
+	store.mu.Unlock()
+	errs := scrapeMetrics(t)["histwalk_store_errors_total"]
+	if _, err := m.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	live := await(t, m, st.ID)
+	store.mu.Lock()
+	store.log = writable
+	store.mu.Unlock()
+	if n := scrapeMetrics(t)["histwalk_store_errors_total"] - errs; n != 1 {
+		t.Fatalf("histwalk_store_errors_total grew by %v, want 1 for the failed append", n)
+	}
+	code, stream := replaySSE(NewHandler(m), st.ID)
+	if code != http.StatusOK || live.State != StateCancelled || strings.Count(stream, "\nid: ")+1 != live.Events {
+		t.Fatalf("before the restart: job %s, %d events; SSE %d with %d bytes", live.State, live.Events, code, len(stream))
+	}
+	shutdown(t, m)
+
+	m2, rec := openFileManager(t, dir, Options{MaxConcurrent: 1})
+	defer shutdown(t, m2)
+	if rec.Terminal != 1 || rec.Requeued+rec.Resumed+rec.Restarted != 0 {
+		t.Fatalf("recovery = %+v, want the one job as terminal history", rec)
+	}
+	got, err := m2.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateCancelled || got.Events != live.Events {
+		t.Fatalf("recovered job %s with %d events, want cancelled with %d", got.State, got.Events, live.Events)
+	}
+	if code, body := replaySSE(NewHandler(m2), st.ID); code != http.StatusOK || body != stream {
+		t.Fatalf("SSE after the restart: %d\n%s\nwant\n%s", code, body, stream)
+	}
+}
+
+// TestStoreLiveReplayRacesAppends replays the SSE streams of live jobs,
+// which the FileStore serves from its mirror, from several goroutines
+// while the jobs append their events and CompactBytes 1 compacts after
+// every append, sealing each job once it ends. Every stream must be the
+// job's final stream, byte for byte, ending at its terminal event.
+func TestStoreLiveReplayRacesAppends(t *testing.T) {
+	const jobs, readers = 4, 3
+	store, err := OpenFileStore(t.TempDir(), FileStoreOptions{CompactBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := OpenManager(Options{MaxConcurrent: 2, ProgressTicks: 8, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, m)
+	h := NewHandler(m)
+	release := installHold(m)
+	var (
+		ids     []string
+		wg      sync.WaitGroup
+		streams [jobs][readers]string
+	)
+	for i := 0; i < jobs; i++ {
+		st, err := m.Submit(wire(int64(1800 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, streams[i][r] = replaySSE(h, st.ID)
+			}()
+		}
+	}
+	release()
+	wg.Wait()
+	for i, id := range ids {
+		st := await(t, m, id)
+		code, final := replaySSE(h, id)
+		blocks := strings.Split(strings.TrimSuffix(final, "\n\n"), "\n\n")
+		last := blocks[len(blocks)-1]
+		if code != http.StatusOK || st.State != StateDone || len(blocks) != st.Events || !strings.Contains(last, "\nevent: result\n") {
+			t.Fatalf("job %s ended %s with %d events; its final stream (%d) has %d, the last being\n%s", id, st.State, st.Events, code, len(blocks), last)
+		}
+		for r, got := range streams[i] {
+			if got != final {
+				t.Errorf("live replay %d of %s differs from its final stream:\n%s\nwant\n%s", r, id, got, final)
+			}
+		}
+	}
+}
+
+// TestStoreRecoveryCountsOpen: the boot time OpenManager reports, in
+// Recovery.Elapsed and histwalk_recovery_seconds, includes the time
+// OpenFileStore took. The store's recorded open time is set to an hour,
+// so the check does not depend on the wall clock.
+func TestStoreRecoveryCountsOpen(t *testing.T) {
+	store, err := OpenFileStore(t.TempDir(), FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.openTime = time.Hour
+	before := obsRecovery.Sum()
+	m, rec, err := OpenManager(Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, m)
+	if rec.Elapsed < time.Hour {
+		t.Fatalf("Recovery.Elapsed = %v, want at least the store's hour-long open", rec.Elapsed)
+	}
+	if d := obsRecovery.Sum() - before; d < time.Hour {
+		t.Fatalf("histwalk_recovery_seconds grew by %v, want at least the store's hour-long open", d)
+	}
+}
+
 // TestStoreBootCostIgnoresEvents pins the cost of a boot over sealed
 // jobs as an allocation count: OpenFileStore, OpenManager and the
 // Shutdown that stops it allocate the same over the same jobs whether
 // they logged few events or many (ProgressTicks 4 or 256); a -race
-// build only logs the counts. No terminal job holds decoded events
-// after the compaction that seals it, nor after a boot.
+// build only logs the counts. The store holds no terminal job's decoded
+// events after the compaction that seals it, nor after a boot.
 func TestStoreBootCostIgnoresEvents(t *testing.T) {
 	failing := wire(1501)
 	failing.Estimators = []session.EstimatorJSON{{Kind: "mean", Attr: "no_such_attr"}}
@@ -783,12 +907,13 @@ func TestStoreBootCostIgnoresEvents(t *testing.T) {
 	specs := []session.SpecJSON{wire(1500), failing, gnrw, wire(1503)}
 	noEvents := func(label string, m *Manager) {
 		t.Helper()
+		fs := m.store.(*FileStore)
 		for _, j := range m.store.All() {
-			j.mu.Lock()
-			terminal, held := j.sum.State.Terminal(), len(j.events)
-			j.mu.Unlock()
-			if !terminal || held > 0 {
-				t.Fatalf("%s: job %s is %s holding %d decoded events", label, j.id, j.sum.State, held)
+			fs.mu.Lock()
+			evs, held := fs.heldLocked(j.id)
+			fs.mu.Unlock()
+			if st := j.stateNow(); !st.Terminal() || held {
+				t.Fatalf("%s: job %s is %s, its store holding %d decoded events", label, j.id, st, len(evs))
 			}
 		}
 	}

@@ -301,7 +301,7 @@ func TestHTTPErrors(t *testing.T) {
 // a full disk.
 type failingStore struct{ *MemStore }
 
-func (failingStore) Add(*job) error {
+func (failingStore) Add(*job, []Event) error {
 	return errors.New("service: appending to job log: no space left on device")
 }
 

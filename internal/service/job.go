@@ -5,8 +5,9 @@ package service
 // subscribers (the SSE handler, tests) replay the log from any index
 // and block for more via waitEvents, so a consumer that connects late
 // still observes the full queued → running → terminal history in order.
-// A finished job whose store serves its log (a FileStore) keeps only
-// its summary; waitEvents then reads the log from the store.
+// A job keeps only its summary, the fold of its log; the job store
+// holds the log itself, in every state, and waitEvents reads it from
+// there.
 
 import (
 	"context"
@@ -132,17 +133,14 @@ type job struct {
 	seq  int // admission sequence number (the ID embeds it)
 	wire session.SpecJSON
 	spec session.Spec
-	// store receives every appended event for durability; set once at
-	// admission/adoption, before the job is shared.
+	// store holds the job's event log and receives every appended
+	// event; set once at admission/adoption, before the job is shared.
 	store JobStore
 
 	mu   sync.Mutex
 	cond *sync.Cond
 	// sum is the job's status: the fold of its events (summary.apply).
 	sum summary
-	// events is the job's event log; nil once the job is terminal and
-	// its store serves the log instead (handOffLocked).
-	events []Event
 	// submittedAt/startedAt feed the queue-wait and run-duration
 	// histograms; startedAt is zero until the job enters running.
 	submittedAt time.Time
@@ -158,55 +156,40 @@ type job struct {
 	resume    *session.Checkpoint
 }
 
-// newJob returns a queued job whose event log already carries the
+// newJob returns a queued job and the events its log opens with: the
 // "queued" state event, so subscribers always see the full lifecycle.
-func newJob(seq int, id string, wire session.SpecJSON, spec session.Spec) *job {
+// JobStore.Add takes both.
+func newJob(seq int, id string, wire session.SpecJSON, spec session.Spec) (*job, []Event) {
 	j := &job{id: id, seq: seq, wire: wire, spec: spec, submittedAt: time.Now()}
 	j.cond = sync.NewCond(&j.mu)
-	j.events = []Event{{Seq: 1, Job: id, Type: "state", State: StateQueued}}
-	j.sum = summarize(j.events)
-	return j
+	seed := []Event{{Seq: 1, Job: id, Type: "state", State: StateQueued}}
+	j.sum = summarize(seed)
+	return j, seed
 }
 
-// appendLocked appends ev with the next sequence number, folds it into
-// the job's status (summary.apply), counts and persists it, and wakes
-// waiters. An event without a State carries the job's current one. The
-// terminal event hands the log to the store (handOffLocked). Callers
-// hold j.mu; the store's methods are safe to call under it (store
-// mutexes are leaves of the lock order).
+// appendLocked appends ev with the next sequence number to the job's
+// log in the store, folds it into the job's status (summary.apply),
+// counts it, and wakes waiters. An event without a State carries the
+// job's current one. Callers hold j.mu; the store's methods are safe to
+// call under it (store mutexes are leaves of the lock order).
 func (j *job) appendLocked(ev Event) {
 	ev.Seq = j.sum.Events + 1
 	ev.Job = j.id
 	if ev.State == "" {
 		ev.State = j.sum.State
 	}
-	j.events = append(j.events, ev)
+	// A failed write is counted by the store (obsStoreErrors), which
+	// still serves the event.
+	_ = j.store.RecordEvent(j.id, ev)
 	j.sum.apply(&ev)
 	obsJobEvents.Inc()
-	if j.store != nil {
-		// Write failures are counted by the store (obsStoreErrors); the
-		// in-memory event stream stays authoritative for live consumers.
-		_ = j.store.RecordEvent(j.id, ev)
-		if ev.State.Terminal() {
-			j.handOffLocked()
-		}
-	}
 	j.cond.Broadcast()
-}
-
-// handOffLocked drops a terminal job's event log when its store serves
-// the whole of it (JobStore.HandOff), so a finished job costs the
-// Manager only its summary. Callers hold j.mu.
-func (j *job) handOffLocked() {
-	if j.events != nil && j.store.HandOff(j.id, j.sum.Events) {
-		j.events = nil
-	}
 }
 
 // summary is a job's status as its event log folds it: state, error,
 // per-chain progress, event count, Result and pipeline counters. It is
-// all a finished job costs the Manager once its store serves the log,
-// and what a segment's summary record holds (filestore.go).
+// all a job holds of its log, which the store keeps, and what a
+// segment's summary record holds (filestore.go).
 type summary struct {
 	State  State           `json:"state"`
 	Error  string          `json:"error,omitempty"`
@@ -302,9 +285,9 @@ func (j *job) stateNow() State {
 // waitEvents blocks until the job has events past index `after`, the
 // job is terminal, or ctx is done. It returns the new events (a copy),
 // whether the job was terminal at snapshot time, and the ctx cause if
-// the wait was cut short with nothing to deliver. A job that handed
-// its log to the store gets the events from the store, outside j.mu; a
-// failed read is returned as the error, with no events.
+// the wait was cut short with nothing to deliver. The events are read
+// from the store, outside j.mu, up to the snapshot's count; a failed
+// read is returned as the error, with no events.
 func (j *job) waitEvents(ctx context.Context, after int) ([]Event, bool, error) {
 	if after < 0 {
 		after = 0
@@ -321,21 +304,17 @@ func (j *job) waitEvents(ctx context.Context, after int) ([]Event, bool, error) 
 	for j.sum.Events <= after && !j.sum.State.Terminal() && ctx.Err() == nil {
 		j.cond.Wait()
 	}
-	terminal := j.sum.State.Terminal()
-	if j.sum.Events <= after {
-		j.mu.Unlock()
+	terminal, n := j.sum.State.Terminal(), j.sum.Events
+	j.mu.Unlock()
+	if n <= after {
 		if err := ctx.Err(); err != nil {
 			return nil, terminal, context.Cause(ctx)
 		}
 		return nil, terminal, nil
 	}
-	if j.events == nil {
-		j.mu.Unlock()
-		evs, err := j.store.Events(j.id, after)
-		return evs, terminal, err
+	evs, err := j.store.Events(j.id, after)
+	if err != nil {
+		return nil, terminal, err
 	}
-	evs := make([]Event, len(j.events)-after)
-	copy(evs, j.events[after:])
-	j.mu.Unlock()
-	return evs, terminal, nil
+	return evs[:min(len(evs), n-after)], terminal, nil
 }

@@ -176,7 +176,8 @@ type Recovery struct {
 	// jobs (e.g. their dataset no longer resolves); they reload in the
 	// failed state with the reason attached.
 	Failed int `json:"failed"`
-	// Elapsed is the boot-recovery wall time.
+	// Elapsed is the boot-recovery wall time: OpenManager's, plus
+	// OpenFileStore's for a FileStore.
 	Elapsed time.Duration `json:"elapsed"`
 }
 
@@ -185,7 +186,8 @@ type Recovery struct {
 // history, queued jobs re-enter the queue in original admission order,
 // and running jobs re-enter with their last checkpoint to resume from
 // mid-walk. The queue is sized to hold every recovered live job even
-// when that exceeds QueueDepth, so recovery never drops work.
+// when that exceeds QueueDepth, so recovery never drops work. Its boot
+// time includes the time a FileStore took to open.
 func OpenManager(opts Options) (*Manager, *Recovery, error) {
 	opts = opts.withDefaults()
 	t0 := time.Now()
@@ -222,7 +224,10 @@ func OpenManager(opts Options) (*Manager, *Recovery, error) {
 		})
 	}
 	rec.Elapsed = time.Since(t0)
-	obsRecovery.Since(t0)
+	if fs, ok := opts.Store.(*FileStore); ok {
+		rec.Elapsed += fs.openTime
+	}
+	obsRecovery.Observe(rec.Elapsed)
 	eng := engine.New(engine.Options{Workers: opts.MaxConcurrent})
 	go func() {
 		defer close(m.done)
@@ -241,9 +246,8 @@ func OpenManager(opts Options) (*Manager, *Recovery, error) {
 }
 
 // rehydrate rebuilds one recovered record into a catalog job and, for
-// live records, re-enqueues it. A terminal job keeps only its summary
-// when the store serves its events. Runs before the worker pool starts,
-// so no locking discipline applies yet.
+// live records, re-enqueues it. Runs before the worker pool starts, so
+// no locking discipline applies yet.
 func (m *Manager) rehydrate(r *JobRecord, rec *Recovery) {
 	j := jobFromRecord(r)
 	j.store = m.store
@@ -254,7 +258,6 @@ func (m *Manager) rehydrate(r *JobRecord, rec *Recovery) {
 	obsJobsRecovered.Inc()
 	state := j.sum.State
 	if state.Terminal() {
-		j.handOffLocked()
 		rec.Terminal++
 		return
 	}
@@ -284,13 +287,13 @@ func (m *Manager) rehydrate(r *JobRecord, rec *Recovery) {
 // jobFromRecord rebuilds the in-memory job from a durable record: a
 // sealed record's stored summary, or its event log replayed through
 // summary.apply, the fold the live path runs on every appended event.
+// The log itself stays in the store.
 func jobFromRecord(r *JobRecord) *job {
 	j := &job{
 		id:          r.ID,
 		seq:         r.Seq,
 		wire:        r.Spec,
 		sum:         r.summary(),
-		events:      append([]Event(nil), r.Events...),
 		submittedAt: time.Now(),
 		resume:      r.Checkpoint,
 	}
@@ -332,9 +335,9 @@ func (m *Manager) Submit(wire session.SpecJSON) (JobStatus, error) {
 		m.mu.Unlock()
 		return JobStatus{}, ErrQueueFull
 	}
-	j := newJob(m.seq+1, jobID(m.seq+1, canonical), wire, spec)
+	j, seed := newJob(m.seq+1, jobID(m.seq+1, canonical), wire, spec)
 	j.store = m.store
-	if err := m.store.Add(j); err != nil {
+	if err := m.store.Add(j, seed); err != nil {
 		m.mu.Unlock()
 		return JobStatus{}, err
 	}
@@ -576,39 +579,22 @@ func (m *Manager) drive(ctx context.Context, j *job) (res *session.Result, ps *a
 		sess.Close()
 	}()
 	if resume != nil {
-		if sess, resume, err = m.replay(ctx, j, sess, resume); err != nil {
+		if sess, err = m.replay(ctx, j, sess, resume); err != nil {
 			return nil, nil, err
 		}
 	}
-	chains := j.spec.Chains
-	if chains == 0 {
-		chains = 1
-	}
-	stride := j.spec.Budget / m.opts.ProgressTicks
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max(j.spec.Budget/m.opts.ProgressTicks, 1)
 	// One schedule whatever the recovery path: a chain's next emission
 	// is the first stride above the spend its last logged event reports
 	// (0 for a new job), so a rerun never repeats a milestone the
 	// durable log holds. A checkpoint is taken only after the emissions
-	// it covers are logged, so it can never be ahead of the log; it only
-	// seeds the per-chain counts the events report.
-	next := make([]int, chains)
-	track := make([]ChainProgress, chains)
-	for i := range track {
-		track[i].Chain = i
-		logged := 0
+	// it covers are logged, so it can never be ahead of the log. The
+	// counts each event reports are the session's own.
+	next := make([]int, max(j.spec.Chains, 1))
+	for i := range next {
+		next[i] = stride
 		if i < len(prior) {
-			logged = prior[i].Spent
-		}
-		next[i] = stride * (logged/stride + 1)
-	}
-	if resume != nil {
-		for i, c := range resume.Chains {
-			if i < chains {
-				track[i] = ChainProgress{Chain: i, Steps: c.Steps, Spent: c.Spent, Samples: c.Samples}
-			}
+			next[i] = stride * (prior[i].Spent/stride + 1)
 		}
 	}
 	sinceCheckpoint := 0
@@ -620,20 +606,18 @@ func (m *Manager) drive(ctx context.Context, j *job) (res *session.Result, ps *a
 		if !ok {
 			break
 		}
-		cp := &track[u.Chain]
-		cp.Steps = u.Step
-		cp.Spent = u.Spent
-		if u.Sampled {
-			cp.Samples++
-		}
 		if u.Spent >= next[u.Chain] {
 			for next[u.Chain] <= u.Spent {
 				next[u.Chain] += stride
 			}
-			m.emitProgress(j, *cp, runningEstimates(sess.Result()))
+			cp := ChainProgress{Chain: u.Chain, Steps: u.Step, Spent: u.Spent, Samples: u.Samples}
+			m.emitProgress(j, cp, runningEstimates(sess.Result()))
 			if sinceCheckpoint++; sinceCheckpoint >= m.opts.CheckpointEvery {
 				sinceCheckpoint = 0
-				m.checkpoint(j, sess)
+				// Between transitions, as session.Checkpoint requires. A
+				// failed write is counted by the store; a lost checkpoint
+				// only costs replay distance after a crash.
+				_ = j.store.RecordCheckpoint(j.id, sess.Checkpoint())
 			}
 		}
 	}
@@ -642,24 +626,23 @@ func (m *Manager) drive(ctx context.Context, j *job) (res *session.Result, ps *a
 	// error fails the job only after the snapshots, as the job's Result.
 	res, err = sess.Result()
 	ests := runningEstimates(res, err)
-	for i := range track {
-		track[i].Done = true
+	final := sess.Checkpoint().Chains
+	for i, c := range final {
 		var e []RunningEstimate
-		if i == len(track)-1 {
+		if i == len(final)-1 {
 			e = ests
 		}
-		m.emitProgress(j, track[i], e)
+		m.emitProgress(j, ChainProgress{Chain: i, Steps: c.Steps, Spent: c.Spent, Samples: c.Samples, Done: true}, e)
 	}
 	return res, nil, err
 }
 
 // replay advances a fresh session to the job's recovered checkpoint
-// and returns the session to drive with the checkpoint it resumed from.
-// A checkpoint that fails verification (corrupt record, incompatible
-// build) downgrades to a from-scratch rerun on a new session, returned
-// with a nil checkpoint — slower, but the Result is bit-identical either
-// way, which is the contract that matters.
-func (m *Manager) replay(ctx context.Context, j *job, sess *session.Session, cp *session.Checkpoint) (*session.Session, *session.Checkpoint, error) {
+// and returns the session to drive. A checkpoint that fails
+// verification (corrupt record, incompatible build) downgrades to a
+// from-scratch rerun on a new session — slower, but the Result is
+// bit-identical either way, which is the contract that matters.
+func (m *Manager) replay(ctx context.Context, j *job, sess *session.Session, cp *session.Checkpoint) (*session.Session, error) {
 	t0 := time.Now()
 	err := sess.ResumeFrom(ctx, cp)
 	obsResumeReplays.Inc()
@@ -667,28 +650,19 @@ func (m *Manager) replay(ctx context.Context, j *job, sess *session.Session, cp 
 	if err == nil {
 		obsJobsResumed.Inc()
 		traceJob("job.resumed", j.id, obs.F{"chains": len(cp.Chains)})
-		return sess, cp, nil
+		return sess, nil
 	}
 	if ctx != nil && ctx.Err() != nil {
-		return sess, nil, err
+		return sess, err
 	}
 	obsResumeFallbacks.Inc()
 	traceJob("job.resume_fallback", j.id, obs.F{"err": err.Error()})
 	sess.Close()
 	fresh, ferr := session.NewSession(j.spec)
 	if ferr != nil {
-		return sess, nil, ferr
+		return sess, ferr
 	}
-	return fresh, nil, nil
-}
-
-// checkpoint persists the session's current chain progress; called
-// between transitions on the driving goroutine, which is the
-// concurrency contract session.Checkpoint requires.
-func (m *Manager) checkpoint(j *job, sess *session.Session) {
-	// Write failures are counted by the store; the run continues — a
-	// lost checkpoint only costs replay distance after a crash.
-	_ = j.store.RecordCheckpoint(j.id, sess.Checkpoint())
+	return fresh, nil
 }
 
 // runningEstimates renders the outcome of a session merge as pooled

@@ -7,11 +7,10 @@ package service
 // kill -9. The store owns two concerns the Manager used to conflate:
 //
 //   - the catalog: which jobs exist, in admission order, looked up by
-//     ID — Add/Adopt/Get/All/Len/Evict;
-//   - durability: the append-only record of everything needed to
-//     rebuild the catalog — RecordEvent/RecordCheckpoint/Recover — and,
-//     for a store that keeps finished jobs' events, serving them back —
-//     HandOff/Events.
+//     ID — Add/Adopt/Get/All/Evict;
+//   - every job's event log, held in every state and served to every
+//     replay, and durability — RecordEvent/RecordCheckpoint/Events/
+//     Recover.
 //
 // Eviction policy lives HERE, in evictVictims, and nowhere else: the
 // Manager's store-limit eviction and FileStore's log compaction both
@@ -31,10 +30,10 @@ import (
 // once. The interface is sealed to this package (it traffics in the
 // internal job type) — choose an implementation via ManagerOptions.
 type JobStore interface {
-	// Add admits a freshly-submitted job into the catalog and persists
-	// its admission (spec, sequence number and any already-seeded
-	// events). A failed Add must leave the catalog unchanged.
-	Add(j *job) error
+	// Add admits a freshly-submitted job and the seed events its log
+	// opens with, and persists its admission (spec, sequence number and
+	// seed events). A failed Add must leave the catalog unchanged.
+	Add(j *job, seed []Event) error
 	// Adopt inserts a rehydrated job into the catalog without
 	// persisting anything — its records are already durable. Recovery
 	// uses it; Submit never does.
@@ -43,26 +42,24 @@ type JobStore interface {
 	Get(id string) (*job, bool)
 	// All returns the stored jobs in admission order.
 	All() []*job
-	// Len returns the catalog size.
-	Len() int
 	// Evict applies the store eviction policy (evictVictims): while the
 	// catalog exceeds limit, the oldest terminal jobs are dropped; live
 	// jobs are never dropped. It returns the evicted IDs.
 	Evict(limit int) []string
-	// RecordEvent persists one appended job event.
+	// RecordEvent appends one event to the job's log, under the job's
+	// mutex. A durable store that fails to write it still serves it,
+	// and returns the error.
 	RecordEvent(id string, ev Event) error
 	// RecordCheckpoint persists a job's latest chain checkpoint,
 	// replacing any earlier one.
 	RecordCheckpoint(id string, cp *session.Checkpoint) error
 	// Recover returns the durable job records in admission order, for
 	// rehydration at boot: a sealed job's record carries its summary
-	// and no events. Stores without durability return nil.
+	// and no events. Stores without durability return nil. It may be
+	// called once, before the store takes any job.
 	Recover() ([]JobRecord, error)
-	// HandOff reports whether the store serves all n events of the
-	// terminal job id through Events, so the job may drop its own copy.
-	// It is called under the job's mutex. A MemStore serves nothing.
-	HandOff(id string, n int) bool
-	// Events returns a handed-off job's events past index after.
+	// Events returns a copy of job id's events past index after; an
+	// evicted job is ErrUnknownJob.
 	Events(id string, after int) ([]Event, error)
 	// Close releases the store's resources (flushing and compacting
 	// durable state where applicable).
@@ -151,35 +148,34 @@ func evictVictims(ordered []storeEntry, limit int) []string {
 }
 
 // MemStore is the in-process JobStore: the Manager's original job map
-// plus admission order. It persists nothing — Recover returns nil and
-// the record methods are no-ops.
+// plus admission order, and each listed job's event log. It persists
+// nothing — Recover returns nil.
 type MemStore struct {
 	mu    sync.Mutex
 	jobs  map[string]*job
+	logs  map[string][]Event
 	order []*job
 }
 
 // NewMemStore returns an empty in-memory job store.
 func NewMemStore() *MemStore {
-	return &MemStore{jobs: make(map[string]*job)}
+	return &MemStore{jobs: make(map[string]*job), logs: make(map[string][]Event)}
 }
 
-// Add admits j. It never fails for a MemStore.
-func (s *MemStore) Add(j *job) error {
-	s.Adopt(j)
+// Add admits j with its seed events. It never fails for a MemStore.
+func (s *MemStore) Add(j *job, seed []Event) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.jobs[j.id]; !ok {
+		s.jobs[j.id] = j
+		s.logs[j.id] = append([]Event(nil), seed...)
+		s.order = append(s.order, j)
+	}
 	return nil
 }
 
-// Adopt inserts j into the catalog.
-func (s *MemStore) Adopt(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.jobs[j.id]; ok {
-		return
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
-}
+// Adopt inserts j into the catalog with an empty log.
+func (s *MemStore) Adopt(j *job) { _ = s.Add(j, nil) }
 
 // Get looks a job up by ID.
 func (s *MemStore) Get(id string) (*job, bool) {
@@ -196,16 +192,10 @@ func (s *MemStore) All() []*job {
 	return append([]*job(nil), s.order...)
 }
 
-// Len returns the catalog size.
-func (s *MemStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.order)
-}
-
-// Evict applies evictVictims to the catalog. Job states are read
-// outside the store lock (stateNow takes the job's own mutex); a job
-// can only move toward terminal, so a chosen victim stays evictable.
+// Evict applies evictVictims to the catalog, dropping each victim's
+// log. Job states are read outside the store lock (stateNow takes the
+// job's own mutex); a job can only move toward terminal, so a chosen
+// victim stays evictable.
 func (s *MemStore) Evict(limit int) []string {
 	s.mu.Lock()
 	snapshot := append([]*job(nil), s.order...)
@@ -225,6 +215,7 @@ func (s *MemStore) Evict(limit int) []string {
 			continue
 		}
 		delete(s.jobs, id)
+		delete(s.logs, id)
 		for i, j := range s.order {
 			if j.id == id {
 				s.order = append(s.order[:i], s.order[i+1:]...)
@@ -235,8 +226,16 @@ func (s *MemStore) Evict(limit int) []string {
 	return victims
 }
 
-// RecordEvent is a no-op: MemStore offers no durability.
-func (s *MemStore) RecordEvent(string, Event) error { return nil }
+// RecordEvent appends ev to job id's log.
+func (s *MemStore) RecordEvent(id string, ev Event) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.logs[id]; !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownJob, id)
+	}
+	s.logs[id] = append(s.logs[id], ev)
+	return nil
+}
 
 // RecordCheckpoint is a no-op: MemStore offers no durability.
 func (s *MemStore) RecordCheckpoint(string, *session.Checkpoint) error { return nil }
@@ -244,12 +243,15 @@ func (s *MemStore) RecordCheckpoint(string, *session.Checkpoint) error { return 
 // Recover returns nil: nothing survives a MemStore's process.
 func (s *MemStore) Recover() ([]JobRecord, error) { return nil, nil }
 
-// HandOff returns false: a MemStore's jobs keep their own events.
-func (s *MemStore) HandOff(string, int) bool { return false }
-
-// Events fails: no job hands its events to a MemStore.
-func (s *MemStore) Events(id string, _ int) ([]Event, error) {
-	return nil, fmt.Errorf("%w: %q holds no handed-off events", ErrUnknownJob, id)
+// Events returns a copy of job id's events past index after.
+func (s *MemStore) Events(id string, after int) ([]Event, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	evs, ok := s.logs[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
+	}
+	return append([]Event(nil), evs[min(after, len(evs)):]...), nil
 }
 
 // Close is a no-op.

@@ -604,7 +604,8 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	return s.Drive(ctx, nil)
 }
 
-// Update reports one Session transition.
+// Update reports one Session transition and the chain's counts after
+// it, so an observer keeps no count of its own.
 type Update struct {
 	// Chain is the chain that moved.
 	Chain int `json:"chain"`
@@ -614,6 +615,8 @@ type Update struct {
 	Step int `json:"step"`
 	// Spent is the chain's budget spend after this move.
 	Spent int `json:"spent"`
+	// Samples is the chain's retained-sample count after this move.
+	Samples int `json:"samples"`
 	// Sampled reports whether the sample was retained (past burn-in
 	// and on the thinning grid).
 	Sampled bool `json:"sampled"`
@@ -1021,7 +1024,7 @@ func (cr *chainRun) advance(sp *Spec) (stepped bool, err error) {
 // the struct up through advance made every step copy it between stack
 // frames, which profiled as the step's largest bookkeeping cost.
 func (cr *chainRun) update(sp *Spec) Update {
-	return Update{Chain: cr.idx, Node: cr.node, Step: cr.steps, Spent: cr.spend(sp), Sampled: cr.sampled}
+	return Update{Chain: cr.idx, Node: cr.node, Step: cr.steps, Spent: cr.spend(sp), Samples: cr.samples, Sampled: cr.sampled}
 }
 
 // fail ends the chain on a step or measurement error. A budget-exhausted

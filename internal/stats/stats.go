@@ -3,14 +3,13 @@
 // (symmetric KL-divergence and ℓ2 distance, §6.1), empirical visit
 // distributions, online mean/variance accumulation (Welford), the
 // batch-means estimator of a Markov chain's asymptotic variance
-// (Definition 3), and small summary helpers.
+// (Definition 3), and the arithmetic mean.
 package stats
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrLengthMismatch is returned when two distribution vectors differ in
@@ -22,13 +21,6 @@ var ErrLengthMismatch = errors.New("stats: distribution lengths differ")
 // (1-ε)·p + ε·uniform. The paper does not state its smoothing; ε=1e-9
 // changes reported values negligibly while keeping KL finite.
 const DefaultSmoothing = 1e-9
-
-// KLDivergence returns D_KL(p‖q) in nats after ε-smoothing both
-// arguments. Inputs need not be normalized; they are normalized
-// internally.
-func KLDivergence(p, q []float64) (float64, error) {
-	return klSmoothed(p, q, DefaultSmoothing)
-}
 
 // SymmetricKL returns D_KL(p‖q) + D_KL(q‖p), the bias measure used in
 // Figures 7a, 10a and 11a.
@@ -140,35 +132,6 @@ func normalize(p []float64) ([]float64, error) {
 		out[i] = x / sum
 	}
 	return out, nil
-}
-
-// TotalVariation returns ½‖p−q‖₁ after normalizing both vectors — the
-// third standard distribution distance, complementing the paper's KL
-// and ℓ2 measures.
-func TotalVariation(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(p), len(q))
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	ps, err := normalize(p)
-	if err != nil {
-		return 0, err
-	}
-	qs, err := normalize(q)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for i := range ps {
-		d := ps[i] - qs[i]
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum / 2, nil
 }
 
 // VisitCounter accumulates node-visit counts from one or more walks and
@@ -287,52 +250,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Median returns the median of xs (0 for empty input). The input is not
-// modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	mid := len(cp) / 2
-	if len(cp)%2 == 1 {
-		return cp[mid]
-	}
-	return (cp[mid-1] + cp[mid]) / 2
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using nearest-rank
-// interpolation. The input is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if q <= 0 {
-		return cp[0]
-	}
-	if q >= 1 {
-		return cp[len(cp)-1]
-	}
-	pos := q * float64(len(cp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
-// RMSE returns the root-mean-square of errors.
-func RMSE(errs []float64) float64 {
-	if len(errs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, e := range errs {
-		sum += e * e
-	}
-	return math.Sqrt(sum / float64(len(errs)))
 }

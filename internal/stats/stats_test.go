@@ -13,7 +13,7 @@ func TestKLDivergenceKnownValues(t *testing.T) {
 	p := []float64{0.5, 0.5}
 	q := []float64{0.25, 0.75}
 	want := 0.5*math.Log(0.5/0.25) + 0.5*math.Log(0.5/0.75)
-	got, err := KLDivergence(p, q)
+	got, err := klSmoothed(p, q, DefaultSmoothing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestKLDivergenceKnownValues(t *testing.T) {
 		t.Fatalf("KL = %v, want %v", got, want)
 	}
 	// identity: KL(p||p) ≈ 0
-	same, err := KLDivergence(p, p)
+	same, err := klSmoothed(p, p, DefaultSmoothing)
 	if err != nil || !almostEq(same, 0, 1e-9) {
 		t.Fatalf("KL(p,p) = %v, %v", same, err)
 	}
@@ -30,7 +30,7 @@ func TestKLDivergenceKnownValues(t *testing.T) {
 func TestKLHandlesZeros(t *testing.T) {
 	p := []float64{1, 0, 0}
 	q := []float64{0, 1, 0}
-	got, err := KLDivergence(p, q)
+	got, err := klSmoothed(p, q, DefaultSmoothing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestSymmetricKLIsSymmetric(t *testing.T) {
 
 func TestKLNormalizesInputs(t *testing.T) {
 	// counts vs probabilities should be equivalent
-	a, err := KLDivergence([]float64{5, 5}, []float64{1, 3})
+	a, err := klSmoothed([]float64{5, 5}, []float64{1, 3}, DefaultSmoothing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KLDivergence([]float64{0.5, 0.5}, []float64{0.25, 0.75})
+	b, err := klSmoothed([]float64{0.5, 0.5}, []float64{0.25, 0.75}, DefaultSmoothing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,16 +74,16 @@ func TestKLNormalizesInputs(t *testing.T) {
 }
 
 func TestDistanceErrors(t *testing.T) {
-	if _, err := KLDivergence([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := klSmoothed([]float64{1}, []float64{1, 2}, DefaultSmoothing); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 	if _, err := L2Distance([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := KLDivergence([]float64{0, 0}, []float64{1, 1}); err == nil {
+	if _, err := klSmoothed([]float64{0, 0}, []float64{1, 1}, DefaultSmoothing); err == nil {
 		t.Fatal("zero-mass distribution accepted")
 	}
-	if _, err := KLDivergence([]float64{-1, 2}, []float64{1, 1}); err == nil {
+	if _, err := klSmoothed([]float64{-1, 2}, []float64{1, 1}, DefaultSmoothing); err == nil {
 		t.Fatal("negative mass accepted")
 	}
 	// empty inputs are trivially distance 0
@@ -201,35 +201,12 @@ func TestBatchMeansVariance(t *testing.T) {
 	}
 }
 
-func TestMeanMedianQuantileRMSE(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if Mean(xs) != 2.5 {
-		t.Fatal("Mean wrong")
+func TestMean(t *testing.T) {
+	if m := Mean([]float64{4, 1, 3, 2}); m != 2.5 {
+		t.Fatalf("Mean = %v, want 2.5", m)
 	}
-	if Median(xs) != 2.5 {
-		t.Fatal("even Median wrong")
-	}
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Fatal("odd Median wrong")
-	}
-	if Mean(nil) != 0 || Median(nil) != 0 || Quantile(nil, 0.5) != 0 {
-		t.Fatal("empty inputs should give 0")
-	}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 4 {
-		t.Fatal("extreme quantiles wrong")
-	}
-	if q := Quantile(xs, 0.5); q != 2.5 {
-		t.Fatalf("median quantile = %v", q)
-	}
-	if r := RMSE([]float64{3, 4}); !almostEq(r, math.Sqrt(12.5), 1e-12) {
-		t.Fatalf("RMSE = %v", r)
-	}
-	if RMSE(nil) != 0 {
-		t.Fatal("empty RMSE should be 0")
-	}
-	// inputs not modified
-	if xs[0] != 4 {
-		t.Fatal("Median/Quantile modified input")
+	if Mean(nil) != 0 {
+		t.Fatal("empty Mean should be 0")
 	}
 }
 
@@ -267,27 +244,6 @@ func TestLaplaceSmooth(t *testing.T) {
 	}
 }
 
-func TestTotalVariation(t *testing.T) {
-	tv, err := TotalVariation([]float64{1, 0}, []float64{0, 1})
-	if err != nil || tv != 1 {
-		t.Fatalf("disjoint TV = %v, %v", tv, err)
-	}
-	tv, err = TotalVariation([]float64{0.5, 0.5}, []float64{0.5, 0.5})
-	if err != nil || tv != 0 {
-		t.Fatalf("identical TV = %v, %v", tv, err)
-	}
-	tv, err = TotalVariation([]float64{3, 1}, []float64{1, 1}) // 0.75/0.25 vs 0.5/0.5
-	if err != nil || !almostEq(tv, 0.25, 1e-12) {
-		t.Fatalf("TV = %v, %v", tv, err)
-	}
-	if _, err := TotalVariation([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if d, err := TotalVariation(nil, nil); err != nil || d != 0 {
-		t.Fatalf("empty TV = %v, %v", d, err)
-	}
-}
-
 // Properties: KL >= 0 and L2 symmetric/triangle-free basics over random
 // distributions.
 func TestDistanceProperties(t *testing.T) {
@@ -302,7 +258,7 @@ func TestDistanceProperties(t *testing.T) {
 			p[i] = float64(aRaw[i]) + 0.01
 			q[i] = float64(bRaw[i]) + 0.01
 		}
-		kl, err := KLDivergence(p, q)
+		kl, err := klSmoothed(p, q, DefaultSmoothing)
 		if err != nil || kl < -1e-9 {
 			return false
 		}
