@@ -38,15 +38,11 @@ func main() {
 	var graphs []*histwalk.Graph
 	switch {
 	case *store != "":
-		m, err := histwalk.OpenGraphStore(*store)
+		g, err := histwalk.OpenGraphStore(*store)
 		if err != nil {
 			fail(err)
 		}
-		defer m.Close()
-		g, err := m.Graph() // zero-copy view over the mapping
-		if err != nil {
-			fail(err)
-		}
+		defer g.Close()
 		if g.Name() == "" {
 			g.SetName(*store)
 		}

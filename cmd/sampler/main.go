@@ -114,11 +114,9 @@ func main() {
 		fail(fmt.Errorf("-budget must be >= 1, got %d", *budget))
 	}
 
-	// g is the in-memory view used for banner printing and ground
-	// truth; src is the storage backend the walk runs on when -store
-	// selected the out-of-core mode. In -endpoint mode there is no
-	// local graph at all — the remote API is the only source.
-	var src histwalk.GraphStore
+	// g is the graph the walk runs on: built or parsed in memory, or
+	// opened from a packed .hwg file (-store). In -endpoint mode there
+	// is no local graph at all — the remote API is the only source.
 	var g *histwalk.Graph
 	var transport histwalk.Transport
 	switch {
@@ -133,15 +131,11 @@ func main() {
 			fail(err)
 		}
 	case *store != "":
-		m, err := histwalk.OpenGraphStore(*store)
-		if err != nil {
+		var err error
+		if g, err = histwalk.OpenGraphStore(*store); err != nil {
 			fail(err)
 		}
-		defer m.Close()
-		if g, err = m.Graph(); err != nil { // zero-copy view over the mapping
-			fail(err)
-		}
-		src = m
+		defer g.Close()
 	default:
 		var err error
 		if g, err = loadGraph(*edges, *datasetName, *seed); err != nil {
@@ -178,13 +172,10 @@ func main() {
 		Window:     *window,
 		Latency:    *latency,
 	}
-	switch {
-	case transport != nil:
+	if transport != nil {
 		spec.Transport = transport
 		spec.Start = histwalk.Node(*startNode)
-	case src != nil:
-		spec.Store = src
-	default:
+	} else {
 		spec.Graph = g
 	}
 	// Drive the run under a signal-aware context: SIGINT/SIGTERM stops

@@ -20,7 +20,6 @@ import (
 	"math/bits"
 
 	"histwalk/internal/graph"
-	"histwalk/internal/graphstore"
 )
 
 // ErrUnknownNode is returned when a query names a node outside the
@@ -148,37 +147,27 @@ func UniqueAcross(ls []*Ledger) int {
 	return n
 }
 
-// Simulator is a Client backed by any graphstore.Store — the in-memory
-// heap CSR or a memory-mapped .hwg file; the choice is invisible to
-// walkers, whose trajectories and query costs are bit-identical for a
-// fixed seed regardless of backend (both backends serve the same
-// sorted rows from the same CSR shape). It caches responses and counts
-// unique queries in its Ledger, keyed by node ID. Simulator is not
-// safe for concurrent use; experiments give each trial its own
-// instance.
+// Simulator is a Client backed by a graph — built in memory or opened
+// from a memory-mapped .hwg file; the choice is invisible to walkers,
+// whose trajectories and query costs are bit-identical for a fixed
+// seed either way (both serve the same sorted rows from the same CSR
+// shape). It caches responses and counts unique queries in its Ledger,
+// keyed by node ID. Simulator is not safe for concurrent use;
+// experiments give each trial its own instance.
 type Simulator struct {
 	Ledger
-	g       graphstore.Store
+	g       *graph.Graph
 	limiter *RateLimiter
 }
 
-// NewSimulator returns a Simulator over the heap graph g with no rate
-// limit.
-func NewSimulator(g *graph.Graph) *Simulator { return NewSimulatorStore(g) }
-
-// NewSimulatorStore returns a Simulator over any storage backend with
-// no rate limit.
-func NewSimulatorStore(st graphstore.Store) *Simulator {
-	return &Simulator{Ledger: Ledger{bits: make([]uint64, (st.NumNodes()+63)/64)}, g: st}
+// NewSimulator returns a Simulator over g with no rate limit.
+func NewSimulator(g *graph.Graph) *Simulator {
+	return &Simulator{Ledger: Ledger{bits: make([]uint64, (g.NumNodes()+63)/64)}, g: g}
 }
 
 // SetRateLimiter installs a rate limiter applied to unique queries
 // (cache hits are free, as in a real crawler). Pass nil to remove.
 func (s *Simulator) SetRateLimiter(rl *RateLimiter) { s.limiter = rl }
-
-// Store exposes the backing graph store for ground-truth computations.
-// Samplers must not use it; it exists for estimator validation only.
-func (s *Simulator) Store() graphstore.Store { return s.g }
 
 // touch registers a query against u, counting it only if new.
 func (s *Simulator) touch(u graph.Node) error {

@@ -15,8 +15,8 @@
 //	          honoring a Retry-After header (seconds or HTTP-date)
 //
 // The package also exports Handler, the matching server side over any
-// graphstore.Store, used by the CI smoke test, by httptest-backed unit
-// tests, and as a reference for adapting a real API.
+// graph, used by the CI smoke test, by httptest-backed unit tests, and
+// as a reference for adapting a real API.
 package httpclient
 
 import (
@@ -33,7 +33,6 @@ import (
 
 	"histwalk/internal/access"
 	"histwalk/internal/graph"
-	"histwalk/internal/graphstore"
 	"histwalk/internal/obs"
 )
 
@@ -294,22 +293,22 @@ func parseRetryAfter(v string) time.Duration {
 	return 0
 }
 
-// Handler returns the server side of the wire format over st: a
+// Handler returns the server side of the wire format over g: a
 // http.Handler serving GET /v1/neighbors/{id}. It exists for the CI
 // smoke test, httptest-backed unit tests, and local demos (any
 // histwalk dataset can be served as a fake social API); a real
 // deployment adapts its own API to the same JSON shape instead.
-func Handler(st graphstore.Store) http.Handler {
-	attrNames := st.AttrNames()
+func Handler(g *graph.Graph) http.Handler {
+	attrNames := g.AttrNames()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/neighbors/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-		if err != nil || id < 0 || id >= int64(st.NumNodes()) {
+		if err != nil || id < 0 || id >= int64(g.NumNodes()) {
 			http.Error(w, `{"error":"unknown node"}`, http.StatusNotFound)
 			return
 		}
 		u := graph.Node(id)
-		row, err := access.StoreRow(st, attrNames, u)
+		row, err := access.StoreRow(g, attrNames, u)
 		if err != nil {
 			http.Error(w, `{"error":"unknown node"}`, http.StatusNotFound)
 			return

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"histwalk/internal/graph"
-	"histwalk/internal/graphstore"
 )
 
 // Row is one neighborhood response in wire form — exactly the data the
@@ -85,18 +84,18 @@ type NodeCounter interface {
 	NumNodes() int
 }
 
-// StoreRow materializes node u's wire-form Row from a graph store:
-// the CSR neighbor row (aliased zero-copy — store rows are stable for
-// the store's lifetime), the node's attributes, and the full
-// per-neighbor summary set. attrNames lists the store's registered
-// attributes (pass st.AttrNames(); precomputing it keeps per-fetch
-// work linear in the row). It is the shared row builder behind the
-// simulator transports and the httpclient test server.
-func StoreRow(st graphstore.Store, attrNames []string, u graph.Node) (Row, error) {
-	if u < 0 || int(u) >= st.NumNodes() {
+// StoreRow materializes node u's wire-form Row from graph g: the CSR
+// neighbor row (aliased zero-copy — rows are stable for the graph's
+// lifetime), the node's attributes, and the full per-neighbor summary
+// set. attrNames lists g's registered attributes (pass g.AttrNames();
+// precomputing it keeps per-fetch work linear in the row). It is the
+// shared row builder behind the simulator transports and the
+// httpclient test server.
+func StoreRow(g *graph.Graph, attrNames []string, u graph.Node) (Row, error) {
+	if u < 0 || int(u) >= g.NumNodes() {
 		return Row{}, fmt.Errorf("%w: %d", ErrUnknownNode, u)
 	}
-	ns := st.Neighbors(u)
+	ns := g.Neighbors(u)
 	row := Row{
 		Neighbors: ns,
 		Summaries: make([]NeighborSummary, len(ns)),
@@ -104,17 +103,17 @@ func StoreRow(st graphstore.Store, attrNames []string, u graph.Node) (Row, error
 	if len(attrNames) > 0 {
 		row.Attrs = make(map[string]float64, len(attrNames))
 		for _, name := range attrNames {
-			if x, ok := st.AttrValue(name, u); ok {
+			if x, ok := g.AttrValue(name, u); ok {
 				row.Attrs[name] = x
 			}
 		}
 	}
 	for i, w := range ns {
-		s := NeighborSummary{Degree: st.Degree(w)}
+		s := NeighborSummary{Degree: g.Degree(w)}
 		if len(attrNames) > 0 {
 			s.Attrs = make(map[string]float64, len(attrNames))
 			for _, name := range attrNames {
-				if x, ok := st.AttrValue(name, w); ok {
+				if x, ok := g.AttrValue(name, w); ok {
 					s.Attrs[name] = x
 				}
 			}
@@ -124,27 +123,27 @@ func StoreRow(st graphstore.Store, attrNames []string, u graph.Node) (Row, error
 	return row, nil
 }
 
-// SimTransport is a Transport over any graph store with an optional
+// SimTransport is a Transport over a graph with an optional
 // fixed per-fetch latency — the simulated-network bottom layer of the
 // pipeline, standing in for a real rate-limited API so latency-hiding
 // can be measured (and the pipeline's bit-identity to the synchronous
 // path pinned) without a network. It is safe for concurrent use; the
 // only mutable state is the atomic fetch counter.
 type SimTransport struct {
-	st        graphstore.Store
+	g         *graph.Graph
 	latency   time.Duration
 	attrNames []string
 	fetches   atomic.Int64
 }
 
-// NewSimTransport returns a transport serving rows from st, delaying
+// NewSimTransport returns a transport serving rows from g, delaying
 // every Fetch by latency (0 = no delay).
-func NewSimTransport(st graphstore.Store, latency time.Duration) *SimTransport {
-	return &SimTransport{st: st, latency: latency, attrNames: st.AttrNames()}
+func NewSimTransport(g *graph.Graph, latency time.Duration) *SimTransport {
+	return &SimTransport{g: g, latency: latency, attrNames: g.AttrNames()}
 }
 
 // NumNodes implements NodeCounter.
-func (t *SimTransport) NumNodes() int { return t.st.NumNodes() }
+func (t *SimTransport) NumNodes() int { return t.g.NumNodes() }
 
 // Fetches returns how many Fetch calls reached the simulated network —
 // the wall-clock-relevant cost a Prefetcher's speculation actually
@@ -154,7 +153,7 @@ func (t *SimTransport) Fetches() int { return int(t.fetches.Load()) }
 // Fetch implements Transport: node u's row after the configured
 // latency, honoring ctx cancellation during the wait.
 func (t *SimTransport) Fetch(ctx context.Context, u graph.Node) (Row, error) {
-	if u < 0 || int(u) >= t.st.NumNodes() {
+	if u < 0 || int(u) >= t.g.NumNodes() {
 		return Row{}, fmt.Errorf("%w: %d", ErrUnknownNode, u)
 	}
 	t.fetches.Add(1)
@@ -169,5 +168,5 @@ func (t *SimTransport) Fetch(ctx context.Context, u graph.Node) (Row, error) {
 	} else if err := ctx.Err(); err != nil {
 		return Row{}, context.Cause(ctx)
 	}
-	return StoreRow(t.st, t.attrNames, u)
+	return StoreRow(t.g, t.attrNames, u)
 }

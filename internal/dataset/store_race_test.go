@@ -12,7 +12,7 @@ import (
 
 // TestOpenStoreConcurrent hammers the process-wide mapping cache from
 // many goroutines (run under -race in CI): every concurrent OpenStore
-// of the same .hwg path must resolve to the SAME *graphstore.Mapped,
+// of the same .hwg path must resolve to the SAME *graph.Graph,
 // and concurrent readers over that shared mapping must see consistent
 // rows. This is the contract a daemon running parallel jobs against
 // one on-disk graph depends on.
@@ -26,7 +26,7 @@ func TestOpenStoreConcurrent(t *testing.T) {
 	}
 
 	const goroutines = 16
-	stores := make([]graphstore.Store, goroutines)
+	stores := make([]*graph.Graph, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
@@ -52,12 +52,9 @@ func TestOpenStoreConcurrent(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	first, ok := stores[0].(*graphstore.Mapped)
-	if !ok {
-		t.Fatalf("OpenStore returned %T, want *graphstore.Mapped", stores[0])
-	}
+	first := stores[0]
 	for i, st := range stores {
-		if st.(*graphstore.Mapped) != first {
+		if st != first {
 			t.Fatalf("goroutine %d got a distinct mapping: cache did not dedup", i)
 		}
 	}
@@ -72,7 +69,7 @@ func TestOpenStoreConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.(*graphstore.Mapped) != first {
+	if st != first {
 		t.Fatal("relative path opened a second mapping of the same file")
 	}
 }

@@ -3,7 +3,7 @@
 // (Each) that fans independent seeded tasks out over goroutines, the
 // seed mixer that makes each task's RNG a pure function of (master
 // seed, stream, index) — see TrialSeed — and the vocabulary session
-// chains are built from (CostModel, DesignFor, Measure, RandomStart).
+// chains are built from (CostModel, DesignFor, RandomStart).
 //
 // Determinism comes from two rules. First, every task's seed depends on
 // its index, never on scheduling. Second, each task writes only state

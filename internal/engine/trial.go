@@ -2,8 +2,8 @@ package engine
 
 // The per-trial vocabulary shared by the session layer and the
 // experiment harness: how a walk's spend is metered (CostModel), which
-// estimator design a walker needs (DesignFor), how a node is measured
-// (Measure) and how a trial draws its start node (RandomStart).
+// estimator design a walker needs (DesignFor) and how a trial draws its
+// start node (RandomStart).
 
 import (
 	"errors"
@@ -52,34 +52,8 @@ func DesignFor(factoryName string) estimate.Design {
 	return estimate.DegreeProportional
 }
 
-// GraphData is the slice of the graph surface the trial helpers need.
-// It is satisfied by *graph.Graph and by every graphstore.Store backend
-// (the engine stays storage-agnostic without importing the storage
-// layer); Measure and RandomStart accept any of them.
-type GraphData interface {
-	Name() string
-	NumNodes() int
-	Degree(v graph.Node) int
-	AttrValue(name string, v graph.Node) (float64, bool)
-}
-
-// Measure returns the value of the measure function and the degree of
-// node v. attr == "degree" uses the topological degree so that datasets
-// need not materialize a degree attribute.
-func Measure(g GraphData, attr string, v graph.Node) (float64, int, error) {
-	deg := g.Degree(v)
-	if attr == "degree" || attr == "" {
-		return float64(deg), deg, nil
-	}
-	x, ok := g.AttrValue(attr, v)
-	if !ok {
-		return 0, 0, fmt.Errorf("engine: graph %q lacks attribute %q", g.Name(), attr)
-	}
-	return x, deg, nil
-}
-
 // RandomStart draws a uniform non-isolated start node.
-func RandomStart(g GraphData, rng *rand.Rand) (graph.Node, error) {
+func RandomStart(g *graph.Graph, rng *rand.Rand) (graph.Node, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return 0, errors.New("engine: empty graph")

@@ -7,13 +7,9 @@ package graph
 // Google Plus and Yelp crawls in §6.1) or when EITHER direction exists.
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Digraph is an immutable simple directed graph in CSR form (out- and
@@ -233,58 +229,16 @@ func (d *Digraph) Reciprocity() float64 {
 	return float64(mutual) / float64(d.NumArcs())
 }
 
-// ReadDirectedEdgeList parses "u v" arc lines (same format and comment
-// rules as ReadEdgeList) into a Digraph with densely relabeled nodes.
+// ReadDirectedEdgeList parses "u v" arc lines (ReadEdgeList's dialect,
+// gzip included) into a Digraph with densely relabeled nodes.
 func ReadDirectedEdgeList(r io.Reader) (*Digraph, map[int64]Node, error) {
-	type rawArc struct{ u, v int64 }
-	var arcs []rawArc
-	ids := make(map[int64]struct{})
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, nil, fmt.Errorf("graph: arc list line %d: want 2 fields, got %d", lineNo, len(fields))
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("graph: arc list line %d: %v", lineNo, err)
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("graph: arc list line %d: %v", lineNo, err)
-		}
-		if u < 0 || v < 0 {
-			return nil, nil, fmt.Errorf("graph: arc list line %d: negative node ID", lineNo)
-		}
-		arcs = append(arcs, rawArc{u, v})
-		ids[u] = struct{}{}
-		ids[v] = struct{}{}
+	pairs, remap, err := readPairs(r)
+	if err != nil {
+		return nil, nil, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("graph: reading arc list: %w", err)
-	}
-	sorted := make([]int64, 0, len(ids))
-	for id := range ids {
-		sorted = append(sorted, id)
-	}
-	if int64(len(sorted)) > int64(math.MaxInt32) {
-		return nil, nil, fmt.Errorf("graph: arc list has %d distinct nodes, more than graph.Node (int32) can address", len(sorted))
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	remap := make(map[int64]Node, len(sorted))
-	for i, id := range sorted {
-		remap[id] = Node(i)
-	}
-	b := NewDigraphBuilder(len(sorted))
-	for _, a := range arcs {
-		b.AddArc(remap[a.u], remap[a.v])
+	b := NewDigraphBuilder(len(remap))
+	for _, p := range pairs {
+		b.AddArc(remap[p[0]], remap[p[1]])
 	}
 	return b.Build(), remap, nil
 }

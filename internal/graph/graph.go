@@ -34,6 +34,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Node identifies a vertex. Nodes are dense integers in [0, NumNodes).
@@ -42,13 +43,18 @@ type Node = int32
 
 // Graph is an immutable simple undirected graph in CSR form with optional
 // named per-node attributes. The zero value is an empty graph; use a
-// Builder or a generator to construct non-trivial instances.
+// Builder or a generator to construct non-trivial instances, or
+// AdoptCSR to wrap arrays that live elsewhere (a mapped .hwg file).
 type Graph struct {
 	name    string
 	offsets []int64 // len NumNodes+1; neighbor list of v is targets[offsets[v]:offsets[v+1]]
 	targets []Node  // concatenated sorted neighbor lists
 	loops   int     // number of self-loops; each occupies ONE slot in targets
 	attrs   map[string][]float64
+
+	release   func() error // frees adopted storage; nil for heap graphs
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // Name returns the human-readable dataset name ("" if unset).
@@ -205,21 +211,31 @@ func (g *Graph) TheoreticalStationary() []float64 {
 	return out
 }
 
-// Validate checks structural invariants (sorted neighbor lists, no
-// duplicates, symmetric adjacency, loop accounting) and returns the
-// first violation found. Self-loops are valid only when the loop
+// Validate checks the full CSR invariants — offsets monotone from 0 to
+// len(targets), in-range targets, strictly sorted rows (no duplicates),
+// symmetric arcs, loop accounting and attribute lengths — and returns
+// the first violation found. Self-loops are valid only when the loop
 // counter covers them (they enter via Builder.AllowSelfLoops and are
-// stored once). It is O(|E| log d) and intended for tests.
+// stored once). The offsets are checked before any row is read, so an
+// adopted graph over untrusted bytes fails here instead of panicking.
+// It is O(|E| log d).
 func (g *Graph) Validate() error {
 	n := g.NumNodes()
-	if len(g.offsets) > 0 && g.offsets[0] != 0 {
-		return fmt.Errorf("graph: offsets[0] = %d, want 0", g.offsets[0])
+	if n > 0 {
+		if g.offsets[0] != 0 {
+			return fmt.Errorf("graph: offsets[0] = %d, want 0", g.offsets[0])
+		}
+		for v := 0; v < n; v++ {
+			if g.offsets[v+1] < g.offsets[v] {
+				return fmt.Errorf("graph: offsets not monotone at node %d", v)
+			}
+		}
+		if end := g.offsets[n]; end != int64(len(g.targets)) {
+			return fmt.Errorf("graph: offsets end at %d but targets has %d entries", end, len(g.targets))
+		}
 	}
 	loops := 0
 	for v := 0; v < n; v++ {
-		if g.offsets[v+1] < g.offsets[v] {
-			return fmt.Errorf("graph: offsets not monotone at node %d", v)
-		}
 		ns := g.Neighbors(Node(v))
 		for i, u := range ns {
 			if u == Node(v) {
@@ -382,26 +398,22 @@ func (b *Builder) Build() *Graph {
 }
 
 // AdoptCSR wraps pre-built CSR arrays in a Graph WITHOUT copying them:
-// the returned graph aliases offsets and targets directly, so callers
-// (the graphstore mmap backend) can expose file-backed arrays through
-// the ordinary Graph API with zero resident heap. The arrays must obey
-// this package's CSR conventions — offsets monotone from 0 with
+// the returned graph aliases offsets and targets directly, so the
+// graphstore package can serve a mapped .hwg file through the ordinary
+// Graph API with zero resident heap. The arrays must obey this
+// package's CSR conventions — offsets monotone from 0 with
 // offsets[len-1] == len(targets), rows strictly sorted, arcs symmetric,
-// self-loops stored once and counted by loops. Only the O(|V|) offset
-// shape is checked here; callers owning untrusted bytes should run
-// Validate (or the graphstore verifier) themselves. The adopted arrays
-// must stay live and unmodified for the graph's lifetime.
-func AdoptCSR(name string, offsets []int64, targets []Node, loops int) (*Graph, error) {
+// self-loops stored once and counted by loops. Only the O(1) shape is
+// checked here (the first and last offsets and the loop count); callers
+// owning untrusted bytes run Validate themselves. The adopted arrays
+// must stay live and unmodified until Close, which calls release (nil
+// when there is nothing to free).
+func AdoptCSR(name string, offsets []int64, targets []Node, loops int, release func() error) (*Graph, error) {
 	if len(offsets) == 0 {
 		return nil, fmt.Errorf("graph: AdoptCSR needs offsets of length NumNodes+1, got 0")
 	}
 	if offsets[0] != 0 {
 		return nil, fmt.Errorf("graph: AdoptCSR offsets[0] = %d, want 0", offsets[0])
-	}
-	for v := 1; v < len(offsets); v++ {
-		if offsets[v] < offsets[v-1] {
-			return nil, fmt.Errorf("graph: AdoptCSR offsets not monotone at index %d", v)
-		}
 	}
 	if end := offsets[len(offsets)-1]; end != int64(len(targets)) {
 		return nil, fmt.Errorf("graph: AdoptCSR offsets end at %d but targets has %d entries", end, len(targets))
@@ -415,7 +427,24 @@ func AdoptCSR(name string, offsets []int64, targets []Node, loops int) (*Graph, 
 		targets: targets,
 		loops:   loops,
 		attrs:   make(map[string][]float64),
+		release: release,
 	}, nil
+}
+
+// Close releases the storage an adopted graph was built over (a file
+// mapping) and empties the graph, so a later read fails as an index
+// out of range rather than a fault; every Neighbors and Attr slice it
+// handed out is invalid afterwards. Close on a heap graph does nothing.
+// It may be called more than once.
+func (g *Graph) Close() error {
+	if g.release == nil {
+		return nil
+	}
+	g.closeOnce.Do(func() {
+		g.closeErr = g.release()
+		g.offsets, g.targets, g.attrs = nil, nil, nil
+	})
+	return g.closeErr
 }
 
 // FromEdges builds a graph with n nodes from an explicit edge list.

@@ -48,6 +48,35 @@ func TestReadEdgeListGzip(t *testing.T) {
 	}
 }
 
+// TestReadDirectedEdgeListGzip: an arc list is read by the same
+// scanner as an edge list, so a gzipped one parses like its plain text.
+func TestReadDirectedEdgeListGzip(t *testing.T) {
+	text := "# arcs\n10 20\n20 10\n10 30\n"
+	plain, _, err := ReadDirectedEdgeList(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromGz, remap, err := ReadDirectedEdgeList(gzipped(t, text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromGz.NumNodes() != plain.NumNodes() || fromGz.NumArcs() != plain.NumArcs() || len(remap) != 3 {
+		t.Fatalf("gzip parse: %d nodes %d arcs, plain: %d nodes %d arcs",
+			fromGz.NumNodes(), fromGz.NumArcs(), plain.NumNodes(), plain.NumArcs())
+	}
+	for v := 0; v < plain.NumNodes(); v++ {
+		a, b := plain.OutNeighbors(Node(v)), fromGz.OutNeighbors(Node(v))
+		if len(a) != len(b) {
+			t.Fatalf("node %d: out-rows differ", v)
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("node %d: out-rows differ at %d", v, i)
+			}
+		}
+	}
+}
+
 func TestReadAttrGzip(t *testing.T) {
 	text := "0 1.5\n1 2\n2 -3\n"
 	plain, err := ReadAttr(strings.NewReader(text), 3)

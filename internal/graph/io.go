@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -40,26 +40,17 @@ func Decompressed(r io.Reader) (io.Reader, error) {
 	return br, nil
 }
 
-// ReadEdgeList parses an undirected edge list from r. Node IDs may be
-// arbitrary non-negative integers; they are densely relabeled in
-// ascending order of original ID. The returned map gives original ID →
-// dense Node. Lines starting with '#' or '%' and blank lines are
-// skipped. Self-loop lines ("v v") are preserved under the
-// loop-stored-once CSR convention, so NumEdges matches the file's
-// distinct edge count; duplicate lines are still dropped. The distinct
-// node count must fit graph.Node (int32): larger inputs fail with a
-// clear error rather than silently truncating the dense relabeling,
-// which would fold distinct nodes — and therefore distinct walk-history
-// edge keys — onto each other. Gzip-compressed input is detected by
-// magic bytes and inflated transparently.
-func ReadEdgeList(r io.Reader) (*Graph, map[int64]Node, error) {
+// ScanEdgeList reads the edge-list dialect every loader here shares and
+// calls fn with each "u v" pair in file order: lines starting with '#'
+// or '%' and blank lines are skipped, fields past the second are
+// ignored, and IDs must be non-negative integers. Gzip-compressed input
+// is detected by magic bytes and inflated transparently. It stops at
+// the first malformed line, naming it, or at fn's first error.
+func ScanEdgeList(r io.Reader, fn func(u, v int64) error) error {
 	dr, err := Decompressed(r)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	type rawEdge struct{ u, v int64 }
-	var edges []rawEdge
-	ids := make(map[int64]struct{})
 	sc := bufio.NewScanner(dr)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
@@ -71,42 +62,78 @@ func ReadEdgeList(r io.Reader) (*Graph, map[int64]Node, error) {
 		}
 		fields := strings.Fields(line)
 		if len(fields) < 2 {
-			return nil, nil, fmt.Errorf("graph: edge list line %d: want 2 fields, got %d", lineNo, len(fields))
+			return fmt.Errorf("graph: edge list line %d: want 2 fields, got %d", lineNo, len(fields))
 		}
 		u, err := strconv.ParseInt(fields[0], 10, 64)
 		if err != nil {
-			return nil, nil, fmt.Errorf("graph: edge list line %d: %v", lineNo, err)
+			return fmt.Errorf("graph: edge list line %d: %v", lineNo, err)
 		}
 		v, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
-			return nil, nil, fmt.Errorf("graph: edge list line %d: %v", lineNo, err)
+			return fmt.Errorf("graph: edge list line %d: %v", lineNo, err)
 		}
 		if u < 0 || v < 0 {
-			return nil, nil, fmt.Errorf("graph: edge list line %d: negative node ID", lineNo)
+			return fmt.Errorf("graph: edge list line %d: negative node ID", lineNo)
 		}
-		edges = append(edges, rawEdge{u, v})
-		ids[u] = struct{}{}
-		ids[v] = struct{}{}
+		if err := fn(u, v); err != nil {
+			return err
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("graph: reading edge list: %w", err)
+		return fmt.Errorf("graph: reading edge list: %w", err)
+	}
+	return nil
+}
+
+// readPairs scans an edge list into its pairs and the dense relabeling
+// of their IDs, in ascending order of original ID. The distinct node
+// count must fit graph.Node (int32): larger inputs fail with a clear
+// error rather than silently truncating the relabeling, which would
+// fold distinct nodes — and therefore distinct walk-history edge keys —
+// onto each other.
+func readPairs(r io.Reader) ([][2]int64, map[int64]Node, error) {
+	var pairs [][2]int64
+	ids := make(map[int64]struct{})
+	err := ScanEdgeList(r, func(u, v int64) error {
+		pairs = append(pairs, [2]int64{u, v})
+		ids[u] = struct{}{}
+		ids[v] = struct{}{}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if int64(len(ids)) > int64(math.MaxInt32) {
+		return nil, nil, fmt.Errorf("graph: edge list has %d distinct nodes, more than graph.Node (int32) can address", len(ids))
 	}
 	sorted := make([]int64, 0, len(ids))
 	for id := range ids {
 		sorted = append(sorted, id)
 	}
-	if int64(len(sorted)) > int64(math.MaxInt32) {
-		return nil, nil, fmt.Errorf("graph: edge list has %d distinct nodes, more than graph.Node (int32) can address", len(sorted))
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	remap := make(map[int64]Node, len(sorted))
 	for i, id := range sorted {
 		remap[id] = Node(i)
 	}
-	b := NewBuilder(len(sorted))
+	return pairs, remap, nil
+}
+
+// ReadEdgeList parses an undirected edge list from r (ScanEdgeList's
+// dialect, gzip included). Node IDs may be arbitrary non-negative
+// integers; they are densely relabeled in ascending order of original
+// ID. The returned map gives original ID → dense Node. Self-loop lines
+// ("v v") are preserved under the loop-stored-once CSR convention, so
+// NumEdges matches the file's distinct edge count; duplicate lines are
+// still dropped.
+func ReadEdgeList(r io.Reader) (*Graph, map[int64]Node, error) {
+	pairs, remap, err := readPairs(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	b := NewBuilder(len(remap))
 	b.AllowSelfLoops()
-	for _, e := range edges {
-		b.AddEdge(remap[e.u], remap[e.v])
+	for _, p := range pairs {
+		b.AddEdge(remap[p[0]], remap[p[1]])
 	}
 	return b.Build(), remap, nil
 }

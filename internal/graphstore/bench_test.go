@@ -52,11 +52,11 @@ func benchFiles(b *testing.B) (textPath, hwgPath string, probe []graph.Node) {
 
 // touchRows reads a handful of neighbor rows, standing in for the
 // first few walk steps after a cold start.
-func touchRows(b *testing.B, st Store, probe []graph.Node) {
+func touchRows(b *testing.B, g *graph.Graph, probe []graph.Node) {
 	b.Helper()
 	var sink int
 	for _, v := range probe {
-		ns := st.Neighbors(v)
+		ns := g.Neighbors(v)
 		if len(ns) == 0 {
 			b.Fatalf("probe node %d has no neighbors", v)
 		}

@@ -1,9 +1,11 @@
 // Package graphstore is the out-of-core graph storage layer: a
-// versioned binary CSR file format (".hwg"), a Store interface
-// abstracting where a graph's adjacency lives, and two backends —
-// the in-memory heap CSR (*graph.Graph itself) and a memory-mapped
-// reader (Mapped) that serves neighbor rows zero-copy straight out of
-// the page cache with resident heap independent of graph size.
+// versioned binary CSR file format (".hwg"), its writers (Write for a
+// graph in hand, Pack for a text edge list of any size, in bounded
+// memory) and its reader. Open maps a file and returns an ordinary
+// *graph.Graph adopting the mapped arrays (graph.AdoptCSR), so neighbor
+// rows are served zero-copy out of the page cache with resident heap
+// independent of graph size, and everything that walks a graph walks
+// a packed one unchanged.
 //
 // # File format (version 1)
 //
@@ -47,10 +49,10 @@
 // row, Degree counts it once, and NumEdges = (numTargets+numLoops)/2.
 //
 // Open validates the header (magic, version, checksum, section
-// bounds) in O(1); Verify additionally recomputes the section
-// checksums and checks the full CSR invariants (monotone offsets,
-// strictly sorted rows, symmetric arcs, loop accounting) — the same
-// invariants graph.Graph.Validate enforces for heap graphs.
+// bounds) and the attribute directory in O(1 + #attrs); VerifyFile
+// additionally recomputes the section checksums and then runs
+// graph.Graph.Validate over the mapped graph (monotone offsets,
+// strictly sorted rows, symmetric arcs, loop accounting).
 package graphstore
 
 import (

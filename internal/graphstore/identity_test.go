@@ -40,8 +40,8 @@ func TestBackendBitIdentity(t *testing.T) {
 			for _, seed := range []int64{1, 7, 99} {
 				// Fresh simulators per seed so query-cost accounting
 				// starts from zero on both backends.
-				heapSim := access.NewSimulatorStore(g)
-				mmapSim := access.NewSimulatorStore(m)
+				heapSim := access.NewSimulator(g)
+				mmapSim := access.NewSimulator(m)
 				start := graph.Node(rand.New(rand.NewSource(seed)).Intn(g.NumNodes()))
 				hw := factory.New(heapSim, start, rand.New(rand.NewSource(seed)))
 				mw := factory.New(mmapSim, start, rand.New(rand.NewSource(seed)))

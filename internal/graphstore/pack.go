@@ -12,7 +12,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"histwalk/internal/graph"
 )
@@ -168,15 +167,11 @@ func readPackAttrs(in map[string]io.Reader, n int) ([]namedAttr, error) {
 	return attrs, nil
 }
 
-// spillRuns scans the edge list, symmetrizes each edge into arcs, and
-// spills sorted deduplicated chunks as run files. Parsing mirrors
-// graph.ReadEdgeList exactly so the two loaders accept and reject the
-// same inputs.
+// spillRuns scans the edge list with graph.ScanEdgeList, the parser of
+// graph.ReadEdgeList, so the two loaders accept and reject the same
+// inputs; it symmetrizes each edge into arcs and spills sorted
+// deduplicated chunks as run files.
 func spillRuns(edges io.Reader, tmp string, chunkArcs int, stats *PackStats) ([]string, error) {
-	dr, err := graph.Decompressed(edges)
-	if err != nil {
-		return nil, err
-	}
 	buf := make([]arc, 0, min(chunkArcs, 1<<20))
 	var runs []string
 	flush := func() error {
@@ -191,43 +186,19 @@ func spillRuns(edges io.Reader, tmp string, chunkArcs int, stats *PackStats) ([]
 		buf = buf[:0]
 		return nil
 	}
-	sc := bufio.NewScanner(dr)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, formatErrf("edge list line %d: want 2 fields, got %d", lineNo, len(fields))
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, formatErrf("edge list line %d: %v", lineNo, err)
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return nil, formatErrf("edge list line %d: %v", lineNo, err)
-		}
-		if u < 0 || v < 0 {
-			return nil, formatErrf("edge list line %d: negative node ID", lineNo)
-		}
+	err := graph.ScanEdgeList(edges, func(u, v int64) error {
 		stats.LinesRead++
 		buf = append(buf, arc{u, v})
 		if u != v {
 			buf = append(buf, arc{v, u})
 		}
 		if len(buf) >= chunkArcs {
-			if err := flush(); err != nil {
-				return nil, err
-			}
+			return flush()
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graphstore: reading edge list: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := flush(); err != nil {
 		return nil, err

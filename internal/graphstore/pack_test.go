@@ -223,7 +223,7 @@ func FuzzPackRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		if err := m.Verify(); err != nil {
+		if err := VerifyFile(out); err != nil {
 			t.Fatal(err)
 		}
 		compareStores(t, g, m)

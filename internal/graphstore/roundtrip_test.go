@@ -39,8 +39,8 @@ func randomGraph(t *testing.T, seed int64, n, m int, loops bool) *graph.Graph {
 	return g
 }
 
-// compareStores fails the test unless a and b expose identical graphs.
-func compareStores(t *testing.T, a, b Store) {
+// compareStores fails the test unless a and b are identical graphs.
+func compareStores(t *testing.T, a, b *graph.Graph) {
 	t.Helper()
 	if a.Name() != b.Name() {
 		t.Fatalf("Name: %q vs %q", a.Name(), b.Name())
@@ -82,7 +82,7 @@ func compareStores(t *testing.T, a, b Store) {
 }
 
 // writeTemp writes g to a fresh .hwg file under t.TempDir.
-func writeTemp(t *testing.T, g Store) string {
+func writeTemp(t *testing.T, g *graph.Graph) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.hwg")
 	if err := WriteFile(path, g); err != nil {
@@ -110,20 +110,11 @@ func TestRoundTrip(t *testing.T) {
 			}
 			defer m.Close()
 			compareStores(t, g, m)
-			if err := m.Verify(); err != nil {
-				t.Fatalf("Verify: %v", err)
+			if err := VerifyFile(path); err != nil {
+				t.Fatalf("VerifyFile: %v", err)
 			}
-			if err := Validate(m); err != nil {
+			if err := m.Validate(); err != nil {
 				t.Fatalf("Validate: %v", err)
-			}
-			// The *graph.Graph view over the mapping is the same graph.
-			gv, err := m.Graph()
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareStores(t, g, gv)
-			if err := gv.Validate(); err != nil {
-				t.Fatalf("adopted view Validate: %v", err)
 			}
 		})
 	}
@@ -140,7 +131,7 @@ func TestRoundTripEmptyGraph(t *testing.T) {
 	if m.NumNodes() != 0 || m.NumEdges() != 0 {
 		t.Fatalf("empty graph read back as %d nodes, %d edges", m.NumNodes(), m.NumEdges())
 	}
-	if err := m.Verify(); err != nil {
+	if err := VerifyFile(path); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -258,22 +249,27 @@ func TestVerifyCatchesBitFlips(t *testing.T) {
 	}
 	// Flip one byte in the middle of the targets section. Open's O(1)
 	// validation cannot see it; the checksum pass must.
-	m0, err := Open(path)
+	m0, err := mapPath(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	off := m0.hdr.targetsOff + 2*m0.hdr.numTargets
-	m0.Close()
+	m0.close()
 	b[off] ^= 0x04
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := Open(path)
+	g2, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open should accept the file (header intact): %v", err)
 	}
-	defer m.Close()
-	if err := m.VerifyChecksums(); err == nil || !strings.Contains(err.Error(), "targets checksum") {
+	g2.Close()
+	m, err := mapPath(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.close()
+	if err := m.verifyChecksums(); err == nil || !strings.Contains(err.Error(), "targets checksum") {
 		t.Fatalf("want targets-checksum error, got %v", err)
 	}
 	if err := VerifyFile(path); err == nil {
@@ -281,39 +277,33 @@ func TestVerifyCatchesBitFlips(t *testing.T) {
 	}
 }
 
-// badStore serves an unsorted, asymmetric adjacency: the writer will
-// happily serialize it (checksums cover the bytes as written), so the
-// verifier's structural pass is what must reject the file.
-type badStore struct{}
-
-func (badStore) Name() string                  { return "bad" }
-func (badStore) NumNodes() int                 { return 2 }
-func (badStore) NumEdges() int                 { return 2 }
-func (badStore) NumSelfLoops() int             { return 0 }
-func (badStore) Degree(v graph.Node) int       { return 2 }
-func (badStore) HasEdge(u, v graph.Node) bool  { return false }
-func (badStore) Attr(string) ([]float64, bool) { return nil, false }
-func (badStore) AttrValue(string, graph.Node) (float64, bool) {
-	return 0, false
-}
-func (badStore) AttrNames() []string { return nil }
-func (badStore) Neighbors(v graph.Node) []graph.Node {
-	return []graph.Node{1, 0} // unsorted for node 0, asymmetric either way
-}
-
+// TestVerifyCatchesStructuralViolations: an adopted adjacency whose
+// rows are unsorted and asymmetric passes AdoptCSR's O(1) shape checks,
+// and the writer happily serializes it (checksums cover the bytes as
+// written), so the verifier's structural pass is what must reject the
+// file.
 func TestVerifyCatchesStructuralViolations(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.hwg")
-	if err := WriteFile(path, badStore{}); err != nil {
+	bad, err := graph.AdoptCSR("bad", []int64{0, 2, 4}, []graph.Node{1, 0, 1, 0}, 0, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Open(path)
+	path := filepath.Join(t.TempDir(), "bad.hwg")
+	if err := WriteFile(path, bad); err != nil {
+		t.Fatal(err)
+	}
+	g, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open should accept the file (header and checksums valid): %v", err)
 	}
-	if err := m.VerifyChecksums(); err != nil {
+	g.Close()
+	m, err := mapPath(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.verifyChecksums(); err != nil {
 		t.Fatalf("checksums should be valid: %v", err)
 	}
-	m.Close()
+	m.close()
 	err = VerifyFile(path)
 	if err == nil || !(strings.Contains(err.Error(), "sorted") || strings.Contains(err.Error(), "asymmetric")) {
 		t.Fatalf("want a CSR invariant violation, got %v", err)

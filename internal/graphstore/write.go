@@ -189,18 +189,19 @@ func writeCSR(f io.WriteSeeker, name string, offsets []int64, loops int64, targe
 	return nil
 }
 
-// Write serializes any Store — heap or mapped — to f in the versioned
-// binary CSR format. Attributes are written in sorted name order, so
-// the output bytes are a pure function of the store's contents.
-func Write(f io.WriteSeeker, st Store) error {
-	n := st.NumNodes()
+// Write serializes g to f in the versioned binary CSR format, whether
+// g lives on the heap or in a mapped file. Attributes are written in
+// sorted name order, so the output bytes are a pure function of the
+// graph's contents.
+func Write(f io.WriteSeeker, g *graph.Graph) error {
+	n := g.NumNodes()
 	offsets := make([]int64, n+1)
 	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + int64(st.Degree(graph.Node(v)))
+		offsets[v+1] = offsets[v] + int64(g.Degree(graph.Node(v)))
 	}
 	stream := func(emit func(graph.Node) error) error {
 		for v := 0; v < n; v++ {
-			for _, u := range st.Neighbors(graph.Node(v)) {
+			for _, u := range g.Neighbors(graph.Node(v)) {
 				if err := emit(u); err != nil {
 					return err
 				}
@@ -209,25 +210,22 @@ func Write(f io.WriteSeeker, st Store) error {
 		return nil
 	}
 	var attrs []namedAttr
-	for _, name := range st.AttrNames() { // AttrNames is sorted
-		vals, ok := st.Attr(name)
-		if !ok {
-			return formatErrf("attribute %q listed but missing", name)
-		}
+	for _, name := range g.AttrNames() { // AttrNames is sorted
+		vals, _ := g.Attr(name)
 		attrs = append(attrs, namedAttr{name: name, vals: vals})
 	}
-	return writeCSR(f, st.Name(), offsets, int64(st.NumSelfLoops()), stream, attrs)
+	return writeCSR(f, g.Name(), offsets, int64(g.NumSelfLoops()), stream, attrs)
 }
 
-// WriteFile serializes st to a new .hwg file at path, fsyncing before
+// WriteFile serializes g to a new .hwg file at path, fsyncing before
 // rename-free close so a crash never leaves a silently-valid header
 // over torn sections (the header is written last either way).
-func WriteFile(path string, st Store) error {
+func WriteFile(path string, g *graph.Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("graphstore: %w", err)
 	}
-	if err := Write(f, st); err != nil {
+	if err := Write(f, g); err != nil {
 		f.Close()
 		os.Remove(path)
 		return err

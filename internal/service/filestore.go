@@ -545,6 +545,9 @@ func (fs *FileStore) dropLocked(id string) {
 }
 
 // appendLocked frames and writes records to the log in one write call.
+// A write that fails part-way is cut back off the log, since the next
+// open stops reading at a torn record and would drop every record
+// appended after it.
 func (fs *FileStore) appendLocked(recs ...logRec) error {
 	var buf []byte
 	for _, r := range recs {
@@ -555,11 +558,16 @@ func (fs *FileStore) appendLocked(recs ...logRec) error {
 		buf = encodeRec(buf, payload)
 	}
 	n, err := fs.log.Write(buf)
-	fs.logBytes += int64(n)
 	if err != nil {
 		obsStoreErrors.Inc()
+		if terr := fs.log.Truncate(fs.logBytes); terr != nil {
+			fs.logBytes += int64(n)
+		} else if _, serr := fs.log.Seek(fs.logBytes, io.SeekStart); serr != nil {
+			fs.logBytes += int64(n)
+		}
 		return fmt.Errorf("service: appending to job log: %w", err)
 	}
+	fs.logBytes += int64(n)
 	return nil
 }
 

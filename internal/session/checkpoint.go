@@ -22,7 +22,7 @@ package session
 // silently continuing a different walk.
 //
 // Replay costs the same CPU as the original prefix (microseconds per
-// step in Graph/Store mode), but no wall-clock latency in pipelined
+// step in Graph mode), but no wall-clock latency in pipelined
 // simulation (the cache rebuild pays no simulated latency twice) and
 // no operator attention. In live-Transport mode replay re-issues the
 // prefix's network fetches; what the remote endpoint serves on the

@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"histwalk/internal/diagnostics"
-	"histwalk/internal/engine"
 	"histwalk/internal/estimate"
 	"histwalk/internal/graph"
 )
@@ -50,7 +49,7 @@ func (l *sampleLog) observe(t testing.TB, u Update) {
 	}
 	l.degrees[u.Chain] = append(l.degrees[u.Chain], l.g.Degree(u.Node))
 	for e, es := range l.ests {
-		x, _, err := engine.Measure(l.g, es.attr(), u.Node)
+		x, err := graphMeasure(l.g, es.attr(), u.Node)
 		if err != nil {
 			t.Errorf("measuring chain %d's sample: %v", u.Chain, err)
 		}

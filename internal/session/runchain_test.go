@@ -50,7 +50,7 @@ func TestRunChainMatchesSession(t *testing.T) {
 					sp := Spec{Graph: g, Walker: factory, Estimators: estimators, Budget: 40,
 						Cost: cost, Chains: 3, BurnIn: 2, Thin: 2, Seed: 19}
 					if src == "store" {
-						sp.Graph, sp.Store = nil, m
+						sp.Graph = m
 					}
 					return sp
 				}})

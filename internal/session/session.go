@@ -46,7 +46,6 @@ import (
 	"histwalk/internal/engine"
 	"histwalk/internal/estimate"
 	"histwalk/internal/graph"
-	"histwalk/internal/graphstore"
 	"histwalk/internal/obs"
 	"histwalk/internal/stats"
 )
@@ -66,7 +65,7 @@ const (
 )
 
 // CachePolicy selects how the network bills the chains of a
-// multi-chain source (Graph, Store or Transport). It is a choice made
+// multi-chain source (Graph or Transport). It is a choice made
 // when the Result is merged: every chain keeps its own access.Ledger
 // either way, so it never changes what a chain reads.
 type CachePolicy int
@@ -170,24 +169,19 @@ func (e EstimatorSpec) transform(raw float64) float64 {
 }
 
 // Spec declares one sampling run. The zero value is not runnable; at
-// minimum one of Graph, Store, Client and Transport, plus Walker and
+// minimum one of Graph, Client and Transport, plus Walker and
 // Budget, must be set. All other fields have working defaults (see
 // each field's comment).
 type Spec struct {
 	// Graph is the network to sample in simulation mode: every chain
 	// gets its own access.Simulator over it (private cache, private
-	// unique-query accounting) under either cache policy. Exactly one
-	// of Graph, Store, Client and Transport must be set.
+	// unique-query accounting) under either cache policy. It may be
+	// built in memory or opened from a packed .hwg file
+	// (graphstore.Open), which samples an out-of-core graph without
+	// parsing or heap residency; trajectories, query costs and
+	// estimates are bit-identical either way. Exactly one of Graph,
+	// Client and Transport must be set.
 	Graph *graph.Graph
-	// Store is the network as a storage backend — typically a
-	// memory-mapped .hwg graph store (graphstore.Open), letting a run
-	// sample an out-of-core graph without parsing or heap residency.
-	// It behaves exactly like Graph mode in every other respect:
-	// trajectories, query costs and estimates are bit-identical to a
-	// heap graph with the same contents, per the backend-invariance
-	// contract. Exactly one of Graph, Store, Client and Transport must
-	// be set.
-	Store graphstore.Store
 	// Client is a live restricted-access interface to walk directly
 	// (online mode). A shared client has one cache and one query
 	// counter, so Client mode supports a single chain. If the client
@@ -201,10 +195,10 @@ type Spec struct {
 	// Unlike Client mode it supports multiple chains (the pipeline is
 	// concurrency-safe and keeps per-chain accounting bit-identical to
 	// private simulators); every chain starts at Start. Exactly one of
-	// Graph, Store, Client and Transport must be set.
+	// Graph, Client and Transport must be set.
 	Transport access.Transport
 	// Start is the chains' start node in Client and Transport mode
-	// (Graph/Store mode draws a uniform non-isolated start per chain
+	// (Graph mode draws a uniform non-isolated start per chain
 	// from the chain's RNG).
 	Start graph.Node
 
@@ -237,14 +231,14 @@ type Spec struct {
 	// mode, where every crawler account is rate-limited separately.
 	Chains int
 	// Cache selects the chains' cache topology for every multi-chain
-	// source: Graph, Store or Transport (default CacheIsolated).
+	// source: Graph or Transport (default CacheIsolated).
 	// CacheShared accounts the chains as one fleet sharing a crawl
 	// cache, which changes only the Result's network ledger, never a
 	// chain's trajectory or budget accounting; see CachePolicy.
 	Cache CachePolicy
 	// Window is the pipelined access layer's speculative in-flight
 	// window: how many prefetch fetches may be outstanding at once.
-	// In Graph/Store mode a positive Window (or Latency) switches the
+	// In Graph mode a positive Window (or Latency) switches the
 	// run to the pipelined-simulation path — chains read through one
 	// access.Prefetcher over a simulated transport — with trajectories,
 	// RNG consumption and per-chain query costs bit-identical to the
@@ -255,7 +249,7 @@ type Spec struct {
 	// except Pipeline.
 	Window int
 	// Latency is the simulated per-fetch transport latency for the
-	// Graph/Store pipelined mode (0 = none). It models a remote API's
+	// Graph pipelined mode (0 = none). It models a remote API's
 	// round-trip time so latency hiding can be measured; it cannot be
 	// combined with a live Transport, whose latency is real.
 	Latency time.Duration
@@ -286,15 +280,11 @@ type Spec struct {
 	// autoMaxSteps records that MaxSteps was defaulted rather than set
 	// by the caller, enabling the Client-mode saturation cap.
 	autoMaxSteps bool
-	// src is the normalized storage backend: Graph or Store, whichever
-	// was set (nil in Client and Transport mode). All simulation-mode
-	// paths read it.
-	src graphstore.Store
 	// pipe is the pipelined access layer when the spec selects it
-	// (Transport set, or Graph/Store mode with Window/Latency), created
+	// (Transport set, or Graph mode with Window/Latency), created
 	// once per Run/Session; chains read through per-chain PipeViews.
 	pipe *access.Prefetcher
-	// nodes is the network size when known (Graph/Store mode, or a
+	// nodes is the network size when known (Graph mode, or a
 	// Transport implementing access.NodeCounter); 0 means unknown, which
 	// disables the saturation stop and enables the progress bound.
 	nodes int
@@ -303,16 +293,16 @@ type Spec struct {
 // Validate checks the spec without running it.
 func (s Spec) Validate() error {
 	sources := 0
-	for _, set := range []bool{s.Graph != nil, s.Store != nil, s.Client != nil, s.Transport != nil} {
+	for _, set := range []bool{s.Graph != nil, s.Client != nil, s.Transport != nil} {
 		if set {
 			sources++
 		}
 	}
 	if sources != 1 {
-		return errors.New("session: exactly one of Graph, Store, Client and Transport must be set")
+		return errors.New("session: exactly one of Graph, Client and Transport must be set")
 	}
 	if s.Client != nil && s.Chains > 1 {
-		return errors.New("session: a shared Client supports one chain; use Graph, Store or Transport for multi-chain fan-out")
+		return errors.New("session: a shared Client supports one chain; use Graph or Transport for multi-chain fan-out")
 	}
 	if s.Window < 0 {
 		return errors.New("session: Window must be >= 0")
@@ -342,13 +332,13 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("session: unknown cost model %d", int(s.Cost))
 	}
 	if s.Client == nil && s.Transport == nil && s.Start != 0 {
-		return errors.New("session: Start is only used in Client and Transport mode; Graph/Store mode draws each chain's start from its RNG")
+		return errors.New("session: Start is only used in Client and Transport mode; Graph mode draws each chain's start from its RNG")
 	}
 	switch s.Cache {
 	case CacheIsolated:
 	case CacheShared:
 		if s.Client != nil {
-			return errors.New("session: CacheShared applies to multi-chain sources (Graph, Store, Transport); a Client brings its own cache")
+			return errors.New("session: CacheShared applies to multi-chain sources (Graph, Transport); a Client brings its own cache")
 		}
 	default:
 		return fmt.Errorf("session: unknown cache policy %d", int(s.Cache))
@@ -415,30 +405,25 @@ func normalize(s Spec) (*Spec, error) {
 	if len(s.Estimators) == 0 {
 		s.Estimators = []EstimatorSpec{{Kind: AggAvgDegree}}
 	}
-	if s.Graph != nil {
-		s.src = s.Graph
-	} else {
-		s.src = s.Store // nil in Client and Transport mode
-	}
 	if s.Transport != nil {
 		s.pipe = access.NewPrefetcher(s.Transport, s.Window)
 		if nc, ok := s.Transport.(access.NodeCounter); ok {
 			s.nodes = nc.NumNodes()
 		}
-	} else if s.src != nil {
-		s.nodes = s.src.NumNodes()
+	} else if s.Graph != nil {
+		s.nodes = s.Graph.NumNodes()
 		if s.pipelined() {
-			s.pipe = access.NewPrefetcher(access.NewSimTransport(s.src, s.Latency), s.Window)
+			s.pipe = access.NewPrefetcher(access.NewSimTransport(s.Graph, s.Latency), s.Window)
 		}
 	}
 	return &s, nil
 }
 
 // pipelined reports whether the spec selects the pipelined access
-// layer: always in Transport mode, and in Graph/Store mode whenever a
+// layer: always in Transport mode, and in Graph mode whenever a
 // speculation window or simulated latency is requested.
 func (s *Spec) pipelined() bool {
-	return s.Transport != nil || ((s.Graph != nil || s.Store != nil) && (s.Window > 0 || s.Latency > 0))
+	return s.Transport != nil || (s.Graph != nil && (s.Window > 0 || s.Latency > 0))
 }
 
 // pipelineStats snapshots the pipelined access layer's wire-side
@@ -663,12 +648,12 @@ func newSession(sp *Spec) (*Session, error) {
 }
 
 // shareStrata hands the session's GNRW chains one stratum table per
-// grouper (core.ShareStrata). Only a Graph or Store source qualifies:
+// grouper (core.ShareStrata). Only a Graph source qualifies:
 // every chain then reads one static network. Transport and Client
 // chains keep private tables, so a changing upstream cannot leak one
 // chain's answer into another chain's walk.
 func shareStrata(sp *Spec, chains []*chainRun) {
-	if sp.src == nil {
+	if sp.Graph == nil {
 		return
 	}
 	ws := make([]core.Walker, len(chains))
@@ -891,11 +876,11 @@ func newChain(sp *Spec, c int) (*chainRun, error) {
 		cr.ledger = &view.Ledger
 		cr.client = view
 		cr.warm = view
-		if sp.src != nil {
+		if sp.Graph != nil {
 			// Pipelined simulation: the start draw consumes the chain
-			// RNG exactly as the synchronous Graph/Store path does, so
+			// RNG exactly as the synchronous Graph path does, so
 			// trajectories stay bit-identical across the mode switch.
-			start, err := engine.RandomStart(sp.src, rng)
+			start, err := engine.RandomStart(sp.Graph, rng)
 			if err != nil {
 				return nil, fmt.Errorf("session: chain %d: %w", c, err)
 			}
@@ -903,11 +888,11 @@ func newChain(sp *Spec, c int) (*chainRun, error) {
 		} else {
 			cr.start = sp.Start
 		}
-	case sp.src != nil:
-		sim := access.NewSimulatorStore(sp.src)
+	case sp.Graph != nil:
+		sim := access.NewSimulator(sp.Graph)
 		cr.ledger = &sim.Ledger
 		cr.client = sim
-		start, err := engine.RandomStart(sp.src, rng)
+		start, err := engine.RandomStart(sp.Graph, rng)
 		if err != nil {
 			return nil, fmt.Errorf("session: chain %d: %w", c, err)
 		}
@@ -991,7 +976,7 @@ func (cr *chainRun) advance(sp *Spec) (stepped bool, err error) {
 	}
 	// Unique queries can never exceed the node count: once the whole
 	// network is cached, larger budgets are unreachable — stop. The
-	// count is known in Graph/Store mode and for transports that report
+	// count is known in Graph mode and for transports that report
 	// one (access.NodeCounter).
 	if cr.ledger != nil && sp.nodes > 0 && sp.Cost == engine.CostUnique && cr.ledger.QueryCost() >= sp.nodes {
 		cr.markDone(sp)
@@ -1046,8 +1031,8 @@ func (cr *chainRun) fail(sp *Spec, err error) (bool, error) {
 func (cr *chainRun) measure(sp *Spec, v graph.Node) (int, []float64, error) {
 	vals := cr.scratch
 	var deg int
-	if sp.src != nil {
-		deg = sp.src.Degree(v)
+	if sp.Graph != nil {
+		deg = sp.Graph.Degree(v)
 	} else {
 		d, err := cr.client.Degree(v)
 		if err != nil {
@@ -1063,8 +1048,8 @@ func (cr *chainRun) measure(sp *Spec, v graph.Node) (int, []float64, error) {
 		}
 		var x float64
 		var err error
-		if sp.src != nil {
-			x, _, err = engine.Measure(sp.src, a, v)
+		if sp.Graph != nil {
+			x, err = graphMeasure(sp.Graph, a, v)
 		} else {
 			x, err = cr.client.Attribute(v, a)
 		}
@@ -1074,6 +1059,21 @@ func (cr *chainRun) measure(sp *Spec, v graph.Node) (int, []float64, error) {
 		vals[e] = x
 	}
 	return deg, vals, nil
+}
+
+// graphMeasure reads attribute attr of node v straight from g, with
+// "degree" (or "") the topological degree, so datasets need not
+// materialize a degree attribute. The error text is the one jobs have
+// always failed with; stored job logs hold it.
+func graphMeasure(g *graph.Graph, attr string, v graph.Node) (float64, error) {
+	if attr == "" || attr == "degree" {
+		return float64(g.Degree(v)), nil
+	}
+	x, ok := g.AttrValue(attr, v)
+	if !ok {
+		return 0, fmt.Errorf("engine: graph %q lacks attribute %q", g.Name(), attr)
+	}
+	return x, nil
 }
 
 // retain folds one retained sample — its degree and every estimator's

@@ -7,12 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"histwalk/internal/graph"
 	"histwalk/internal/graphstore"
 )
 
 // packedTestGraph writes the standard test graph to a .hwg file and
 // opens it through the mmap backend.
-func packedTestGraph(t *testing.T) *graphstore.Mapped {
+func packedTestGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	g := testGraph(t)
 	path := filepath.Join(t.TempDir(), "sbm120.hwg")
@@ -28,10 +29,13 @@ func packedTestGraph(t *testing.T) *graphstore.Mapped {
 }
 
 // TestRunStoreBackendIdentical pins the session-level backend
-// invariant: a run over Spec.Store (mmap) is deep-equal to the same
-// run over Spec.Graph (heap) — estimates, per-chain trajectories,
-// budgets and cost accounting — under both cache policies, and for a
-// spec naming the deprecated SteppingBatched alias.
+// invariant: a run over a graph opened from a .hwg file (mmap) is
+// deep-equal to the same run over the heap graph it was written from —
+// estimates, per-chain trajectories, budgets and cost accounting —
+// under both cache policies, for a spec naming the deprecated
+// SteppingBatched alias, and through the pipelined access layer
+// (SimTransport rows built by StoreRow), where only the
+// scheduling-dependent Pipeline counters are left out.
 func TestRunStoreBackendIdentical(t *testing.T) {
 	g := testGraph(t)
 	m := packedTestGraph(t)
@@ -39,20 +43,22 @@ func TestRunStoreBackendIdentical(t *testing.T) {
 		name     string
 		cache    CachePolicy
 		stepping SteppingMode
+		window   int
 	}{
-		{"isolated-perchain", CacheIsolated, SteppingPerChain},
-		{"shared-perchain", CacheShared, SteppingPerChain},
-		{"batched-alias", CacheIsolated, SteppingBatched},
+		{"isolated-perchain", CacheIsolated, SteppingPerChain, 0},
+		{"shared-perchain", CacheShared, SteppingPerChain, 0},
+		{"batched-alias", CacheIsolated, SteppingBatched, 0},
+		{"pipelined", CacheIsolated, SteppingPerChain, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			heapSpec := baseSpec(g)
 			heapSpec.Cache = tc.cache
 			heapSpec.Stepping = tc.stepping
+			heapSpec.Window = tc.window
 			heapSpec.Estimators = []EstimatorSpec{{Kind: AggMean, Attr: "score"}}
 
 			storeSpec := heapSpec
-			storeSpec.Graph = nil
-			storeSpec.Store = m
+			storeSpec.Graph = m
 
 			hres, err := Run(context.Background(), heapSpec)
 			if err != nil {
@@ -62,34 +68,18 @@ func TestRunStoreBackendIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(hres, sres) {
+			if piped := tc.window > 0; (hres.Pipeline != nil) != piped || (sres.Pipeline != nil) != piped {
+				t.Fatalf("pipeline stats present: heap %v, store %v; want %v", hres.Pipeline != nil, sres.Pipeline != nil, piped)
+			}
+			if !reflect.DeepEqual(chainLocal(hres), chainLocal(sres)) {
 				t.Fatalf("results differ between heap and store backends:\nheap:  %+v\nstore: %+v", hres, sres)
 			}
 		})
 	}
 }
 
-func TestValidateStoreSource(t *testing.T) {
-	g := testGraph(t)
-	m := packedTestGraph(t)
-
-	spec := baseSpec(g)
-	spec.Graph = nil
-	spec.Store = m
-	if err := spec.Validate(); err != nil {
-		t.Fatalf("store-only spec rejected: %v", err)
-	}
-
-	both := baseSpec(g)
-	both.Store = m
-	err := both.Validate()
-	if err == nil || !strings.Contains(err.Error(), "exactly one") {
-		t.Fatalf("Graph+Store spec: want exactly-one error, got %v", err)
-	}
-}
-
 // TestWireStorePath checks that a serialized job spec can name a .hwg
-// file as its dataset and resolves to the mmap backend.
+// file as its dataset and resolves to the graph mapped from it.
 func TestWireStorePath(t *testing.T) {
 	g := testGraph(t)
 	path := filepath.Join(t.TempDir(), "wire.hwg")
@@ -107,14 +97,11 @@ func TestWireStorePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Graph != nil {
-		t.Fatal("a .hwg dataset should resolve to Spec.Store, not Spec.Graph")
+	if spec.Graph == nil {
+		t.Fatal("Spec.Graph not set from a .hwg dataset path")
 	}
-	if spec.Store == nil {
-		t.Fatal("Spec.Store not set from a .hwg dataset path")
-	}
-	if n := spec.Store.NumNodes(); n != g.NumNodes() {
-		t.Fatalf("resolved store has %d nodes, want %d", n, g.NumNodes())
+	if n := spec.Graph.NumNodes(); n != g.NumNodes() {
+		t.Fatalf("resolved graph has %d nodes, want %d", n, g.NumNodes())
 	}
 	if _, err := Run(context.Background(), spec); err != nil {
 		t.Fatalf("running a wire-resolved store spec: %v", err)

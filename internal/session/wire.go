@@ -22,7 +22,6 @@ import (
 	"histwalk/internal/dataset"
 	"histwalk/internal/engine"
 	"histwalk/internal/graph"
-	"histwalk/internal/graphstore"
 	"histwalk/internal/registry"
 )
 
@@ -287,10 +286,10 @@ func (w SpecJSON) Spec() (Spec, error) {
 		return Spec{}, fmt.Errorf("session: wire spec requires a dataset (have: %s)",
 			strings.Join(dataset.Names(), ", "))
 	}
-	var src graphstore.Store
+	var g *graph.Graph
 	if !httpMode {
 		var err error
-		src, err = dataset.OpenStore(w.Dataset, w.Seed)
+		g, err = dataset.OpenStore(w.Dataset, w.Seed)
 		if err != nil {
 			if dataset.IsStoreFile(w.Dataset) {
 				return Spec{}, fmt.Errorf("session: opening graph store %q: %w", w.Dataset, err)
@@ -332,6 +331,7 @@ func (w SpecJSON) Spec() (Spec, error) {
 		stream = engine.StreamID(w.Stream)
 	}
 	spec := Spec{
+		Graph:      g,
 		Walker:     factory,
 		Design:     design,
 		Estimators: ests,
@@ -379,14 +379,6 @@ func (w SpecJSON) Spec() (Spec, error) {
 		default:
 			return Spec{}, fmt.Errorf("session: unknown transport kind %q (use sim or http)", t.Kind)
 		}
-	}
-	// Built-in names resolve to a heap graph and populate Graph (so
-	// callers inspecting the concrete dataset keep working); .hwg paths
-	// resolve to the mmap backend and populate Store.
-	if g, ok := src.(*graph.Graph); ok {
-		spec.Graph = g
-	} else if src != nil {
-		spec.Store = src
 	}
 	if err := spec.Validate(); err != nil {
 		return Spec{}, err

@@ -13,7 +13,6 @@ import (
 
 	"histwalk/internal/access"
 	"histwalk/internal/access/httpclient"
-	"histwalk/internal/graphstore"
 )
 
 // Pipelined access layer types.
@@ -27,8 +26,8 @@ type (
 	Row = access.Row
 	// NeighborSummary is the free summary data of one listed neighbor.
 	NeighborSummary = access.NeighborSummary
-	// SimTransport is a concurrency-safe Transport over a graph store
-	// with an optional fixed per-fetch latency, for latency-hiding
+	// SimTransport is a concurrency-safe Transport over a graph with
+	// an optional fixed per-fetch latency, for latency-hiding
 	// measurements without a network.
 	SimTransport = access.SimTransport
 	// Prefetcher wraps any Transport with a shared row cache,
@@ -48,10 +47,10 @@ type (
 	HTTPTransport = httpclient.Client
 )
 
-// NewSimTransport returns a transport serving rows from st, delaying
+// NewSimTransport returns a transport serving rows from g, delaying
 // every fetch by latency (0 = none).
-func NewSimTransport(st graphstore.Store, latency time.Duration) *SimTransport {
-	return access.NewSimTransport(st, latency)
+func NewSimTransport(g *Graph, latency time.Duration) *SimTransport {
+	return access.NewSimTransport(g, latency)
 }
 
 // NewPrefetcher returns a pipeline over t with the given speculative
@@ -68,6 +67,6 @@ func NewHTTPTransport(cfg HTTPTransportConfig) (*HTTPTransport, error) {
 }
 
 // HTTPTransportHandler returns the server side of the HTTP transport's
-// wire format over a graph store — any histwalk dataset served as a
+// wire format over a graph — any histwalk dataset served as a
 // fake social API, for tests, smoke runs and demos.
 var HTTPTransportHandler = httpclient.Handler

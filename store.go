@@ -2,30 +2,23 @@ package histwalk
 
 // Root re-exports for the out-of-core graph storage layer
 // (internal/graphstore): the versioned binary CSR file format (".hwg"),
-// the pluggable Store interface with its heap (*Graph) and mmap
-// (*MappedGraph) backends, the streaming edge-list converter, and the
-// store-aware simulator constructors. The house invariant holds across
-// backends: for a fixed seed, walker trajectories and query costs are
-// bit-identical whether a graph is served from the heap or from a
-// memory mapping.
+// its writers and the streaming edge-list converter, and the reader,
+// which opens a packed file as an ordinary *Graph over a memory mapping.
+// The house invariant holds across the two: for a fixed seed, walker
+// trajectories and query costs are bit-identical whether a graph was
+// built on the heap or opened from a .hwg file.
 
 import (
 	"io"
 
-	"histwalk/internal/access"
 	"histwalk/internal/dataset"
 	"histwalk/internal/graphstore"
 )
 
-// GraphStore is the read-only storage interface the simulators and the
-// session layer consume. *Graph satisfies it (heap backend), as does
-// *MappedGraph (mmap backend over a .hwg file).
-type GraphStore = graphstore.Store
-
-// MappedGraph is the mmap-backed GraphStore over a .hwg file: neighbor
-// rows are served zero-copy out of the page cache, so resident heap is
-// independent of graph size.
-type MappedGraph = graphstore.Mapped
+// GraphStore is *Graph: an opened .hwg file is a graph like any other.
+// The alias remains for code written against the former storage
+// interface.
+type GraphStore = *Graph
 
 // PackOptions configures PackEdgeList.
 type PackOptions = graphstore.PackOptions
@@ -36,13 +29,14 @@ type PackStats = graphstore.PackStats
 // StoreExt is the conventional .hwg file extension.
 const StoreExt = graphstore.Ext
 
-// OpenGraphStore maps the .hwg file at path (header-validated in O(1);
-// use VerifyGraphStore for the full checksum + invariant pass). Close
-// the returned store to release the mapping.
-func OpenGraphStore(path string) (*MappedGraph, error) { return graphstore.Open(path) }
+// OpenGraphStore maps the .hwg file at path and returns its graph,
+// whose rows are served zero-copy out of the page cache (header
+// validated in O(1 + #attrs); use VerifyGraphStore for the full
+// checksum + invariant pass). Close the graph to release the mapping.
+func OpenGraphStore(path string) (*Graph, error) { return graphstore.Open(path) }
 
-// WriteGraphStore serializes any GraphStore to a .hwg file at path.
-func WriteGraphStore(path string, st GraphStore) error { return graphstore.WriteFile(path, st) }
+// WriteGraphStore serializes g to a .hwg file at path.
+func WriteGraphStore(path string, g *Graph) error { return graphstore.WriteFile(path, g) }
 
 // PackEdgeList streams a text edge list (gzip sniffed) into a .hwg
 // file in bounded memory via external sort; the output is
@@ -57,13 +51,9 @@ func PackEdgeList(edges io.Reader, out string, opts PackOptions) (*PackStats, er
 // symmetric arcs, self-loop accounting).
 func VerifyGraphStore(path string) error { return graphstore.VerifyFile(path) }
 
-// NewSimulatorStore returns a Simulator over any storage backend; see
-// NewSimulator for the heap shorthand.
-func NewSimulatorStore(st GraphStore) *Simulator { return access.NewSimulatorStore(st) }
-
 // OpenDatasetStore resolves a dataset reference — a built-in stand-in
-// name (DatasetNames) or a path to a packed .hwg file — to a storage
-// backend. Mapped stores are cached process-wide and stay open.
-func OpenDatasetStore(name string, seed int64) (GraphStore, error) {
+// name (DatasetNames) or a path to a packed .hwg file — to a graph.
+// Mapped graphs are cached process-wide and stay open.
+func OpenDatasetStore(name string, seed int64) (*Graph, error) {
 	return dataset.OpenStore(name, seed)
 }
