@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -156,6 +157,38 @@ func TestValidateCatchesAsymmetry(t *testing.T) {
 	}
 	if err := g.Validate(); err == nil {
 		t.Fatal("asymmetric adjacency passed validation")
+	}
+}
+
+// TestAdoptCSR: adoption checks only the O(1) shape, so offsets that
+// are not monotone are left to Validate, which must report them before
+// reading a row; Close releases adopted storage exactly once and does
+// nothing for a heap graph.
+func TestAdoptCSR(t *testing.T) {
+	if _, err := AdoptCSR("", []int64{1, 2}, []Node{0, 0}, 0, nil); err == nil {
+		t.Fatal("AdoptCSR accepted offsets[0] = 1")
+	}
+	if _, err := AdoptCSR("", []int64{0, 1}, []Node{0, 0}, 0, nil); err == nil {
+		t.Fatal("AdoptCSR accepted offsets ending short of the targets")
+	}
+	released := 0
+	g, err := AdoptCSR("bad", []int64{0, 5, 2}, []Node{1, 0}, 0, func() error { released++; return nil })
+	if err != nil {
+		t.Fatalf("AdoptCSR scanned past the O(1) shape: %v", err)
+	}
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "not monotone") {
+		t.Fatalf("Validate over non-monotone offsets: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if released != 1 || g.NumNodes() != 0 {
+		t.Fatalf("after two Closes: released %d times, %d nodes left", released, g.NumNodes())
+	}
+	if err := Complete(3).Close(); err != nil {
+		t.Fatalf("Close on a heap graph: %v", err)
 	}
 }
 

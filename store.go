@@ -15,9 +15,8 @@ import (
 	"histwalk/internal/graphstore"
 )
 
-// GraphStore is *Graph: an opened .hwg file is a graph like any other.
-// The alias remains for code written against the former storage
-// interface.
+// GraphStore names what OpenGraphStore returns: a *Graph like any
+// other. perfbench/crawl.go spells a parameter with it.
 type GraphStore = *Graph
 
 // PackOptions configures PackEdgeList.
